@@ -180,6 +180,8 @@ def _cmd_slice(args) -> list[Path]:
     _check_range("--t", args.t, 0.0, 1.0)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
+    if args.epsilon is not None:
+        _check_range("--epsilon", args.epsilon, 0.0, 0.3, lo_open=True)
     pmap = _map_from_args(args)
     mesh = _mesh_for(args, args.n)
     loop = slice_loop(pmap, args.t, mesh, epsilon=args.epsilon)

@@ -175,48 +175,48 @@ def convergence_split(
     t_grid = np.asarray(t_grid, dtype=float)
     regularity = holder_estimate(pmap)
     raw_samples = pmap(mesh.vertices)
-    raw_loops = [slice_loop(pmap, t, mesh, samples=raw_samples) for t in t_grid]
-    grids = [
-        grid_over(lp.vertices, h, pad=max(2.0 * h, 0.3)) for lp in raw_loops
-    ]
-    totals, i1s, i2s, bounds, agree = [], [], [], [], []
-    for eps in epsilons:
-        collar, _ = _collar_radius(pmap, eps, delta_prime, regularity)
-        smooth = mollify_on_sphere(raw_samples, eps, mesh)
-        total = 0.0
-        collar_part = np.zeros(len(t_grid))
-        total_part = np.zeros(len(t_grid))
-        collar_area = np.zeros(len(t_grid))
-        max_area = 0.0
-        agree_cells = 0
-        unmasked_cells = 0
-        for i, t in enumerate(t_grid):
+    collars = [_collar_radius(pmap, eps, delta_prime, regularity)[0] for eps in epsilons]
+    smooths = [mollify_on_sphere(raw_samples, eps, mesh) for eps in epsilons]
+    n_t = len(t_grid)
+    collar_part = [np.zeros(n_t) for _ in epsilons]
+    total_part = [np.zeros(n_t) for _ in epsilons]
+    collar_area = [np.zeros(n_t) for _ in epsilons]
+    max_area = [0.0] * len(epsilons)
+    agree_cells = [0] * len(epsilons)
+    unmasked_cells = [0] * len(epsilons)
+    # heights outside, scales inside: the raw loop's field is built once per
+    # height and compared against every mollification scale
+    for i, t in enumerate(t_grid):
+        raw_loop = slice_loop(pmap, t, mesh, samples=raw_samples)
+        grid = grid_over(raw_loop.vertices, h, pad=max(2.0 * h, 0.3))
+        f_raw = winding_field(raw_loop, h, grid=grid)
+        cell = grid.cell_measure
+        for k, (collar, smooth) in enumerate(zip(collars, smooths)):
             lp = slice_loop(pmap, t, mesh, samples=smooth)
-            grid = grids[i]
             f_eps = winding_field(lp, h, grid=grid)
-            f_raw = winding_field(raw_loops[i], h, grid=grid)
             in_collar = (
-                mark_near_polyline(grid, raw_loops[i].vertices, collar)
+                mark_near_polyline(grid, raw_loop.vertices, collar)
                 if collar > 0.0
                 else np.zeros(grid.shape, dtype=bool)
             )
-            cell = grid.cell_measure
             vals = np.where(f_eps.mask, 0, f_eps.values)
-            total_part[i] = vals.sum() * cell
-            collar_part[i] = vals[in_collar].sum() * cell
-            collar_area[i] = in_collar.sum() * cell
-            max_area = max(max_area, loop_area(lp))
+            total_part[k][i] = vals.sum() * cell
+            collar_part[k][i] = vals[in_collar].sum() * cell
+            collar_area[k][i] = in_collar.sum() * cell
+            max_area[k] = max(max_area[k], loop_area(lp))
             both = ~(f_eps.mask | f_raw.mask)
-            unmasked_cells += int(both.sum())
-            agree_cells += int(np.sum(f_eps.values[both] == f_raw.values[both]))
-        total = float(np.trapezoid(total_part, t_grid))
-        i1 = float(np.trapezoid(collar_part, t_grid))
-        collar_measure = float(np.trapezoid(collar_area, t_grid))
+            unmasked_cells[k] += int(both.sum())
+            agree_cells[k] += int(np.sum(f_eps.values[both] == f_raw.values[both]))
+    totals, i1s, i2s, bounds, agree = [], [], [], [], []
+    for k in range(len(epsilons)):
+        total = float(np.trapezoid(total_part[k], t_grid))
+        i1 = float(np.trapezoid(collar_part[k], t_grid))
+        collar_measure = float(np.trapezoid(collar_area[k], t_grid))
         totals.append(total)
         i1s.append(i1)
         i2s.append(total - i1)
-        bounds.append(collar_measure ** (1.0 / (pmap.n - 1)) * max_area)
-        agree.append(agree_cells / max(unmasked_cells, 1))
+        bounds.append(collar_measure ** (1.0 / (pmap.n - 1)) * max_area[k])
+        agree.append(agree_cells[k] / max(unmasked_cells[k], 1))
     gaps = [abs(totals[k + 1] - totals[k]) for k in range(len(totals) - 1)]
     cauchy_ok = all(
         gaps[k + 1] <= gaps[k] / 1.5 + 1e-12 for k in range(len(gaps) - 1)

@@ -8,13 +8,15 @@ identity and their agreement is one of the package's core cross-checks.
 
 With the counterclockwise orientation convention the signed volume of any
 slice of any map is a polynomial in the slice height whose leading
-coefficient is the inscribed-polygon area constant (pi up to mesh
-truncation), independent of the map and of the mollification scale.
+coefficient is the volume of the unit (n-1)-ball (pi for n = 3, 4 pi / 3
+for n = 4, up to mesh truncation), independent of the map and of the
+mollification scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
 
@@ -24,7 +26,11 @@ from .smoothing import Kernel, mollify_on_sphere
 from .sphere import SphereMesh
 from .winding import SliceLoop, make_slice_loop, winding_field
 
-DISK_AREA = np.pi  # orientation constant for n = 3
+
+
+def unit_ball_volume(d: int) -> float:
+    """Volume of the unit ball in R^d: the leading SV(t) coefficient for n = d + 1."""
+    return float(np.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0))
 
 
 def slice_loop(
@@ -209,20 +215,29 @@ def minimal_abs_integral(lead: float, grid: int = 400, refinements: int = 2) -> 
 @dataclass(frozen=True)
 class LowerBoundCheck:
     integral_abs_sv: float
-    kappa: float
-    passed: bool
+    kappa: float | None  # None where the oracle does not apply (n != 3)
+    passed: bool | None
 
 
 def sv_lower_bound_check(fit: PolyFit, profile: SVProfile) -> LowerBoundCheck:
     """Check that the measured height integral of |SV| clears the structural
-    minimum attainable for its leading coefficient."""
+    minimum attainable for its leading coefficient.
+
+    The fit's degree gives n; the leading coefficient must be within 10% of
+    the unit (n-1)-ball volume.  The minimal-|integral| oracle covers
+    quadratics only, so for n = 4 kappa and the verdict are None.
+    """
     lead = fit.leading_coefficient
-    if abs(lead - DISK_AREA) > 0.1 * DISK_AREA:
+    n = len(fit.coefficients)
+    expected = unit_ball_volume(n - 1)
+    if abs(lead - expected) > 0.1 * expected:
         raise ValueError(
-            f"leading coefficient {lead:.4f} is not within 10% of {DISK_AREA:.4f}; "
+            f"leading coefficient {lead:.4f} is not within 10% of {expected:.4f}; "
             "orientation flipped or loop under-resolved"
         )
     integral = float(np.trapezoid(np.abs(profile.sv_values), profile.t_values))
+    if n != 3:
+        return LowerBoundCheck(integral, None, None)
     kappa = minimal_abs_integral(lead)
     return LowerBoundCheck(integral, kappa, bool(integral >= 0.95 * kappa))
 

@@ -68,6 +68,31 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
     assert payload["flag"] == "--mesh"
 
 
+def test_sweep_n4_zero_map(tmp_path):
+    out = tmp_path / "sv.csv"
+    code = run_cli(
+        ["sweep", "--n", "4", "--map", "zero", "--mesh", "642", "--t-steps", "16",
+         "--jobs", "1", "--out", out]
+    )
+    assert code == 0
+    results = json.loads((tmp_path / "sv.summary.json").read_text())["results"]
+    # the leading coefficient is the unit-ball volume 4 pi / 3, up to mesh truncation
+    assert abs(results["leading_coefficient"] - 4 * np.pi / 3) < 0.1 * 4 * np.pi / 3
+    # the minimal-|integral| oracle covers quadratics only
+    assert results["kappa"] is None
+    assert results["lower_bound_passed"] is None
+
+
+def test_slice_epsilon_out_of_range_names_flag(tmp_path, capsys):
+    code = run_cli(
+        ["slice", "--epsilon", "0.5", "--map", "lacunary:alpha=0.8,terms=12,seed=7",
+         "--out", tmp_path / "s.csv"]
+    )
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["flag"] == "--epsilon"
+
+
 def test_determinism_bit_identical(tmp_path):
     for sub in ("a", "b"):
         d = tmp_path / sub

@@ -93,6 +93,43 @@ def test_convergence_split_lacunary_cauchy_and_collar_bound():
     assert all(b >= a - 0.02 for a, b in zip(fractions, fractions[1:]))
 
 
+# floats of the lacunary split below, as computed by the per-epsilon
+# implementation that rebuilt each raw field once per scale
+PINNED_SPLIT = {
+    "total_integrals": ["0x1.238cc40fd67e7p+2", "0x1.460aa64c2f838p+2", "0x1.580346dc5d639p+2"],
+    "collar_integrals": ["0x1.0e376eba81292p+2", "0x1.3295e9e1b089ap+1", "0x1.48c5b344ad1fep-1"],
+    "exterior_integrals": ["0x1.5555555555550p-2", "0x1.597f62b6ae7d6p+1", "0x1.2eea9073c7bf9p+2"],
+    "i1_bounds": ["0x1.420fddc76c451p+5", "0x1.ee158728a7265p+4", "0x1.54e19a6735d08p+4"],
+    "agreement_fractions": ["0x1.dcd2d9fb598afp-1", "0x1.f46fbef68e8c2p-1", "0x1.ff42b22bc07cep-1"],
+    "cauchy_gaps": ["0x1.13ef11e2c8288p-1", "0x1.1f8a0902de010p-2"],
+}
+
+
+def test_convergence_split_one_raw_field_per_height(monkeypatch):
+    import kakeya_lab.convergence as conv
+
+    calls = []
+    real = conv.winding_field
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].t)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conv, "winding_field", counting)
+    epsilons = [0.2, 0.1, 0.05]
+    t_grid = np.linspace(0, 1, 4)
+    report = convergence_split(
+        make_map("lacunary_fourier", alpha=0.8, terms=10, seed=5),
+        epsilons, t_grid, sample_sphere(1, 512), 0.04, delta_prime=2.0,
+    )
+    # one raw field per height plus one mollified field per (scale, height)
+    assert len(calls) == len(t_grid) * (len(epsilons) + 1)
+    for name, pinned in PINNED_SPLIT.items():
+        assert getattr(report, name) == [float.fromhex(x) for x in pinned], name
+    assert report.calibration_constant == float.fromhex("0x1.ad941131b846ap-4")
+    assert report.cauchy_ok and report.i1_ok
+
+
 def test_convergence_split_validates_epsilons():
     mesh = sample_sphere(1, 512)
     with pytest.raises(ValueError):
