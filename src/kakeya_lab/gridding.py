@@ -153,8 +153,6 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.n
     of each segment's bounding box.
     """
     v = np.asarray(vertices, dtype=float)
-    if len(v) == 0:
-        return np.zeros(grid.shape, dtype=bool)
     w = np.roll(v, -1, axis=0)
     h = grid.h
     nx, ny = grid.shape
@@ -164,9 +162,8 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.n
     ab2 = np.maximum(sq, 1e-300)
     length = np.sqrt(sq)
     ax, ay, bx, by, ux, uy = v[:, 0], v[:, 1], w[:, 0], w[:, 1], ab[:, 0], ab[:, 1]
-    reach = abs(tol)  # the exact test compares against tol * tol
-    slack = 1e-9 * (float(np.abs(v).max()) + reach + h)
-    r_out, r_in = reach + slack, reach - slack
+    slack = 1e-9 * (float(np.abs(v).max()) + tol + h)
+    r_out, r_in = tol + slack, tol - slack
     j0 = np.maximum(_cell_index(np.minimum(ay, by) - r_out, oy, h, ny, np.floor), 0)
     j1 = np.minimum(_cell_index(np.maximum(ay, by) + r_out, oy, h, ny, np.ceil), ny - 1)
     rows = np.maximum(j1 - j0 + 1, 0)

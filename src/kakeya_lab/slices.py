@@ -27,7 +27,6 @@ from .sphere import SphereMesh
 from .winding import SliceLoop, make_slice_loop, winding_field
 
 
-
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d: the leading SV(t) coefficient for n = d + 1."""
     return float(np.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0))
