@@ -196,10 +196,10 @@ def _cmd_slice(args) -> list[Path]:
     if args.n == 3:
         field = winding_field(loop, args.grid_h)
         files.append(rpt.write_winding_field_csv(out, field))
-        grid_sv = signed_volume_grid(loop, args.grid_h)
+        grid_sv = signed_volume_grid(loop, args.grid_h, field=field)
         stats["signed_volume_grid"] = grid_sv.value
         stats["masked_cells"] = grid_sv.masked_cells
-        iso = isoperimetric_check(loop, args.grid_h)
+        iso = isoperimetric_check(loop, args.grid_h, field=field)
         stats["isoperimetric"] = {
             "lhs": iso.lhs, "rhs_area": iso.rhs_area,
             "ratio": iso.ratio, "passed": iso.passed,

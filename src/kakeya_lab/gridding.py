@@ -10,7 +10,8 @@ the segment's capsule in one interval with a closed form, whose interior is
 filled through a per-row difference array while the cells at its two ends
 get the exact per-cell distance test.  The cost follows the number of
 (segment, row) pairs, not the cells of each segment's bounding box, so wide
-collars cost little more than the h/2 boundary masks.
+collars cost little more than the h/2 boundary masks.  The same row engine,
+`_row_span_sums`, sums the signed crossing spans of the grid winding field.
 """
 
 from __future__ import annotations
@@ -92,6 +93,16 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return owner, starts[owner] + offset
 
 
+def _row_span_sums(shape, rows, starts, stops, weights=None) -> np.ndarray:
+    """Per-cell sum of the weights (default 1: integer counts) of the spans
+    covering it; span k is cells [starts[k], stops[k]) of row rows[k], with
+    0 <= start and stop <= nx, filled through a per-row difference array."""
+    nx, ny = shape
+    n = (nx + 1) * ny
+    diff = np.bincount(starts * ny + rows, weights, n) - np.bincount(stops * ny + rows, weights, n)
+    return np.cumsum(diff.reshape(nx + 1, ny), axis=0)[:nx]
+
+
 def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interval of x with lo <= x*c <= hi; an empty one is (inf, -inf)."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -170,7 +181,7 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.n
     csum = np.cumsum(rows)
     cuts = np.searchsorted(csum, np.arange(_PAIR_CHUNK, csum[-1], _PAIR_CHUNK), side="right")
     edges = np.unique(np.concatenate([[0], cuts, [len(v)]]))
-    diff = np.zeros((nx + 1) * ny, dtype=np.int64)
+    fills = []
     exact = []
     for s, e in zip(edges[:-1], edges[1:]):
         seg, j = _ranges(j0[s:e], rows[s:e])
@@ -190,8 +201,7 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.n
             f_lo = np.ones_like(o_lo)
             f_hi = np.zeros_like(o_hi)
         fill = f_lo <= f_hi
-        diff += np.bincount(f_lo[fill] * ny + j[fill], minlength=len(diff))
-        diff -= np.bincount((f_hi[fill] + 1) * ny + j[fill], minlength=len(diff))
+        fills.append((j[fill], f_lo[fill], f_hi[fill] + 1))
         # exact test on the outer span minus the filled one: [o_lo, left] and [right, o_hi]
         left = np.where(fill, np.minimum(f_lo - 1, o_hi), o_hi)
         right = np.where(fill, np.maximum(f_hi + 1, o_lo), o_hi + 1)
@@ -206,6 +216,7 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.n
         dy = k_pa_y - t * k_uy
         hit = dx * dx + dy * dy <= tol * tol
         exact.append(i[hit] * ny + j[pair[hit]])
-    mask = np.cumsum(diff.reshape(nx + 1, ny), axis=0)[:nx] > 0
+    rows, starts, stops = (np.concatenate(a) for a in zip(*fills))
+    mask = _row_span_sums(grid.shape, rows, starts, stops) > 0
     mask.reshape(-1)[np.concatenate(exact)] = True
     return mask

@@ -224,9 +224,13 @@ class PositionMap:
             alpha = t["alpha"]
             # octave-splitting bound for the angular part plus the radial taper;
             # a rotating octave satisfies |term_k(x)-term_k(y)| <= 2^-ak min(2, 2^k d)
-            c_ang = 2.0 ** (1 - alpha) / (2.0 ** (1 - alpha) - 1.0) + 2.0 / (
-                1.0 - 2.0**-alpha
-            )
+            # at alpha = 1 the low octaves sum to at most `terms` d, not a
+            # geometric series
+            if alpha == 1.0:
+                c_low = float(t["terms"])
+            else:
+                c_low = 2.0 ** (1 - alpha) / (2.0 ** (1 - alpha) - 1.0)
+            c_ang = c_low + 2.0 / (1.0 - 2.0**-alpha)
             sup_w = 2.0**-alpha / (1.0 - 2.0**-alpha)
             # chord-to-arc conversion on the unit circle costs at most pi/2
             return (np.pi / 2) ** alpha * c_ang + sup_w, alpha

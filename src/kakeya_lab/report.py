@@ -81,14 +81,17 @@ def write_polyfit_json(path: Path, fit) -> Path:
 
 
 def write_winding_field_csv(path: Path, field) -> Path:
-    grid = field.grid
-    xs = grid.axis_centers(0)
-    ys = grid.axis_centers(1)
-    rows = []
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            rows.append((xs[i], ys[j], int(field.values[i, j]), int(field.mask[i, j])))
-    return write_csv(path, ["x", "y", "wind", "masked"], rows)
+    """write_csv's rows (x, y, wind, masked), x-major, each axis value formatted once."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    xs = [repr(float(x)) for x in field.grid.axis_centers(0)]
+    ys = [repr(float(y)) for y in field.grid.axis_centers(1)]
+    with path.open("w", newline="") as fh:
+        fh.write("x,y,wind,masked\r\n")  # csv.writer's line ends
+        for x, wind, masked in zip(xs, field.values, field.mask):
+            rows = zip(ys, wind.tolist(), masked.tolist())
+            fh.write("".join([f"{x},{y},{w},{m:d}\r\n" for y, w, m in rows]))
+    return path
 
 
 def write_tube_family(csv_path: Path, family) -> tuple[Path, Path]:

@@ -20,11 +20,11 @@ from math import gamma
 
 import numpy as np
 
-from .gridding import CellGrid, grid_over, mark_near_polyline
+from .gridding import grid_over, mark_near_polyline
 from .maps import PositionMap
 from .smoothing import Kernel, mollify_on_sphere
 from .sphere import SphereMesh
-from .winding import SliceLoop, make_slice_loop, winding_field
+from .winding import SliceLoop, WindingField, make_slice_loop, winding_field
 
 
 def unit_ball_volume(d: int) -> float:
@@ -79,12 +79,16 @@ class GridSignedVolume:
 
 
 def signed_volume_grid(
-    loop: SliceLoop, h: float, grid: CellGrid | None = None
+    loop: SliceLoop, h: float, field: WindingField | None = None
 ) -> GridSignedVolume:
-    """Winding-field signed volume; masked boundary cells contribute zero."""
+    """Winding-field signed volume; masked boundary cells contribute zero.
+
+    `field` is the loop's winding field at spacing h if the caller has it.
+    """
     if loop.degenerate:
         return GridSignedVolume(0.0, 0, 0)
-    field = winding_field(loop, h, grid=grid)
+    if field is None:
+        field = winding_field(loop, h)
     return GridSignedVolume(
         field.signed_sum(), int(field.mask.sum()), field.grid.n_cells
     )
@@ -168,63 +172,30 @@ def fit_sv_polynomial(profile: SVProfile, n: int = 3) -> PolyFit:
     return PolyFit(sol, resid, float(sol[-1]))
 
 
-def _abs_quadratic_integral(lead: float, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Exact integral of |lead t^2 + b t + a| over [0, 1], vectorized in (b, a)."""
-    b = np.asarray(b, dtype=float)
-    a = np.asarray(a, dtype=float)
+def minimal_abs_integral(lead: float, degree: int = 2) -> float:
+    """Least integral of |p| over [0, 1] among polynomials p of the given degree
+    with leading coefficient `lead`: |lead| 4^-degree.
 
-    def F(t):
-        return lead * t**3 / 3.0 + b * t**2 / 2.0 + a * t
-
-    disc = b * b - 4.0 * lead * a
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    r_lo = (-b - np.sign(lead) * sq) / (2.0 * lead)
-    r_hi = (-b + np.sign(lead) * sq) / (2.0 * lead)
-    lo_in = (disc > 0) & (r_lo > 0.0) & (r_lo < 1.0)
-    hi_in = (disc > 0) & (r_hi > 0.0) & (r_hi < 1.0)
-    t1 = np.where(lo_in, r_lo, 0.0)
-    t2 = np.where(hi_in, r_hi, np.where(lo_in, r_lo, 0.0))
-    return np.abs(F(t1) - F(0.0)) + np.abs(F(t2) - F(t1)) + np.abs(F(1.0) - F(t2))
-
-
-def minimal_abs_integral(lead: float, grid: int = 400, refinements: int = 2) -> float:
-    """Brute-force min over lower-order coefficients of the |polynomial| integral.
-
-    Grid search over the (constant, linear) coefficient plane, refined around
-    the argmin; the integrand is evaluated in closed form per candidate.
+    The extremal is the shifted Chebyshev polynomial of the second kind,
+    since monic U_d / 2^d has L^1 norm 2^(1-d) on [-1, 1] (Korkine and
+    Zolotarev, 1873).
     """
-    scale = abs(lead)
-    a_lo, a_hi = -1.5 * scale, 1.5 * scale
-    b_lo, b_hi = -2.0 * scale, 1.0 * scale
-    best = (np.inf, 0.0, 0.0)
-    for _ in range(refinements + 1):
-        aa = np.linspace(a_lo, a_hi, grid)
-        bb = np.linspace(b_lo, b_hi, grid)
-        A, B = np.meshgrid(aa, bb, indexing="ij")
-        vals = _abs_quadratic_integral(lead, B.ravel(), A.ravel()).reshape(A.shape)
-        k = np.unravel_index(np.argmin(vals), vals.shape)
-        best = (float(vals[k]), float(A[k]), float(B[k]))
-        da = 4.0 * (a_hi - a_lo) / (grid - 1)
-        db = 4.0 * (b_hi - b_lo) / (grid - 1)
-        a_lo, a_hi = best[1] - da, best[1] + da
-        b_lo, b_hi = best[2] - db, best[2] + db
-    return best[0]
+    return abs(lead) * 4.0**-degree
 
 
 @dataclass(frozen=True)
 class LowerBoundCheck:
     integral_abs_sv: float
-    kappa: float | None  # None where the oracle does not apply (n != 3)
-    passed: bool | None
+    kappa: float
+    passed: bool
 
 
 def sv_lower_bound_check(fit: PolyFit, profile: SVProfile) -> LowerBoundCheck:
     """Check that the measured height integral of |SV| clears the structural
     minimum attainable for its leading coefficient.
 
-    The fit's degree gives n; the leading coefficient must be within 10% of
-    the unit (n-1)-ball volume.  The minimal-|integral| oracle covers
-    quadratics only, so for n = 4 kappa and the verdict are None.
+    The fit's degree n - 1 gives n; the leading coefficient must be within
+    10% of the unit (n-1)-ball volume.
     """
     lead = fit.leading_coefficient
     n = len(fit.coefficients)
@@ -235,9 +206,7 @@ def sv_lower_bound_check(fit: PolyFit, profile: SVProfile) -> LowerBoundCheck:
             "orientation flipped or loop under-resolved"
         )
     integral = float(np.trapezoid(np.abs(profile.sv_values), profile.t_values))
-    if n != 3:
-        return LowerBoundCheck(integral, None, None)
-    kappa = minimal_abs_integral(lead)
+    kappa = minimal_abs_integral(lead, n - 1)
     return LowerBoundCheck(integral, kappa, bool(integral >= 0.95 * kappa))
 
 
@@ -273,17 +242,21 @@ class IsoperimetricCheck:
     sharp_constant: float
 
 
-def isoperimetric_check(loop: SliceLoop, h: float) -> IsoperimetricCheck:
+def isoperimetric_check(
+    loop: SliceLoop, h: float, field: WindingField | None = None
+) -> IsoperimetricCheck:
     """Winding-field norm against the loop area, with the planar sharp constant.
 
     For planar loops the left side is the L^2 norm of the winding field and
     the sharp comparison constant (attained by circles) is 1/sqrt(4 pi).
+    `field` is the loop's winding field at spacing h if the caller has it.
     """
     area = loop_area(loop)
     if loop.degenerate:
         return IsoperimetricCheck(0.0, area, 0.0, True, 1.0 / np.sqrt(4.0 * np.pi))
     if loop.ambient_dim == 2:
-        field = winding_field(loop, h)
+        if field is None:
+            field = winding_field(loop, h)
         lhs = field.sum_measure(power=2.0) ** 0.5
         sharp = 1.0 / np.sqrt(4.0 * np.pi)
     else:

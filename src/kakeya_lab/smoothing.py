@@ -16,8 +16,6 @@ import numpy as np
 from .maps import PositionMap
 from .sphere import SphereMesh
 
-PROFILE_SAMPLES = 4096
-
 
 def bump_profile(r: np.ndarray) -> np.ndarray:
     """Smooth compactly supported radial bump, vanishing for |r| >= 1."""
@@ -34,7 +32,6 @@ class Kernel:
 
     epsilon: float
     d_epsilon: float
-    profile: np.ndarray  # bump samples on [0, 1]
     raw_masses: np.ndarray  # per-vertex quadrature of the unscaled bump
     mesh_resolution: int
 
@@ -64,8 +61,7 @@ def mollifier_kernel(epsilon: float, mesh: SphereMesh) -> Kernel:
     # ambient codimension: the surface is (dim)-dimensional, the bump scale
     # normalizer is epsilon^dim
     d_eps = float(epsilon**mesh.dim / np.mean(masses))
-    profile = bump_profile(np.linspace(0.0, 1.0, PROFILE_SAMPLES))
-    return Kernel(float(epsilon), d_eps, profile, masses, mesh.n_vertices)
+    return Kernel(float(epsilon), d_eps, masses, mesh.n_vertices)
 
 
 def mollify_on_sphere(

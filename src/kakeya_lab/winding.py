@@ -9,9 +9,10 @@ Two independent planar algorithms are provided on purpose:
 * `ray_crossing_oracle` counts signed crossings of a ray with a fixed tiny
   irrational slope, retrying once with a second slope on a degenerate hit.
 
-`winding_field` evaluates the crossing count simultaneously for every cell
-in a row of the grid with one sorted sweep, which is what the volume and
-isoperimetric harnesses use; cells too close to the loop are masked and
+`winding_field` evaluates the crossing count for every cell of the grid at
+once, through the per-row span engine of the near-loop mask (signed crossing
+counts, Hormann and Agathos, Comput. Geom. 2001); the volume and
+isoperimetric harnesses use it.  Cells too close to the loop are masked and
 carry no value.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridding import CellGrid, grid_over, mark_near_polyline
+from .gridding import CellGrid, _ranges, _row_span_sums, grid_over, mark_near_polyline
 from .sphere import SphereMesh
 
 RESIDUAL_LIMIT = 0.1
@@ -219,30 +220,25 @@ class WindingField:
 
 
 def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> np.ndarray:
-    """Winding at every cell center via one sorted crossing sweep per row."""
+    """Winding at every cell center: the signed count of crossings to its right.
+
+    A segment crosses the rows with center y in [min(ay, by), max(ay, by)),
+    half-open so a shared vertex counts once, and adds its sign to the cells
+    of each such row left of the intercept.
+    """
     v = vertices
     w = np.roll(v, -1, axis=0)
-    ax, ay = v[:, 0], v[:, 1]
-    bx, by = w[:, 0], w[:, 1]
-    nx, ny = grid.shape
-    xs = grid.axis_centers(0)
-    out = np.zeros((nx, ny), dtype=np.int64)
-    for j in range(ny):
-        y = grid.origin[1] + (j + 0.5) * grid.h
-        up = (ay <= y) & (by > y)
-        dn = (by <= y) & (ay > y)
-        straddle = up | dn
-        if not straddle.any():
-            continue
-        frac = (y - ay[straddle]) / (by[straddle] - ay[straddle])
-        xint = ax[straddle] + frac * (bx[straddle] - ax[straddle])
-        sgn = np.where(up[straddle], 1, -1)
-        order = np.argsort(xint, kind="stable")
-        xint = xint[order]
-        sgn = sgn[order]
-        suffix = np.concatenate([np.cumsum(sgn[::-1])[::-1], [0]])
-        out[:, j] = suffix[np.searchsorted(xint, xs, side="right")]
-    return out
+    ys = grid.axis_centers(1)
+    first = np.searchsorted(ys, np.minimum(v[:, 1], w[:, 1]), side="left")
+    last = np.searchsorted(ys, np.maximum(v[:, 1], w[:, 1]), side="left")
+    seg, j = _ranges(first, last - first)
+    a, b = v[seg], w[seg]
+    frac = (ys[j] - a[:, 1]) / (b[:, 1] - a[:, 1])
+    xint = a[:, 0] + frac * (b[:, 0] - a[:, 0])
+    k = np.searchsorted(grid.axis_centers(0), xint, side="left")
+    sign = np.where(b[:, 1] > a[:, 1], 1.0, -1.0)
+    # float sums of +-1 are exact integers
+    return _row_span_sums(grid.shape, j, np.zeros_like(k), k, sign).astype(np.int64)
 
 
 def winding_field(

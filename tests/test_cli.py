@@ -51,6 +51,36 @@ def test_slice_command_writes_field(tmp_path):
     assert header == "x,y,wind,masked"
 
 
+def test_slice_builds_one_winding_field(tmp_path, monkeypatch):
+    import kakeya_lab.cli as cli
+    import kakeya_lab.slices as slices
+
+    calls = []
+    real = cli.winding_field
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "winding_field", counting)
+    monkeypatch.setattr(slices, "winding_field", counting)
+    code = run_cli(
+        ["slice", "--map", "lacunary:alpha=0.8,terms=10,seed=2", "--mesh", "512",
+         "--grid-h", "0.02", "--out", tmp_path / "s.csv"]
+    )
+    assert code == 0
+    assert calls == [0.02]
+
+
+def test_measure_lacunary_alpha_one(tmp_path):
+    out = tmp_path / "m.json"
+    code = run_cli(
+        ["measure", "--map", "lacunary:alpha=1,terms=8,seed=1", "--h", "0.1", "--out", out]
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["results"]["value"] > 0
+
+
 def test_unknown_flag_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--bogus", "1", "--out", tmp_path / "x.csv"])
@@ -78,9 +108,9 @@ def test_sweep_n4_zero_map(tmp_path):
     results = json.loads((tmp_path / "sv.summary.json").read_text())["results"]
     # the leading coefficient is the unit-ball volume 4 pi / 3, up to mesh truncation
     assert abs(results["leading_coefficient"] - 4 * np.pi / 3) < 0.1 * 4 * np.pi / 3
-    # the minimal-|integral| oracle covers quadratics only
-    assert results["kappa"] is None
-    assert results["lower_bound_passed"] is None
+    # kappa is the least integral of |cubic| with that leading coefficient
+    assert results["kappa"] == results["leading_coefficient"] / 64
+    assert results["lower_bound_passed"] is True
 
 
 def test_slice_epsilon_out_of_range_names_flag(tmp_path, capsys):

@@ -42,6 +42,22 @@ def test_lacunary_sup_bound():
     assert sup <= bound < 1.35
 
 
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+def test_lacunary_modulus_of_continuity_holds(alpha):
+    m = make_map("lacunary_fourier", alpha=alpha, terms=8, seed=1)
+    c, a = m.modulus_of_continuity()
+    assert a == alpha and np.isfinite(c)
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1.0, 1.0, size=(40_000, 2))
+    x = x[np.linalg.norm(x, axis=1) <= 1.0]
+    y = x + rng.normal(scale=10.0 ** rng.uniform(-4, 0, size=(len(x), 1)), size=x.shape)
+    y /= np.maximum(np.linalg.norm(y, axis=1), 1.0)[:, None]
+    d = np.linalg.norm(x - y, axis=1)
+    keep = d > 0
+    gaps = np.linalg.norm(m(x[keep]) - m(y[keep]), axis=1)
+    assert np.all(gaps <= c * d[keep] ** a)
+
+
 def test_lacunary_determinism():
     a = make_map("lacunary_fourier", alpha=0.6, terms=10, seed=5)
     b = make_map("lacunary_fourier", alpha=0.6, terms=10, seed=5)

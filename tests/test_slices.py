@@ -16,7 +16,7 @@ from kakeya_lab.slices import (
     sweep_signed_volume,
 )
 from kakeya_lab.sphere import sample_sphere
-from kakeya_lab.winding import make_slice_loop
+from kakeya_lab.winding import make_slice_loop, winding_field
 
 # brute-force minimization oracle output, frozen before the build:
 # min over (a, b) of the [0,1]-integral of |pi t^2 + b t + a| is pi/16,
@@ -150,6 +150,34 @@ def test_minimal_abs_integral_matches_frozen_oracle():
     kappa = minimal_abs_integral(np.pi)
     assert kappa == pytest.approx(KAPPA_PI, abs=2e-5)
     assert kappa == pytest.approx(np.pi / 16, abs=2e-5)
+
+
+def test_minimal_abs_integral_closed_form():
+    assert minimal_abs_integral(np.pi, degree=3) == np.pi / 64
+    assert minimal_abs_integral(-2.5, degree=3) == 2.5 / 64
+    # attained by L 4^-d U_d(2t - 1), U_d the Chebyshev polynomial of the
+    # second kind, and no perturbation of its lower coefficients does better
+    t = (np.arange(200_000) + 0.5) / 200_000
+    x = 2.0 * t - 1.0
+    u_prev, u = np.ones_like(x), 2.0 * x
+    rng = np.random.default_rng(4)
+    for degree in range(1, 5):
+        lead = 4.0 * np.pi / 3.0
+        kappa = minimal_abs_integral(lead, degree)
+        extremal = lead * 4.0**-degree * u
+        assert np.mean(np.abs(extremal)) == pytest.approx(kappa, rel=1e-6)
+        for _ in range(20):
+            bump = np.polyval(rng.normal(scale=0.05 * kappa, size=degree), t)
+            assert np.mean(np.abs(extremal + bump)) >= kappa * (1 - 1e-6)
+        u_prev, u = u, 2.0 * x * u - u_prev
+
+
+def test_grid_signed_volume_and_isoperimetric_reuse_a_field():
+    loop = slice_loop(make_map("lacunary_fourier", alpha=0.7, terms=10, seed=3), 0.4,
+                      sample_sphere(1, 512))
+    field = winding_field(loop, 0.02)
+    assert signed_volume_grid(loop, 0.02, field=field) == signed_volume_grid(loop, 0.02)
+    assert isoperimetric_check(loop, 0.02, field=field) == isoperimetric_check(loop, 0.02)
 
 
 def test_lower_bound_check_zero_map():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from kakeya_lab.gridding import CellGrid, grid_over
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
 from kakeya_lab.sphere import sample_sphere
 from kakeya_lab.winding import (
     BoundaryError,
     ResidualError,
+    crossing_winding_rows,
     degree_circle_map,
     degree_integral_bound,
     generalized_winding_3d,
@@ -106,6 +108,106 @@ def test_winding_field_masks_boundary():
     assert np.all(field.values[field.mask] == 0)
     # outside the bounding box inflation everything is zero
     assert field.values[0, 0] == 0
+
+
+def _reference_crossing_winding_rows(vertices, grid):
+    """The per-row loop the row engine replaced: one sorted crossing sweep
+    per grid row, each cell taking the signed crossings to its right."""
+    v = vertices
+    w = np.roll(v, -1, axis=0)
+    ax, ay = v[:, 0], v[:, 1]
+    bx, by = w[:, 0], w[:, 1]
+    nx, ny = grid.shape
+    xs = grid.axis_centers(0)
+    out = np.zeros((nx, ny), dtype=np.int64)
+    for j in range(ny):
+        y = grid.origin[1] + (j + 0.5) * grid.h
+        up = (ay <= y) & (by > y)
+        dn = (by <= y) & (ay > y)
+        straddle = up | dn
+        if not straddle.any():
+            continue
+        frac = (y - ay[straddle]) / (by[straddle] - ay[straddle])
+        xint = ax[straddle] + frac * (bx[straddle] - ax[straddle])
+        sgn = np.where(up[straddle], 1, -1)
+        order = np.argsort(xint, kind="stable")
+        xint = xint[order]
+        sgn = sgn[order]
+        suffix = np.concatenate([np.cumsum(sgn[::-1])[::-1], [0]])
+        out[:, j] = suffix[np.searchsorted(xint, xs, side="right")]
+    return out
+
+
+def _assert_rows_same(vertices, grid):
+    got = crossing_winding_rows(np.asarray(vertices, dtype=float), grid)
+    want = _reference_crossing_winding_rows(np.asarray(vertices, dtype=float), grid)
+    assert got.dtype == np.int64 and got.shape == grid.shape
+    assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ"
+    return got
+
+
+# binary-exact grid: cell centers at (k + 1/2) / 4
+EXACT_GRID = CellGrid(np.array([0.0, 0.0]), 0.25, (40, 36))
+
+
+def _center(k):
+    return (k + 0.5) * 0.25
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_row_engine_matches_reference_on_lacunary_loops(seed, t):
+    m = make_map("lacunary_fourier", alpha=0.7, terms=10, seed=seed)
+    for mesh, h in ((1024, 0.02), (512, 0.01)):
+        loop = slice_loop(m, t, sample_sphere(1, mesh))
+        _assert_rows_same(loop.vertices, grid_over(loop.vertices, h, max(2.0 * h, 0.1)))
+
+
+def test_row_engine_vertices_on_row_centers_and_horizontal_edges():
+    # vertices on cell centers: edges start and end exactly on rows, the
+    # horizontal ones lie along a row, the vertical ones cross rows at column centers
+    c = _center
+    rect = [[c(5), c(6)], [c(30), c(6)], [c(30), c(25)], [c(5), c(25)]]
+    values = _assert_rows_same(rect, EXACT_GRID)
+    # half-open in both directions: the left and bottom edges' cells count as
+    # inside, the right and top edges' cells do not
+    assert values[5:30, 6:25].min() == 1 and values.sum() == 25 * 19
+    stairs = [[c(3), c(2)], [c(20), c(2)], [c(20), c(9)], [c(12), c(9)], [c(12), c(17)],
+              [c(33), c(17)], [c(33), c(30)], [c(8), c(30)], [c(8), c(17)], [c(3), c(17)]]
+    _assert_rows_same(stairs, EXACT_GRID)
+    _assert_rows_same(stairs[::-1], EXACT_GRID)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        pts = c(rng.integers(0, 40, size=(int(rng.integers(3, 14)), 2)).astype(float))
+        pts[:, 1] = np.minimum(pts[:, 1], c(35))
+        _assert_rows_same(pts, EXACT_GRID)
+
+
+def test_row_engine_segments_partly_off_the_grid():
+    pts = [[-3.0, 1.0], [5.0, -2.0], [14.0, 4.5], [6.0, 12.0], [-1.0, 8.0]]
+    _assert_rows_same(pts, EXACT_GRID)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        pts = rng.uniform(-3.0, 13.0, size=(int(rng.integers(3, 12)), 2))
+        grid = CellGrid(rng.uniform(-0.5, 0.5, size=2), float(rng.uniform(0.1, 0.4)), (45, 38))
+        _assert_rows_same(pts, grid)
+    # a loop entirely off the grid winds around none of its cells
+    far = [[30.0, 30.0], [40.0, 31.0], [35.0, 45.0]]
+    assert not _assert_rows_same(far, EXACT_GRID).any()
+
+
+def test_row_engine_doubly_wound_and_reversed_loops():
+    grid = CellGrid(np.array([-1.3, -1.2]), 0.05, (52, 48))
+    twice = circle_loop(n=200, windings=2).vertices
+    assert _assert_rows_same(twice, grid).max() == 2
+    reversed_loop = circle_loop(n=200, reverse=True, center=(0.1, -0.05)).vertices
+    assert _assert_rows_same(reversed_loop, grid).min() == -1
+    m = make_map("lacunary_fourier", alpha=0.6, terms=10, seed=2)
+    loop = slice_loop(m, 0.4, sample_sphere(1, 512))
+    g = grid_over(loop.vertices, 0.02, 0.1)
+    assert np.array_equal(
+        _assert_rows_same(loop.vertices[::-1], g), -_assert_rows_same(loop.vertices, g)
+    )
 
 
 def test_generalized_winding_icosphere():
