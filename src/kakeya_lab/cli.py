@@ -58,10 +58,20 @@ def _fail(flag: str, message: str) -> None:
 
 
 def _check_range(name: str, value, lo, hi, lo_open=False, hi_open=False):
-    bad = value < lo or value > hi or (lo_open and value == lo) or (hi_open and value == hi)
+    bad = not lo <= value <= hi or (lo_open and value == lo) or (hi_open and value == hi)
     if bad:
         _fail(name, f"value {value} outside required range")
     return value
+
+
+def _float_list(name: str, text: str, count=None, lo=-np.inf, hi=np.inf, lo_open=False):
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        _fail(name, f"need {count or 'a list of'} comma-separated numbers, got {text!r}")
+    return [_check_range(name, v, lo, hi, lo_open) for v in values]
 
 
 def _resolve_jobs(args) -> int:
@@ -84,10 +94,12 @@ def _load_config_args(argv: list[str]) -> list[str]:
     if i + 1 >= len(argv):
         _fail("--config", "missing file path")
     path = Path(argv[i + 1])
-    if not path.exists():
-        _fail("--config", f"no such file: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail("--config", f"cannot read {path}: {exc}")
     extra: list[str] = []
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -128,6 +140,7 @@ def _sv_worker(payload):
 def _cmd_sweep(args) -> list[Path]:
     _check_range("--t-steps", args.t_steps, 6, 100000)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
+    _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
     if args.epsilon is not None:
         _check_range("--epsilon", args.epsilon, 0.0, 0.3, lo_open=True)
     pmap = _map_from_args(args)
@@ -237,7 +250,7 @@ def _cmd_tubes(args) -> list[Path]:
     files = []
     results: dict = {}
     if args.scales:
-        scales = [float(x) for x in args.scales.split(",")]
+        scales = _float_list("--scales", args.scales, lo=0.5, hi=8.0)
         rows = lipschitz_tube_experiment(pmap, scales, args.delta, h=h)
         results["scaling_experiment"] = rows
         prods = [r.scaled_product for r in rows]
@@ -258,9 +271,7 @@ def _cmd_tubes(args) -> list[Path]:
 
 
 def _cmd_moll(args) -> list[Path]:
-    epsilons = [float(x) for x in args.epsilon.split(",")]
-    for e in epsilons:
-        _check_range("--epsilon", e, 0.0, 0.3, lo_open=True)
+    epsilons = _float_list("--epsilon", args.epsilon, lo=0.0, hi=0.3, lo_open=True)
     _check_range("--alpha", args.alpha, 0.0, 1.0, lo_open=True)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
     pmap = _map_from_args(args)
@@ -296,9 +307,9 @@ def _cmd_regularity(args) -> list[Path]:
     for pair in (args.theta_p or "").split(";"):
         if not pair:
             continue
-        theta_s, _, p_s = pair.partition(",")
-        theta, p = float(theta_s), float(p_s)
+        theta, p = _float_list("--theta-p", pair, 2)
         _check_range("--theta-p", theta, 0.0, 1.0, lo_open=True, hi_open=True)
+        _check_range("--theta-p", p, 1.0, np.inf)
         value = slobodeckij_seminorm(pmap, theta, p, mesh)
         results["slobodeckij"].append({"theta": theta, "p": p, "seminorm": value})
     return [
@@ -310,9 +321,7 @@ def _cmd_regularity(args) -> list[Path]:
 
 
 def _cmd_line_kakeya(args) -> list[Path]:
-    x = np.array([float(v) for v in args.x.split(",")])
-    if len(x) != args.n:
-        _fail("--x", f"need {args.n} coordinates")
+    x = np.array(_float_list("--x", args.x, args.n))
     pmap = _map_from_args(args, domain_kind="sphere")
     result = line_kakeya_cover(pmap, x, tol=args.tol)
     results = {

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pairs import row_blocks, sq_dists
+
 
 @dataclass(frozen=True)
 class CellGrid:
@@ -69,14 +71,11 @@ def polyline_min_distance(points: np.ndarray, vertices: np.ndarray) -> np.ndarra
     ab = w - v
     ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
     best = np.full(len(points), np.inf)
-    step = max(1, int(4e6 // max(len(points), 1)))
-    for s in range(0, len(v), step):
-        e = min(s + step, len(v))
+    for s, e in row_blocks(len(v), len(points)):
         pa = points[:, None, :] - v[None, s:e, :]
         t = np.clip(np.einsum("pnd,nd->pn", pa, ab[s:e]) / ab2[s:e], 0.0, 1.0)
         proj = v[None, s:e, :] + t[:, :, None] * ab[None, s:e, :]
-        d = np.linalg.norm(points[:, None, :] - proj, axis=2)
-        best = np.minimum(best, d.min(axis=1))
+        best = np.minimum(best, np.sqrt(sq_dists(points, proj).min(axis=1)))
     return best
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pairs import WIDE_BUDGET, row_blocks, sq_dists, weighted_pair_sum
 from .sphere import SphereMesh
 
 _DENSE_SPHERE_SAMPLES = 20000
@@ -173,24 +174,21 @@ class PositionMap:
     def _eval_grid_sampled(self, pts: np.ndarray) -> np.ndarray:
         t = self._tables
         net, vals = t["points"], t["values"]
+        out = np.empty((len(pts), self.out_dim))
         if not t["extended"]:
             # raw nets are lookup tables: exact matches only
-            out = np.empty((len(pts), self.out_dim))
-            for i, q in enumerate(pts):
-                d = np.linalg.norm(net - q, axis=1)
-                j = int(np.argmin(d))
-                if d[j] > 1e-12:
+            for s, e in row_blocks(len(pts), len(net)):
+                d = np.sqrt(sq_dists(pts[s:e], net))
+                j = np.argmin(d, axis=1)
+                if np.any(d[np.arange(e - s), j] > 1e-12):
                     raise ValueError(
                         "raw grid_sampled map evaluated off its net; extend it first"
                     )
-                out[i] = vals[j]
+                out[s:e] = vals[j]
             return out
         lip = t["lip"]
-        out = np.empty((len(pts), self.out_dim))
-        step = max(1, int(2e6 // max(len(net), 1)))
-        for s in range(0, len(pts), step):
-            e = min(s + step, len(pts))
-            d = np.linalg.norm(pts[s:e, None, :] - net[None, :, :], axis=2)
+        for s, e in row_blocks(len(pts), len(net), WIDE_BUDGET):
+            d = np.sqrt(sq_dists(pts[s:e], net))
             out[s:e] = np.min(vals[None, :, :] + lip * d[:, :, None], axis=1)
         return out
 
@@ -393,18 +391,13 @@ def slobodeckij_seminorm(
         f = f[:, None]
     cutoff = mesh.spacing * (1.0 - 1e-9)
     kernel_pow = theta * p + mesh.dim
-    total = 0.0
-    verts = mesh.vertices
-    w = mesh.weights
-    step = max(1, int(4e6 // mesh.n_vertices))
-    for s in range(0, mesh.n_vertices, step):
-        e = min(s + step, mesh.n_vertices)
-        d = np.linalg.norm(verts[s:e, None, :] - verts[None, :, :], axis=2)
-        fd = np.linalg.norm(f[s:e, None, :] - f[None, :, :], axis=2)
+
+    def integrand(d2, fd):
+        d = np.sqrt(d2)
         ok = d >= cutoff
-        contrib = np.where(ok, fd**p / np.where(ok, d, 1.0) ** kernel_pow, 0.0)
-        total += float(np.einsum("ij,i,j->", contrib, w[s:e], w))
-    return total ** (1.0 / p)
+        return np.where(ok, fd**p / np.where(ok, d, 1.0) ** kernel_pow, 0.0)
+
+    return weighted_pair_sum(mesh.vertices, mesh.weights, f, integrand) ** (1.0 / p)
 
 
 def lipschitz_constant_on_net(points: np.ndarray, values: np.ndarray) -> float:
@@ -414,15 +407,12 @@ def lipschitz_constant_on_net(points: np.ndarray, values: np.ndarray) -> float:
     if len(points) < 2:
         raise ValueError("need at least two net points")
     best = 0.0
-    step = max(1, int(4e6 // len(points)))
-    for s in range(0, len(points), step):
-        e = min(s + step, len(points))
-        d = np.linalg.norm(points[s:e, None, :] - points[None, :, :], axis=2)
-        block = d[:, s:e]
-        np.fill_diagonal(block, np.inf)
+    for s, e in row_blocks(len(points), len(points)):
+        d = np.sqrt(sq_dists(points[s:e], points))
+        np.fill_diagonal(d[:, s:e], np.inf)
         if np.min(d) == 0.0:
             raise ValueError("net contains duplicate points")
-        dv = np.linalg.norm(values[s:e, None, :] - values[None, :, :], axis=2)
+        dv = np.sqrt(sq_dists(values[s:e], values))
         best = max(best, float(np.max(dv / d)))
     return best
 

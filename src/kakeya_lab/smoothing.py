@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PositionMap
+from .pairs import row_blocks, sq_dists
 from .sphere import SphereMesh
 
 
@@ -36,28 +37,32 @@ class Kernel:
     mesh_resolution: int
 
 
-def _raw_masses(epsilon: float, mesh: SphereMesh) -> np.ndarray:
+def _check_scale(epsilon: float, mesh: SphereMesh) -> None:
+    if not 0.0 < epsilon <= 0.3:
+        raise ValueError(f"epsilon {epsilon} outside (0, 0.3]")
+    if mesh.spacing > epsilon / 4.0:
+        raise ValueError(f"mesh spacing {mesh.spacing:.4g} too coarse for epsilon {epsilon}")
+
+
+def _bump_pass(epsilon: float, mesh: SphereMesh, f: np.ndarray | None = None):
+    """Bump masses b @ w and, given f, (b * w) @ f / masses: one bump table b per row block."""
     verts = mesh.vertices
     w = mesh.weights
     n = mesh.n_vertices
     masses = np.empty(n)
-    step = max(1, int(4e6 // n))
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        d = np.linalg.norm(verts[s:e, None, :] - verts[None, :, :], axis=2)
-        masses[s:e] = bump_profile(d / epsilon) @ w
-    return masses
+    out = None if f is None else np.empty_like(f)
+    for s, e in row_blocks(n, n):
+        b = bump_profile(np.sqrt(sq_dists(verts[s:e], verts)) / epsilon)
+        masses[s:e] = b @ w
+        if f is not None:
+            out[s:e] = ((b * w[None, :]) @ f) / masses[s:e, None]
+    return masses, out
 
 
 def mollifier_kernel(epsilon: float, mesh: SphereMesh) -> Kernel:
     """Normalized kernel at scale epsilon; rejects under-resolved meshes."""
-    if not 0.0 < epsilon <= 0.3:
-        raise ValueError(f"epsilon {epsilon} outside (0, 0.3]")
-    if mesh.spacing > epsilon / 4.0:
-        raise ValueError(
-            f"mesh spacing {mesh.spacing:.4g} too coarse for epsilon {epsilon}"
-        )
-    masses = _raw_masses(epsilon, mesh)
+    _check_scale(epsilon, mesh)
+    masses, _ = _bump_pass(epsilon, mesh)
     # ambient codimension: the surface is (dim)-dimensional, the bump scale
     # normalizer is epsilon^dim
     d_eps = float(epsilon**mesh.dim / np.mean(masses))
@@ -69,13 +74,15 @@ def mollify_on_sphere(
     epsilon_or_kernel,
     mesh: SphereMesh,
 ) -> np.ndarray:
-    """Componentwise spherical convolution at every mesh vertex."""
+    """Componentwise spherical convolution at every mesh vertex; a Kernel
+    argument must be resolved on `mesh` and supplies only its scale."""
     if isinstance(epsilon_or_kernel, Kernel):
-        kernel = epsilon_or_kernel
-        if kernel.mesh_resolution != mesh.n_vertices:
+        if epsilon_or_kernel.mesh_resolution != mesh.n_vertices:
             raise ValueError("kernel was resolved on a different mesh")
+        epsilon = epsilon_or_kernel.epsilon
     else:
-        kernel = mollifier_kernel(float(epsilon_or_kernel), mesh)
+        epsilon = float(epsilon_or_kernel)
+        _check_scale(epsilon, mesh)
     if isinstance(samples_or_map, PositionMap):
         f = samples_or_map(mesh.vertices)
     else:
@@ -85,16 +92,7 @@ def mollify_on_sphere(
     squeeze = f.ndim == 1
     if squeeze:
         f = f[:, None]
-    verts = mesh.vertices
-    w = mesh.weights
-    n = mesh.n_vertices
-    out = np.empty_like(f)
-    step = max(1, int(4e6 // n))
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        d = np.linalg.norm(verts[s:e, None, :] - verts[None, :, :], axis=2)
-        ker = bump_profile(d / kernel.epsilon) * w[None, :]
-        out[s:e] = (ker @ f) / kernel.raw_masses[s:e, None]
+    _, out = _bump_pass(epsilon, mesh, f)
     return out[:, 0] if squeeze else out
 
 

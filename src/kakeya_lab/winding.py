@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridding import CellGrid, _ranges, _row_span_sums, grid_over, mark_near_polyline
+from .gridding import (
+    CellGrid, _ranges, _row_span_sums, grid_over, mark_near_polyline, polyline_min_distance,
+)
+from .pairs import WIDE_BUDGET, row_blocks, weighted_pair_sum
 from .sphere import SphereMesh
 
 RESIDUAL_LIMIT = 0.1
@@ -100,8 +103,6 @@ def winding_number_2d(
         raise ValueError("winding_number_2d needs a planar loop")
     pts, single = _as_points(points)
     if check_boundary:
-        from .gridding import polyline_min_distance
-
         d = polyline_min_distance(pts, loop.vertices)
         if np.any(d <= tol_boundary):
             raise BoundaryError(
@@ -112,9 +113,7 @@ def winding_number_2d(
     wc = np.roll(vc, -1)
     pc = pts[:, 0] + 1j * pts[:, 1]
     total = np.zeros(len(pts))
-    step = max(1, int(2e6 // len(v)))
-    for s in range(0, len(pts), step):
-        e = min(s + step, len(pts))
+    for s, e in row_blocks(len(pts), len(v), WIDE_BUDGET):
         a = vc[None, :] - pc[s:e, None]
         b = wc[None, :] - pc[s:e, None]
         prod = b * np.conj(a)
@@ -142,8 +141,6 @@ def ray_crossing_oracle(
         raise ValueError("ray_crossing_oracle needs a planar loop")
     pts, single = _as_points(points)
     if check_boundary:
-        from .gridding import polyline_min_distance
-
         d = polyline_min_distance(pts, loop.vertices)
         if np.any(d <= tol_boundary):
             raise BoundaryError("point(s) on or too close to the loop")
@@ -272,9 +269,7 @@ def generalized_winding_3d(loop: SliceLoop, points, tol_boundary: float = 1e-9):
     vb = loop.vertices[tris[:, 1]]
     vc = loop.vertices[tris[:, 2]]
     totals = np.zeros(len(pts))
-    step = max(1, int(2e6 // max(len(tris), 1)))
-    for s in range(0, len(pts), step):
-        e = min(s + step, len(pts))
+    for s, e in row_blocks(len(pts), len(tris), WIDE_BUDGET):
         a = va[None, :, :] - pts[s:e, None, :]
         b = vb[None, :, :] - pts[s:e, None, :]
         c = vc[None, :, :] - pts[s:e, None, :]
@@ -332,17 +327,10 @@ def degree_integral_bound(
     f = np.asarray(values, dtype=float)
     if len(f) != mesh.n_vertices:
         raise ValueError("value count does not match the mesh")
-    verts = mesh.vertices
-    w = mesh.weights
-    n = mesh.n_vertices
     power = 2 * mesh.dim
-    total = 0.0
-    step = max(1, int(4e6 // n))
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        d2 = np.sum((verts[s:e, None, :] - verts[None, :, :]) ** 2, axis=2)
-        fd = np.linalg.norm(f[s:e, None, :] - f[None, :, :], axis=2)
+
+    def integrand(d2, fd):
         ok = d2 > 0.0
-        kernel = np.where(ok & (fd > alpha0), 1.0 / np.where(ok, d2, 1.0) ** (power / 2), 0.0)
-        total += float(np.einsum("ij,i,j->", kernel, w[s:e], w))
-    return total
+        return np.where(ok & (fd > alpha0), 1.0 / np.where(ok, d2, 1.0) ** (power / 2), 0.0)
+
+    return weighted_pair_sum(mesh.vertices, mesh.weights, f, integrand)

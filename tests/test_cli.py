@@ -215,3 +215,49 @@ def test_line_kakeya_command(tmp_path):
     results = json.loads(out.read_text())["results"]
     assert results["residual"] < 1e-6
     assert results["reconstruction_error"] < 1e-6
+
+
+def _flag_of_failure(code, capsys):
+    assert code == 2
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["flag"]
+
+
+@pytest.mark.parametrize("grid_h", ["0", "-0.01", "0.6", "nan"])
+def test_sweep_grid_h_out_of_range_names_flag(tmp_path, capsys, grid_h):
+    code = run_cli(
+        ["sweep", "--method", "grid", "--grid-h", grid_h, "--mesh", "256",
+         "--t-steps", "8", "--jobs", "1", "--out", tmp_path / "sv.csv"]
+    )
+    assert _flag_of_failure(code, capsys) == "--grid-h"
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_config_path_not_a_file_names_flag(tmp_path, capsys, kind):
+    path = tmp_path if kind == "directory" else tmp_path / "absent.conf"
+    code = run_cli(["sweep", "--config", path])
+    assert _flag_of_failure(code, capsys) == "--config"
+
+
+@pytest.mark.parametrize("theta_p", ["0.5", "0.5,abc", "0.25,2;0.5", "0.5,0.5", "1.5,2"])
+def test_regularity_malformed_theta_p_names_flag(tmp_path, capsys, theta_p):
+    code = run_cli(
+        ["regularity", "--mesh", "256", "--theta-p", theta_p, "--out", tmp_path / "reg.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--theta-p"
+
+
+@pytest.mark.parametrize("epsilon", ["0.1,abc", "0.1,,0.05", "0.1,nan"])
+def test_moll_malformed_epsilon_names_flag(tmp_path, capsys, epsilon):
+    code = run_cli(
+        ["moll", "--alpha", "0.8", "--epsilon", epsilon, "--mesh", "256",
+         "--out", tmp_path / "moll.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--epsilon"
+
+
+@pytest.mark.parametrize("scales", ["0.1", "1,abc", "1,9"])
+def test_tubes_bad_scales_names_flag(tmp_path, capsys, scales):
+    code = run_cli(
+        ["tubes", "--delta", "0.1", "--scales", scales, "--out", tmp_path / "tubes.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--scales"
