@@ -29,6 +29,7 @@ from .measure import (
     tube_union_volume,
 )
 from .slices import (
+    SVProfile,
     fit_sv_polynomial,
     isoperimetric_check,
     loop_area,
@@ -124,46 +125,56 @@ def _mesh_for(args, n: int):
     return sample_sphere(dim, args.mesh)
 
 
+def _check_mesh_resolves(mesh, epsilon: float) -> None:
+    """Reject a mesh too coarse to mollify at scale epsilon."""
+    if mesh.spacing > epsilon / 4.0:
+        _fail("--mesh", f"mesh spacing {mesh.spacing:.4g} too coarse for epsilon {epsilon}; "
+                        "need spacing <= epsilon/4")
+
+
+def _require_n3(args, what: str) -> None:
+    if args.n != 3:
+        _fail("--n", f"{what} supports n = 3 only")
+
+
 def _sv_worker(payload):
-    spec, n, t, mesh_res, epsilon, method, grid_h = payload
-    pmap = parse_map_spec(spec, n=n)
-    mesh = sample_sphere(1 if n == 3 else 2, mesh_res)
-    samples = pmap(mesh.vertices)
-    if epsilon is not None:
-        samples = mollify_on_sphere(samples, epsilon, mesh)
-    loop = slice_loop(pmap, t, mesh, samples=samples)
-    if method == "stokes":
-        return signed_volume_stokes(loop)
-    return signed_volume_grid(loop, grid_h).value
+    """SV at one subset of the heights; the pool maps it over a partition."""
+    pmap, mesh, t_subset, epsilon, method, grid_h = payload
+    return sweep_signed_volume(
+        pmap, t_subset, mesh, epsilon=epsilon, method=method, grid_h=grid_h
+    ).sv_values
 
 
 def _cmd_sweep(args) -> list[Path]:
     _check_range("--t-steps", args.t_steps, 6, 100000)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
+    if args.method == "grid":
+        _require_n3(args, "--method grid")
+    mesh = _mesh_for(args, args.n)
     if args.epsilon is not None:
         _check_range("--epsilon", args.epsilon, 0.0, 0.3, lo_open=True)
+        _check_mesh_resolves(mesh, args.epsilon)
     pmap = _map_from_args(args)
-    mesh = _mesh_for(args, args.n)
     t_grid = np.linspace(0.0, 1.0, args.t_steps)
-    jobs = _resolve_jobs(args)
+    # each worker gets interleaved heights, at least the n a sweep needs
+    jobs = min(_resolve_jobs(args), os.cpu_count() or 1, args.t_steps // args.n)
+    payloads = [
+        (pmap, mesh, t_grid[k::jobs], args.epsilon, args.method, args.grid_h)
+        for k in range(jobs)
+    ]
     if jobs > 1:
-        payloads = [
-            (args.map, args.n, float(t), args.mesh, args.epsilon, args.method, args.grid_h)
-            for t in t_grid
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sv = np.array(list(pool.map(_sv_worker, payloads, chunksize=8)))
-        from .slices import SVProfile
-
-        profile = SVProfile(
-            t_grid, sv, args.method, mesh.n_vertices,
-            args.grid_h if args.method == "grid" else None,
-        )
+            parts = list(pool.map(_sv_worker, payloads))
     else:
-        profile = sweep_signed_volume(
-            pmap, t_grid, mesh, epsilon=args.epsilon, method=args.method, grid_h=args.grid_h
-        )
+        parts = [_sv_worker(payloads[0])]
+    sv = np.empty(args.t_steps)
+    for k, part in enumerate(parts):
+        sv[k::jobs] = part
+    profile = SVProfile(
+        t_grid, sv, args.method, mesh.n_vertices,
+        args.grid_h if args.method == "grid" else None,
+    )
     fit = fit_sv_polynomial(profile, n=args.n)
     out = Path(args.out)
     files = [rpt.write_sv_profile_csv(out, profile)]
@@ -193,10 +204,11 @@ def _cmd_slice(args) -> list[Path]:
     _check_range("--t", args.t, 0.0, 1.0)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
+    mesh = _mesh_for(args, args.n)
     if args.epsilon is not None:
         _check_range("--epsilon", args.epsilon, 0.0, 0.3, lo_open=True)
+        _check_mesh_resolves(mesh, args.epsilon)
     pmap = _map_from_args(args)
-    mesh = _mesh_for(args, args.n)
     loop = slice_loop(pmap, args.t, mesh, epsilon=args.epsilon)
     out = Path(args.out)
     files = []
@@ -230,8 +242,12 @@ def _cmd_slice(args) -> list[Path]:
 
 def _cmd_measure(args) -> list[Path]:
     _check_range("--h", args.h, 0.0, 0.1, lo_open=True)
+    _require_n3(args, "measure")
     pmap = _map_from_args(args)
-    est = rasterize_image_measure(pmap, args.h)
+    try:
+        est = rasterize_image_measure(pmap, args.h)
+    except ValueError as exc:  # the sample-count preflight
+        _fail("--h", str(exc))
     out = Path(args.out)
     return [
         rpt.write_json_report(
@@ -245,6 +261,7 @@ def _cmd_tubes(args) -> list[Path]:
     h = args.h if args.h is not None else args.delta / 4.0
     if h > args.delta / 4.0:
         _fail("--h", f"grid spacing {h} must be <= delta/4")
+    _require_n3(args, "tubes")
     pmap = _map_from_args(args)
     out = Path(args.out)
     files = []
@@ -274,8 +291,9 @@ def _cmd_moll(args) -> list[Path]:
     epsilons = _float_list("--epsilon", args.epsilon, lo=0.0, hi=0.3, lo_open=True)
     _check_range("--alpha", args.alpha, 0.0, 1.0, lo_open=True)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
-    pmap = _map_from_args(args)
     mesh = _mesh_for(args, args.n)
+    _check_mesh_resolves(mesh, min(epsilons))
+    pmap = _map_from_args(args)
     rows = [mollification_bounds(pmap, e, args.alpha, mesh) for e in epsilons]
     sup_ratios = [r["bound_ratios"][0] for r in rows]
     grad_ratios = [r["bound_ratios"][1] for r in rows]
@@ -294,6 +312,7 @@ def _cmd_moll(args) -> list[Path]:
 
 def _cmd_regularity(args) -> list[Path]:
     _check_range("--mesh", args.mesh, 64, 1 << 20)
+    _require_n3(args, "regularity")
     pmap = _map_from_args(args)
     mesh = _mesh_for(args, args.n)
     rep = holder_estimate(pmap)

@@ -297,8 +297,6 @@ class RegularityReport:
     holder_exponent_estimate: float | None = None
     holder_constant_estimate: float | None = None
     degenerate: bool = False
-    lipschitz_net_constant: float | None = None
-    slobodeckij_values: list = field(default_factory=list)
     fit_diagnostics: dict = field(default_factory=dict)
 
 

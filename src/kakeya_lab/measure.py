@@ -14,6 +14,10 @@ import numpy as np
 
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
+# Parameter samples per axis (m + 1) that rasterize_image_measure may lay out;
+# its square grid then holds at most 4096^2 = 2^24 points before the disk cut.
+MAX_DISK_SIDE = 4096
+
 
 @dataclass(frozen=True)
 class MeasureEstimate:
@@ -71,6 +75,13 @@ def rasterize_image_measure(
     if C > 0.0:
         dv = min(dv, (budget / (2.0 * C)) ** (1.0 / alpha))
     dt = budget / np.sqrt(2.0)
+    # m + 1 samples per axis, m = ceil(2 / dv), exceed MAX_DISK_SIDE exactly when
+    # dv < 2 / (MAX_DISK_SIDE - 1); checked before anything is allocated
+    if dv < 2.0 / (MAX_DISK_SIDE - 1):
+        raise ValueError(
+            f"grid spacing {h} needs parameter steps of {dv:.3g}, over "
+            f"{MAX_DISK_SIDE}^2 disk samples; use a larger h"
+        )
     m = int(np.ceil(2.0 / dv))
     axis = -1.0 + (np.arange(m + 1) + 0.5) * (2.0 / (m + 1))
     X, Y = np.meshgrid(axis, axis, indexing="ij")

@@ -261,3 +261,140 @@ def test_tubes_bad_scales_names_flag(tmp_path, capsys, scales):
         ["tubes", "--delta", "0.1", "--scales", scales, "--out", tmp_path / "tubes.json"]
     )
     assert _flag_of_failure(code, capsys) == "--scales"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--epsilon", "0.01", "--mesh", "256", "--t-steps", "8", "--jobs", "1"],
+    ["sweep", "--epsilon", "0.01", "--mesh", "256", "--t-steps", "8", "--jobs", "2"],
+    ["slice", "--epsilon", "0.01", "--mesh", "256"],
+    ["moll", "--alpha", "0.5", "--mesh", "64"],
+])
+def test_mesh_too_coarse_for_epsilon_names_flag(tmp_path, capsys, monkeypatch, argv):
+    def no_mollify(*args, **kwargs):
+        raise AssertionError("mollified before the mesh was checked")
+
+    import kakeya_lab.slices as slices
+    import kakeya_lab.smoothing as smoothing
+
+    monkeypatch.setattr(slices, "mollify_on_sphere", no_mollify)
+    monkeypatch.setattr(smoothing, "mollify_on_sphere", no_mollify)
+    code = run_cli(argv + ["--out", tmp_path / "out.json"])
+    assert _flag_of_failure(code, capsys) == "--mesh"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--method", "grid", "--mesh", "162", "--t-steps", "8", "--jobs", "1"],
+    ["regularity"],
+    ["measure"],
+    ["tubes"],
+])
+def test_n3_only_harness_rejects_n4(tmp_path, capsys, argv):
+    code = run_cli(argv + ["--n", "4", "--out", tmp_path / "out.json"])
+    assert _flag_of_failure(code, capsys) == "--n"
+
+
+def test_measure_oversized_sampling_names_h(tmp_path, capsys):
+    # about 3.8e8 parameter samples at this h: refused before any allocation
+    code = run_cli(
+        ["measure", "--map", "lacunary:alpha=0.8,terms=12,seed=7", "--h", "0.05",
+         "--out", tmp_path / "m.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--h"
+
+
+SWEEPS = {
+    "mollified": ["--map", "lacunary:alpha=0.8,terms=12,seed=7", "--epsilon", "0.05",
+                  "--mesh", "512", "--t-steps", "8"],
+    "grid": ["--map", "lacunary:alpha=0.8,terms=4,seed=7", "--method", "grid",
+             "--grid-h", "0.01", "--mesh", "512", "--t-steps", "8"],
+}
+
+
+def _sweep_files(tmp_path, name, argv):
+    d = tmp_path / name
+    d.mkdir()
+    assert run_cli(["sweep", *argv, "--out", d / "sv.csv"]) == 0
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEPS))
+def test_sweep_pool_byte_equal_to_serial(tmp_path, monkeypatch, kind):
+    import kakeya_lab.cli as cli
+
+    workers = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.delenv("KAKEYA_LAB_JOBS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    serial = _sweep_files(tmp_path, "serial", SWEEPS[kind] + ["--jobs", "1"])
+    pooled = _sweep_files(tmp_path, "pooled", SWEEPS[kind] + ["--jobs", "2"])
+    assert workers == [2]
+    assert pooled == serial
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: maps in this process, starts none."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize("jobs, cpus, t_steps, workers", [
+    (1, 64, 16, 1),  # serial: no pool
+    (2, 64, 16, 2),
+    (8, 64, 16, 5),  # each worker needs n = 3 heights: 16 // 3
+    (8, 3, 16, 3),  # no more workers than cores
+    (64, 64, 8, 2),
+])
+def test_sweep_pool_partitions_heights(tmp_path, monkeypatch, jobs, cpus, t_steps, workers):
+    import kakeya_lab.cli as cli
+    import kakeya_lab.slices as slices
+
+    subsets = []
+    mollified = []
+    real_worker = cli._sv_worker
+    real_mollify = slices.mollify_on_sphere
+
+    def worker(payload):
+        subsets.append(payload[2])
+        return real_worker(payload)
+
+    def mollify(*args, **kwargs):
+        mollified.append(1)
+        return real_mollify(*args, **kwargs)
+
+    monkeypatch.delenv("KAKEYA_LAB_JOBS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(InlinePool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_sv_worker", worker)
+    monkeypatch.setattr(slices, "mollify_on_sphere", mollify)
+    argv = ["--map", "lacunary:alpha=0.8,terms=12,seed=7", "--epsilon", "0.05",
+            "--mesh", "512", "--t-steps", str(t_steps)]
+    pooled = _sweep_files(tmp_path, "pooled", argv + ["--jobs", str(jobs)])
+
+    assert InlinePool.created == ([] if workers == 1 else [workers])
+    t_grid = np.linspace(0.0, 1.0, t_steps)
+    assert len(subsets) == workers
+    for k, subset in enumerate(subsets):
+        assert np.array_equal(subset, t_grid[k::workers])
+    assert len(mollified) == workers
+    # the scatter puts every height's SV back in its row
+    monkeypatch.setattr(cli, "_sv_worker", real_worker)
+    assert pooled == _sweep_files(tmp_path, "serial", argv + ["--jobs", "1"])

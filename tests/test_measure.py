@@ -184,3 +184,15 @@ def test_cone_coverage_shifted_constant():
     m = make_map("constant", p=[0.0, 0.0, 0.1], n=3, domain_kind="sphere")
     cov = cone_coverage_check(m, 0.3, sample_count=50)
     assert cov.fraction == 1.0
+
+
+def test_rasterize_refuses_oversized_sampling(monkeypatch):
+    import kakeya_lab.measure as measure
+
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("allocated before the preflight check")
+
+    monkeypatch.setattr(measure.np, "meshgrid", no_meshgrid)
+    lac = make_map("lacunary_fourier", alpha=0.8, terms=12, seed=7)
+    with pytest.raises(ValueError, match="larger h"):
+        rasterize_image_measure(lac, 0.05)
