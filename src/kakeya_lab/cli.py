@@ -258,23 +258,30 @@ def _cmd_measure(args) -> list[Path]:
 
 def _cmd_tubes(args) -> list[Path]:
     _check_range("--delta", args.delta, 0.005, 0.1)
-    h = args.h if args.h is not None else args.delta / 4.0
-    if h > args.delta / 4.0:
-        _fail("--h", f"grid spacing {h} must be <= delta/4")
+    h = args.delta / 4.0
+    if args.h is not None:
+        h = _check_range("--h", args.h, 0.0, h, lo_open=True)
     _require_n3(args, "tubes")
     pmap = _map_from_args(args)
     out = Path(args.out)
     files = []
     results: dict = {}
-    if args.scales:
-        scales = _float_list("--scales", args.scales, lo=0.5, hi=8.0)
-        rows = lipschitz_tube_experiment(pmap, scales, args.delta, h=h)
+    scales = _float_list("--scales", args.scales, lo=0.5, hi=8.0) if args.scales else None
+    family = build_tube_family(pmap, args.delta)
+    try:
+        # the work preflight; scaled families need the same (tube, layer, row) count
+        est = tube_union_volume(family, h)
+    except ValueError as exc:
+        _fail("--h", str(exc))
+    if scales:
+        try:
+            rows = lipschitz_tube_experiment(pmap, scales, args.delta, h=h)
+        except ValueError as exc:  # a constant map: no scale to normalize by
+            _fail("--map", str(exc))
         results["scaling_experiment"] = rows
         prods = [r.scaled_product for r in rows]
         results["product_min"] = min(prods)
         results["product_spread"] = max(prods) / min(prods)
-    family = build_tube_family(pmap, args.delta)
-    est = tube_union_volume(family, h)
     results["union_volume"] = est
     results["net_count"] = family.count
     csv_path, sidecar = rpt.write_tube_family(out.with_suffix(".net.csv"), family)

@@ -4,13 +4,14 @@ Grids are anchored to the data's bounding box, with padding rounded up to a
 whole number of cells, so that rigidly translated data produces identically
 translated cell centers.
 
-`mark_near_polyline` marks the cells within a distance of a closed polyline
-with a scanline-span kernel: every grid row within reach of a segment meets
-the segment's capsule in one interval with a closed form, whose interior is
-filled through a per-row difference array while the cells at its two ends
-get the exact per-cell distance test.  The cost follows the number of
-(segment, row) pairs, not the cells of each segment's bounding box, so wide
-collars cost little more than the h/2 boundary masks.  The same row engine,
+`scanline_mask` is the scanline-span kernel: every grid row within reach of
+a convex shape meets it in one interval with a closed form, whose interior
+is filled through a per-row difference array while the cells at its two ends
+get an exact per-cell test.  The cost follows the number of (shape, row)
+pairs, not the cells of each shape's bounding box.  `mark_near_polyline`
+runs it over the capsules of a closed polyline's segments, so wide collars
+cost little more than the h/2 boundary masks, and `measure` over the
+sections of a tube family at each height layer.  The same row engine,
 `_row_span_sums`, sums the signed crossing spans of the grid winding field.
 """
 
@@ -115,7 +116,8 @@ def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarr
 
 
 def _row_spans(r, ax, bx, dya, dyb, ux, uy, length) -> tuple[np.ndarray, np.ndarray]:
-    """x-extent of each row's intersection with the r-capsule of its segment.
+    """x-extent of each row's intersection with the r-capsule of its segment;
+    r may be a column of radii, one output row each.
 
     The capsule is convex, so the intersection is one interval: the union of
     the chords of the two end-cap disks and of the band
@@ -148,54 +150,41 @@ def _cell_index(x: np.ndarray, origin: float, h: float, n: int, rounding) -> np.
     return np.clip(rounding((x - origin) / h - 0.5), -2, n + 1).astype(np.int64)
 
 
-def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean field over grid cells whose center is within tol of the polyline.
+def scanline_mask(shape, origin, h, j0, j1, spans, near) -> np.ndarray:
+    """Boolean (nx, ny) field of the cells whose center passes an exact test
+    against any of a set of convex shapes, by scanline spans.
 
-    Scanline-span kernel: each grid row within reach of a segment meets the
-    segment's capsule in one interval, found in closed form at the radii
-    tol - slack (inner span) and tol + slack (outer span).  The cells of the
-    inner span, less one at each end, are filled through a per-row
-    difference array; the other cells of the outer span, plus one at each
-    end, get the exact per-cell test ``|p - a - t ab|^2 <= tol^2`` with t
-    clipped to [0, 1].  The slack is far above rounding error and far below
-    a cell, so the result is exactly that test applied to every cell, at a
-    cost proportional to the (segment, row) pairs rather than to the cells
-    of each segment's bounding box.
+    Shape k may reach grid rows j0[k]..j1[k] (a superset; clipped here).
+    ``spans(k, py)`` gives the x-extents (lo, hi) of the rows at heights py
+    with shapes k, as arrays of one or two rows: row 0 for the shapes grown
+    by a slack far above rounding error and far below a cell (outer spans),
+    row 1, if there is one, for the shapes shrunk by it (inner spans); an
+    empty span is (inf, -inf).  ``near(k, px, py)`` is the exact per-cell
+    test.  The cells of each inner span, less one at each end, are filled
+    through a per-row difference array; the other cells of the outer span,
+    plus one at each end, get the exact test.  The result is the exact test
+    applied to every cell, at a cost proportional to the (shape, row) pairs;
+    they are handled in chunks of _PAIR_CHUNK.
     """
-    v = np.asarray(vertices, dtype=float)
-    w = np.roll(v, -1, axis=0)
-    h = grid.h
-    nx, ny = grid.shape
-    ox, oy = grid.origin[0], grid.origin[1]
-    ab = w - v
-    sq = np.einsum("ij,ij->i", ab, ab)
-    ab2 = np.maximum(sq, 1e-300)
-    length = np.sqrt(sq)
-    ax, ay, bx, by, ux, uy = v[:, 0], v[:, 1], w[:, 0], w[:, 1], ab[:, 0], ab[:, 1]
-    slack = 1e-9 * (float(np.abs(v).max()) + tol + h)
-    r_out, r_in = tol + slack, tol - slack
-    j0 = np.maximum(_cell_index(np.minimum(ay, by) - r_out, oy, h, ny, np.floor), 0)
-    j1 = np.minimum(_cell_index(np.maximum(ay, by) + r_out, oy, h, ny, np.ceil), ny - 1)
-    rows = np.maximum(j1 - j0 + 1, 0)
+    nx, ny = shape
+    ox, oy = origin
+    j0 = np.maximum(j0, 0)
+    rows = np.maximum(np.minimum(j1, ny - 1) - j0 + 1, 0)
     csum = np.cumsum(rows)
     cuts = np.searchsorted(csum, np.arange(_PAIR_CHUNK, csum[-1], _PAIR_CHUNK), side="right")
-    edges = np.unique(np.concatenate([[0], cuts, [len(v)]]))
+    edges = np.unique(np.concatenate([[0], cuts, [len(rows)]]))
     fills = []
     exact = []
     for s, e in zip(edges[:-1], edges[1:]):
-        seg, j = _ranges(j0[s:e], rows[s:e])
-        seg += s
+        k, j = _ranges(j0[s:e], rows[s:e])
+        k += s
         py = oy + (j + 0.5) * h
-        ax_p, ux_p, uy_p = ax[seg], ux[seg], uy[seg]
-        pa_y = py - ay[seg]
-        span = (ax_p, bx[seg], pa_y, py - by[seg], ux_p, uy_p, length[seg])
-        lo, hi = _row_spans(r_out, *span)
-        o_lo = np.maximum(_cell_index(lo, ox, h, nx, np.ceil) - 1, 0)
-        o_hi = np.minimum(_cell_index(hi, ox, h, nx, np.floor) + 1, nx - 1)
-        if r_in > 0.0:
-            lo, hi = _row_spans(r_in, *span)
-            f_lo = np.maximum(_cell_index(lo, ox, h, nx, np.ceil) + 1, 0)
-            f_hi = np.minimum(_cell_index(hi, ox, h, nx, np.floor) - 1, nx - 1)
+        lo, hi = spans(k, py)
+        o_lo = np.maximum(_cell_index(lo[0], ox, h, nx, np.ceil) - 1, 0)
+        o_hi = np.minimum(_cell_index(hi[0], ox, h, nx, np.floor) + 1, nx - 1)
+        if len(lo) > 1:
+            f_lo = np.maximum(_cell_index(lo[1], ox, h, nx, np.ceil) + 1, 0)
+            f_hi = np.minimum(_cell_index(hi[1], ox, h, nx, np.floor) - 1, nx - 1)
         else:
             f_lo = np.ones_like(o_lo)
             f_hi = np.zeros_like(o_hi)
@@ -207,15 +196,52 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.n
         starts = np.concatenate([o_lo, right])
         counts = np.maximum(np.concatenate([left - o_lo, o_hi - right]) + 1, 0)
         pair, i = _ranges(starts, counts)
-        pair %= len(seg)  # left and right ranges of the same pair
-        k_ux, k_uy, k_pa_y = ux_p[pair], uy_p[pair], pa_y[pair]
-        pa_x = (ox + (i + 0.5) * h) - ax_p[pair]
-        t = np.clip((pa_x * k_ux + k_pa_y * k_uy) / ab2[seg][pair], 0.0, 1.0)
-        dx = pa_x - t * k_ux
-        dy = k_pa_y - t * k_uy
-        hit = dx * dx + dy * dy <= tol * tol
+        pair %= len(k)  # left and right ranges of the same pair
+        hit = near(k[pair], ox + (i + 0.5) * h, py[pair])
         exact.append(i[hit] * ny + j[pair[hit]])
     rows, starts, stops = (np.concatenate(a) for a in zip(*fills))
-    mask = _row_span_sums(grid.shape, rows, starts, stops) > 0
+    mask = _row_span_sums(shape, rows, starts, stops) > 0
     mask.reshape(-1)[np.concatenate(exact)] = True
     return mask
+
+
+def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.ndarray:
+    """Boolean field over grid cells whose center is within tol of the polyline.
+
+    Each grid row within reach of a segment meets the segment's capsule in
+    one interval, found in closed form at the radii tol - slack (inner span)
+    and tol + slack (outer span), and `scanline_mask` fills or tests its
+    cells with the exact per-cell test ``|p - a - t ab|^2 <= tol^2``, t
+    clipped to [0, 1].  The result is exactly that test applied to every
+    cell, at a cost proportional to the (segment, row) pairs rather than to
+    the cells of each segment's bounding box.
+    """
+    v = np.asarray(vertices, dtype=float)
+    w = np.roll(v, -1, axis=0)
+    h = grid.h
+    nx, ny = grid.shape
+    ab = w - v
+    sq = np.einsum("ij,ij->i", ab, ab)
+    ab2 = np.maximum(sq, 1e-300)
+    length = np.sqrt(sq)
+    ax, ay, bx, by, ux, uy = v[:, 0], v[:, 1], w[:, 0], w[:, 1], ab[:, 0], ab[:, 1]
+    slack = 1e-9 * (float(np.abs(v).max()) + tol + h)
+    r_out = tol + slack
+    # outer and inner radius as a column, broadcast over the (segment, row) pairs
+    radii = np.array([[r_out], [tol - slack]]) if tol > slack else np.array([[r_out]])
+
+    def spans(k, py):
+        return _row_spans(radii, ax[k], bx[k], py - ay[k], py - by[k], ux[k], uy[k], length[k])
+
+    def near(k, px, py):
+        pa_x = px - ax[k]
+        pa_y = py - ay[k]
+        t = np.clip((pa_x * ux[k] + pa_y * uy[k]) / ab2[k], 0.0, 1.0)
+        dx = pa_x - t * ux[k]
+        dy = pa_y - t * uy[k]
+        return dx * dx + dy * dy <= tol * tol
+
+    oy = grid.origin[1]
+    j0 = _cell_index(np.minimum(ay, by) - r_out, oy, h, ny, np.floor)
+    j1 = _cell_index(np.maximum(ay, by) + r_out, oy, h, ny, np.ceil)
+    return scanline_mask(grid.shape, grid.origin, h, j0, j1, spans, near)

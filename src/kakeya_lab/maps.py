@@ -405,13 +405,16 @@ def lipschitz_constant_on_net(points: np.ndarray, values: np.ndarray) -> float:
     if len(points) < 2:
         raise ValueError("need at least two net points")
     best = 0.0
+    # the quotient is symmetric, so rows s:e need only the columns from s on
     for s, e in row_blocks(len(points), len(points)):
-        d = np.sqrt(sq_dists(points[s:e], points))
-        np.fill_diagonal(d[:, s:e], np.inf)
-        if np.min(d) == 0.0:
+        d = np.sqrt(sq_dists(points[s:e], points[s:]))
+        np.fill_diagonal(d[:, : e - s], np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = float(np.max(np.sqrt(sq_dists(values[s:e], values[s:])) / d))
+        # a zero distance makes the quotient inf or nan; only then is d searched for it
+        if not q < np.inf and np.any(d == 0.0):
             raise ValueError("net contains duplicate points")
-        dv = np.sqrt(sq_dists(values[s:e], values))
-        best = max(best, float(np.max(dv / d)))
+        best = max(best, q)
     return best
 
 

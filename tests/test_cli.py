@@ -263,6 +263,36 @@ def test_tubes_bad_scales_names_flag(tmp_path, capsys, scales):
     assert _flag_of_failure(code, capsys) == "--scales"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", ["0", "-0.01", "nan", "0.02"])
+def test_tubes_bad_h_names_flag(tmp_path, capsys, h):
+    code = run_cli(
+        ["tubes", "--map", "zero", "--delta", "0.05", "--h", h, "--out", tmp_path / "tubes.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--h"
+
+
+def test_tubes_oversized_work_names_h(tmp_path, capsys, monkeypatch):
+    # about 1.5e12 (tube, layer, row) triples: refused before the kernel runs
+    import kakeya_lab.measure as measure
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran before the work preflight")
+
+    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    code = run_cli(
+        ["tubes", "--map", "zero", "--delta", "0.05", "--h", "0.00001", "--out", tmp_path / "t.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--h"
+
+
+def test_tubes_constant_map_scales_names_map(tmp_path, capsys):
+    code = run_cli(
+        ["tubes", "--map", "zero", "--delta", "0.1", "--scales", "1,2", "--out", tmp_path / "t.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--map"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--epsilon", "0.01", "--mesh", "256", "--t-steps", "8", "--jobs", "1"],
     ["sweep", "--epsilon", "0.01", "--mesh", "256", "--t-steps", "8", "--jobs", "2"],

@@ -3,6 +3,8 @@ import pytest
 
 from kakeya_lab.maps import lipschitz_constant_on_net, make_map
 from kakeya_lab.measure import (
+    TubeFamily,
+    _tube_layer_masks,
     build_tube_family,
     cone_coverage_check,
     line_kakeya_cover,
@@ -117,6 +119,176 @@ def test_union_volume_rejects_coarse_grid():
     fam = build_tube_family(make_map("zero"), 0.05)
     with pytest.raises(ValueError):
         tube_union_volume(fam, 0.05)
+
+
+def _reference_tube_marks(family, h):
+    """The offset-disk loop the scanline kernel replaced: every cell of a
+    disk of offsets around each segment's position at a layer's height gets
+    the exact distance test.  The disk misses cells of tilted tubes once
+    h < delta/4, so it is the reference at h = delta/4 only."""
+    delta = family.delta
+    a3, b3 = family.segment_endpoints()
+    lo = np.minimum(a3, b3).min(axis=0) - delta - 2.0 * h
+    hi = np.maximum(a3, b3).max(axis=0) + delta + 2.0 * h
+    dims = np.ceil((hi - lo) / h).astype(int)
+    marked = np.zeros(tuple(dims), dtype=bool)
+    ab = b3 - a3
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    # candidate offsets: the segment moves at most |v| h within a layer
+    r_off = delta + h * (0.5 * float(np.max(np.linalg.norm(family.net, axis=1))) + 0.8)
+    m_off = int(np.ceil(r_off / h))
+    oi, oj = np.meshgrid(np.arange(-m_off, m_off + 1), np.arange(-m_off, m_off + 1), indexing="ij")
+    keep = oi * oi + oj * oj <= (m_off + 1) ** 2
+    oi = oi[keep]
+    oj = oj[keep]
+    n_tubes = family.count
+    for iz in range(dims[2]):
+        z = lo[2] + (iz + 0.5) * h
+        t_ref = min(max(z, 0.0), 1.0)
+        cent = family.centers + t_ref * family.net
+        base_i = np.floor((cent[:, 0] - lo[0]) / h - 0.5).astype(np.int64)
+        base_j = np.floor((cent[:, 1] - lo[1]) / h - 0.5).astype(np.int64)
+        ci = (base_i[:, None] + oi[None, :]).ravel()
+        cj = (base_j[:, None] + oj[None, :]).ravel()
+        ok = (ci >= 0) & (ci < dims[0]) & (cj >= 0) & (cj < dims[1])
+        if not ok.any():
+            continue
+        ci = ci[ok]
+        cj = cj[ok]
+        tube = np.repeat(np.arange(n_tubes), len(oi))[ok]
+        px = lo[0] + (ci + 0.5) * h
+        py = lo[1] + (cj + 0.5) * h
+        P = np.stack([px, py, np.full(len(px), z)], axis=1)
+        rel = P - a3[tube]
+        tpar = np.clip(np.einsum("kd,kd->k", rel, ab[tube]) / ab2[tube], 0.0, 1.0)
+        dvec = rel - tpar[:, None] * ab[tube]
+        hit = np.einsum("kd,kd->k", dvec, dvec) <= delta * delta
+        marked[ci[hit], cj[hit], iz] = True
+    return marked
+
+
+def _brute_tube_marks(family, h):
+    """Every cell of the grid against every tube, with the same exact test."""
+    delta = family.delta
+    a3, b3 = family.segment_endpoints()
+    lo = np.minimum(a3, b3).min(axis=0) - delta - 2.0 * h
+    hi = np.maximum(a3, b3).max(axis=0) + delta + 2.0 * h
+    dims = np.ceil((hi - lo) / h).astype(int)
+    ab = b3 - a3
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    ci, cj = np.meshgrid(np.arange(dims[0]), np.arange(dims[1]), indexing="ij")
+    px = lo[0] + (ci.ravel() + 0.5) * h
+    py = lo[1] + (cj.ravel() + 0.5) * h
+    marked = np.zeros(tuple(dims), dtype=bool)
+    for iz in range(dims[2]):
+        z = lo[2] + (iz + 0.5) * h
+        P = np.stack([px, py, np.full(len(px), z)], axis=1)
+        layer = np.zeros(len(px), dtype=bool)
+        for k in range(family.count):
+            rel = P - a3[k]
+            ab_k = np.repeat(ab[k : k + 1], len(px), axis=0)  # the kernel's einsum operands
+            tpar = np.clip(np.einsum("kd,kd->k", rel, ab_k) / ab2[k], 0.0, 1.0)
+            dvec = rel - tpar[:, None] * ab_k
+            layer |= np.einsum("kd,kd->k", dvec, dvec) <= delta * delta
+        marked[:, :, iz] = layer.reshape(dims[0], dims[1])
+    return marked
+
+
+def _scanline_marks(family, h):
+    return np.stack(list(_tube_layer_masks(family, h)), axis=2)
+
+
+def _assert_tube_marks_equal(family, h, reference):
+    got = _scanline_marks(family, h)
+    want = reference(family, h)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ"
+    assert tube_union_volume(family, h).cells_hit == int(want.sum())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_tube_union_matches_offset_disk_lacunary(seed):
+    m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=seed)
+    fam = build_tube_family(m, 0.1)
+    _assert_tube_marks_equal(fam, 0.025, _reference_tube_marks)
+
+
+def test_tube_union_matches_offset_disk_zero_map():
+    _assert_tube_marks_equal(build_tube_family(make_map("zero"), 0.08), 0.02, _reference_tube_marks)
+
+
+@pytest.mark.parametrize("v", [[0.7, 0.7], [-0.999, 0.02], [0.0, -0.9999]])
+def test_tube_union_matches_offset_disk_steep_single_tube(v):
+    # |v| close to 1; alone, the tube also spans the grid edge to edge
+    fam = TubeFamily(0.05, np.array([v]), np.array([[0.1, -0.2]]), 3)
+    _assert_tube_marks_equal(fam, 0.0125, _reference_tube_marks)
+
+
+def test_tube_union_matches_offset_disk_end_caps():
+    # the strip clip with vx = 0 (parallel to the rows) and vy = 0, a vertical
+    # tube whose end sections are whole ball disks, and tubes meeting only
+    # near their ends
+    net = np.array([[0.0, 0.8], [0.8, 0.0], [0.0, 0.0], [0.5, -0.5], [-0.5, 0.5]])
+    centers = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3], [0.2, 0.3], [0.7, -0.2]])
+    fam = TubeFamily(0.06, net, centers, 3)
+    _assert_tube_marks_equal(fam, 0.015, _reference_tube_marks)
+
+
+def test_tube_union_cells_on_the_boundary():
+    # binary-exact data: a vertical tube through cell center (39, 23), radius
+    # five cells, so the centers at offsets (5, 0) and (3, 4) lie at distance
+    # exactly delta and pin the "<="
+    h = 1.0 / 64.0
+    net = np.array([[0.25, 0.0], [0.0, 0.0]])
+    fam = TubeFamily(5 * h, net, np.array([[0.0, 0.0], [0.5 + h / 2, 0.25 + h / 2]]), 3)
+    got = _scanline_marks(fam, h)
+    assert np.array_equal(got, _reference_tube_marks(fam, h))
+    assert np.array_equal(got, _brute_tube_marks(fam, h))
+    layer = got[:, :, 40]
+    assert layer[44, 23] and layer[34, 23] and layer[42, 27] and layer[36, 19]
+    assert not layer[45, 23] and not layer[44, 24] and not layer[42, 28]
+
+
+def test_tube_union_tangent_rows():
+    # each tube (vx = 0) touches a cell center with the top of its section's
+    # ellipse at one layer, up to rounding; whether that center passes the
+    # exact test is decided by the last bits, so its row must be tested even
+    # when the closed-form chord comes out empty (the slack keeps it)
+    delta, h = 0.05, 0.0125
+    corner = -1.0 - delta - 2.0 * h  # the grid origin, fixed by a tube at (-1, -1)
+    rng = np.random.default_rng(0)
+    net, centers = [[0.0, 0.0]], [[-1.0, -1.0]]
+    for k in range(40):
+        vy = float(rng.uniform(-0.9, 0.9))
+        z = -delta - 2.0 * h + (int(rng.integers(16, 64)) + 0.5) * h
+        px = corner + (80 + 12 * (k % 8) + 0.5) * h
+        py = corner + (80 + 12 * (k // 8) + 0.5) * h
+        net.append([0.0, vy])
+        centers.append([px, py - z * vy - delta * np.sqrt(1.0 + vy * vy)])
+    fam = TubeFamily(delta, np.array(net), np.array(centers), 3)
+    _assert_tube_marks_equal(fam, h, _reference_tube_marks)
+
+
+@pytest.mark.parametrize("ratio", [4, 8])
+def test_tube_union_matches_brute_force_tilted(ratio):
+    # tilted tubes, |v| near 1: below delta/4 the ellipse of the section reaches
+    # delta sqrt(2) / h cells from the axis, past the old offset disk
+    net = np.array([[0.69, 0.7], [-0.98, 0.1], [0.05, -0.97], [0.3, 0.2]])
+    centers = np.array([[0.0, 0.0], [0.4, -0.1], [-0.2, 0.5], [0.1, 0.1]])
+    fam = TubeFamily(0.04, net, centers, 3)
+    _assert_tube_marks_equal(fam, 0.04 / ratio, _brute_tube_marks)
+
+
+def test_tube_union_refuses_oversized_work(monkeypatch):
+    import kakeya_lab.measure as measure
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran before the work preflight")
+
+    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    fam = build_tube_family(make_map("zero"), 0.05)
+    with pytest.raises(ValueError, match="larger h"):
+        tube_union_volume(fam, 0.00001)
 
 
 def test_lipschitz_experiment_products_positive():
