@@ -24,8 +24,10 @@ from .measure import (
     build_tube_family,
     cone_coverage_check,
     line_kakeya_cover,
-    lipschitz_tube_experiment,
     rasterize_image_measure,
+    scaled_tube_families,
+    tube_grid,
+    tube_scaling_rows,
     tube_union_volume,
 )
 from .slices import (
@@ -268,21 +270,25 @@ def _cmd_tubes(args) -> list[Path]:
     results: dict = {}
     scales = _float_list("--scales", args.scales, lo=0.5, hi=8.0) if args.scales else None
     family = build_tube_family(pmap, args.delta)
+    scaled = []
+    if scales:
+        try:
+            scaled = scaled_tube_families(family, scales)
+        except ValueError as exc:  # a constant map: no scale to normalize by
+            _fail("--map", str(exc))
     try:
-        # the work preflight; scaled families need the same (tube, layer, row) count
-        est = tube_union_volume(family, h)
+        # the work preflight of the base family and every scaled one, before the first union
+        for fam in [family] + [f for _, f in scaled]:
+            tube_grid(fam, h)
     except ValueError as exc:
         _fail("--h", str(exc))
     if scales:
-        try:
-            rows = lipschitz_tube_experiment(pmap, scales, args.delta, h=h)
-        except ValueError as exc:  # a constant map: no scale to normalize by
-            _fail("--map", str(exc))
+        rows = tube_scaling_rows(scaled, h)
         results["scaling_experiment"] = rows
         prods = [r.scaled_product for r in rows]
         results["product_min"] = min(prods)
         results["product_spread"] = max(prods) / min(prods)
-    results["union_volume"] = est
+    results["union_volume"] = tube_union_volume(family, h)
     results["net_count"] = family.count
     csv_path, sidecar = rpt.write_tube_family(out.with_suffix(".net.csv"), family)
     files.extend([csv_path, sidecar])

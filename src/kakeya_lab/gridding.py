@@ -1,18 +1,15 @@
-"""Data-anchored cell grids and point/segment distance kernels.
+"""Data-anchored cell grids and the point-segment kernels.
 
 Grids are anchored to the data's bounding box, with padding rounded up to a
 whole number of cells, so that rigidly translated data produces identically
 translated cell centers.
 
-`scanline_mask` is the scanline-span kernel: every grid row within reach of
-a convex shape meets it in one interval with a closed form, whose interior
-is filled through a per-row difference array while the cells at its two ends
-get an exact per-cell test.  The cost follows the number of (shape, row)
-pairs, not the cells of each shape's bounding box.  `mark_near_polyline`
-runs it over the capsules of a closed polyline's segments, so wide collars
-cost little more than the h/2 boundary masks, and `measure` over the
-sections of a tube family at each height layer.  The same row engine,
-`_row_span_sums`, sums the signed crossing spans of the grid winding field.
+Every "which points lie within r of a segment" question of the package is
+asked here, of segments a -> a + u in R^3 (planar data in z = 0), with one
+exact test, `_near`: the scanline-span masks of `scanline_mask` (near-loop
+masks, and `measure`'s tube layers) and the boundary checks of
+`points_near_polyline`.  The row engine `_row_span_sums` also sums the
+signed crossing spans of the grid winding field.
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .pairs import row_blocks, sq_dists
 
 
 @dataclass(frozen=True)
@@ -64,25 +59,8 @@ def grid_over(points: np.ndarray, h: float, pad: float) -> CellGrid:
     return CellGrid(origin, float(h), shape)
 
 
-def polyline_min_distance(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Distance from each point to a closed polyline, chunked over segments."""
-    points = np.asarray(points, dtype=float)
-    v = np.asarray(vertices, dtype=float)
-    w = np.roll(v, -1, axis=0)
-    ab = w - v
-    ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-    best = np.full(len(points), np.inf)
-    for s, e in row_blocks(len(v), len(points)):
-        pa = points[:, None, :] - v[None, s:e, :]
-        t = np.clip(np.einsum("pnd,nd->pn", pa, ab[s:e]) / ab2[s:e], 0.0, 1.0)
-        proj = v[None, s:e, :] + t[:, :, None] * ab[None, s:e, :]
-        best = np.minimum(best, np.sqrt(sq_dists(points, proj).min(axis=1)))
-    return best
-
-
-
-
-# (segment, row) pairs handled at once; bounds the temporaries at collar radii
+# (segment, row) or (segment, point) pairs handled at once; bounds the
+# temporaries at collar radii
 _PAIR_CHUNK = 1 << 15
 
 
@@ -91,6 +69,35 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     owner = np.repeat(np.arange(len(counts)), counts)
     offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     return owner, starts[owner] + offset
+
+
+def _chunks(counts: np.ndarray):
+    """Slices [s, e) of the owners whose ranges hold about _PAIR_CHUNK elements."""
+    csum = np.cumsum(counts)
+    cuts = np.searchsorted(csum, np.arange(_PAIR_CHUNK, csum[-1], _PAIR_CHUNK), side="right")
+    edges = np.unique(np.concatenate([[0], cuts, [len(counts)]]))
+    return zip(edges[:-1], edges[1:])
+
+
+def _segments(vertices: np.ndarray):
+    """Starts a and steps u of a closed planar polyline's segments, in z = 0,
+    and each segment's y-range (y0, y1)."""
+    v = np.asarray(vertices, dtype=float)
+    a = np.zeros((len(v), 3))
+    a[:, :2] = v
+    u = np.roll(a, -1, axis=0) - a
+    return a, u, np.minimum(a[:, 1], a[:, 1] + u[:, 1]), np.maximum(a[:, 1], a[:, 1] + u[:, 1])
+
+
+def _near(P: np.ndarray, a: np.ndarray, u: np.ndarray, r: float) -> np.ndarray:
+    """The exact point-segment test, row by row over (m, 3) arrays:
+    |P - a - t u|^2 <= r^2 with t = (P - a).u / |u|^2 clipped to [0, 1]
+    (t = 0 for a zero-length segment)."""
+    rel = P - a
+    uu = np.maximum(np.einsum("kd,kd->k", u, u), 1e-300)
+    t = np.clip(np.einsum("kd,kd->k", rel, u) / uu, 0.0, 1.0)
+    rel -= t[:, None] * u
+    return np.einsum("kd,kd->k", rel, rel) <= r * r
 
 
 def _row_span_sums(shape, rows, starts, stops, weights=None) -> np.ndarray:
@@ -115,33 +122,48 @@ def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarr
     return x_lo, x_hi
 
 
-def _row_spans(r, ax, bx, dya, dyb, ux, uy, length) -> tuple[np.ndarray, np.ndarray]:
-    """x-extent of each row's intersection with the r-capsule of its segment;
-    r may be a column of radii, one output row each.
+def _segment_row_spans(r, py, z, a, u) -> tuple[np.ndarray, np.ndarray]:
+    """x-extent of each row (the line y = py in the plane at height z) within
+    r of its segment a -> a + u; r may be a column of radii, one output row
+    each.
 
-    The capsule is convex, so the intersection is one interval: the union of
-    the chords of the two end-cap disks and of the band
-    |cross(p - a, ab)| <= r |ab| with 0 <= t <= 1.  The band is empty for a
-    zero-length segment.  `dya`, `dyb` are the row's heights above a and b;
-    an empty span is (inf, -inf).
+    The r-neighbourhood is convex, so the extent is one interval: the union
+    of the chords of the two end balls and of the cylinder
+    |(P - a) x u| <= r |u|, clipped to the strip 0 <= (P - a).u <= |u|^2.
+    With P - a = (x', dy, dz), A = u_y^2 + u_z^2, m = dy u_y + dz u_z and
+    c = dy u_z - dz u_y, the Lagrange identity |d|^2 |u|^2 - (d.u)^2 =
+    |d x u|^2 puts the cylinder's edges at x' = (u_x m +- L sqrt(A r^2 - c^2)) / A,
+    L = |u|, with no cancellation under the root.  For A = 0 (u along the
+    rows) the cylinder holds the whole row or none of it; a zero-length
+    segment has no cylinder.  An empty span is (inf, -inf).
     """
+    ax, ux, uy, uz = a[:, 0], u[:, 0], u[:, 1], u[:, 2]
+    dy = py - a[:, 1]
+    dz = z - a[:, 2]
+    rr = r * r
     lo = np.full(len(ax), np.inf)
     hi = np.full(len(ax), -np.inf)
-    for cx, dy in ((ax, dya), (bx, dyb)):
-        q = r * r - dy * dy
+    for cx, ey, ez in ((ax, dy, dz), (ax + ux, dy - uy, dz - uz)):
+        q = rr - ey * ey - ez * ez
         half = np.sqrt(np.maximum(q, 0.0))
         lo = np.where(q >= 0.0, np.minimum(lo, cx - half), lo)
         hi = np.where(q >= 0.0, np.maximum(hi, cx + half), hi)
-    # band, as (x - ax) * c in [lo, hi]: c = uy for the distance to the line,
-    # c = ux for the segment parameter t
-    d_lo, d_hi = _solve_span(dya * ux - r * length, dya * ux + r * length, uy)
-    t_lo, t_hi = _solve_span(-dya * uy, length * length - dya * uy, ux)
-    band_lo = ax + np.maximum(d_lo, t_lo)
-    band_hi = ax + np.minimum(d_hi, t_hi)
-    band = (length > 0.0) & (band_lo <= band_hi)
-    lo = np.where(band, np.minimum(lo, band_lo), lo)
-    hi = np.where(band, np.maximum(hi, band_hi), hi)
-    return lo, hi
+    area = uy * uy + uz * uz
+    l2 = area + ux * ux
+    m = dy * uy + dz * uz
+    c = dy * uz - dz * uy
+    e = area * rr - c * c
+    root = np.sqrt(l2 * np.maximum(e, 0.0))
+    flat = area == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_lo = np.where(flat, -np.inf, (ux * m - root) / area)
+        x_hi = np.where(flat, np.inf, (ux * m + root) / area)
+    inside = np.where(flat, dy * dy + dz * dz <= rr, e >= 0.0)
+    t_lo, t_hi = _solve_span(-m, l2 - m, ux)
+    x_lo = ax + np.maximum(x_lo, t_lo)
+    x_hi = ax + np.minimum(x_hi, t_hi)
+    band = inside & (l2 > 0.0) & (x_lo <= x_hi)
+    return np.where(band, np.minimum(lo, x_lo), lo), np.where(band, np.maximum(hi, x_hi), hi)
 
 
 def _cell_index(x: np.ndarray, origin: float, h: float, n: int, rounding) -> np.ndarray:
@@ -150,41 +172,42 @@ def _cell_index(x: np.ndarray, origin: float, h: float, n: int, rounding) -> np.
     return np.clip(rounding((x - origin) / h - 0.5), -2, n + 1).astype(np.int64)
 
 
-def scanline_mask(shape, origin, h, j0, j1, spans, near) -> np.ndarray:
-    """Boolean (nx, ny) field of the cells whose center passes an exact test
-    against any of a set of convex shapes, by scanline spans.
+def scanline_mask(shape, origin, h, j0, j1, z, a, u, r) -> np.ndarray:
+    """Boolean (nx, ny) field of the cells of the plane at height z whose
+    center P = (x, y, z) passes the exact test `_near` against any of the
+    segments a[k] -> a[k] + u[k] ((n, 3) arrays) at radius r.
 
-    Shape k may reach grid rows j0[k]..j1[k] (a superset; clipped here).
-    ``spans(k, py)`` gives the x-extents (lo, hi) of the rows at heights py
-    with shapes k, as arrays of one or two rows: row 0 for the shapes grown
-    by a slack far above rounding error and far below a cell (outer spans),
-    row 1, if there is one, for the shapes shrunk by it (inner spans); an
-    empty span is (inf, -inf).  ``near(k, px, py)`` is the exact per-cell
-    test.  The cells of each inner span, less one at each end, are filled
-    through a per-row difference array; the other cells of the outer span,
-    plus one at each end, get the exact test.  The result is the exact test
-    applied to every cell, at a cost proportional to the (shape, row) pairs;
-    they are handled in chunks of _PAIR_CHUNK.
+    Segment k may reach grid rows j0[k]..j1[k] (a superset; clipped here).
+    Each row meets a segment's r-neighbourhood in one interval
+    (`_segment_row_spans`), taken at r + slack (outer span) and r - slack
+    (inner span), the slack far above rounding error and far below a cell.
+    The cells of the inner span are filled through a per-row difference
+    array and the other cells of the outer span get the exact test.  That is
+    exact: a cell the test accepts lies within r of the segment up to
+    rounding, so inside the outer span, and a cell of the inner span lies
+    within r - slack, so the test accepts it.  The result is the exact test
+    applied to every cell, at a cost proportional to the (segment, row)
+    pairs; they are handled in chunks of _PAIR_CHUNK.
     """
     nx, ny = shape
     ox, oy = origin
+    slack = 1e-9 * (max(float(np.abs(a).max()), float(np.abs(a + u).max())) + r + h)
+    # outer and inner radius as a column, broadcast over the (segment, row) pairs
+    radii = np.array([[r + slack], [r - slack]]) if r > slack else np.array([[r + slack]])
     j0 = np.maximum(j0, 0)
     rows = np.maximum(np.minimum(j1, ny - 1) - j0 + 1, 0)
-    csum = np.cumsum(rows)
-    cuts = np.searchsorted(csum, np.arange(_PAIR_CHUNK, csum[-1], _PAIR_CHUNK), side="right")
-    edges = np.unique(np.concatenate([[0], cuts, [len(rows)]]))
     fills = []
     exact = []
-    for s, e in zip(edges[:-1], edges[1:]):
+    for s, e in _chunks(rows):
         k, j = _ranges(j0[s:e], rows[s:e])
         k += s
         py = oy + (j + 0.5) * h
-        lo, hi = spans(k, py)
-        o_lo = np.maximum(_cell_index(lo[0], ox, h, nx, np.ceil) - 1, 0)
-        o_hi = np.minimum(_cell_index(hi[0], ox, h, nx, np.floor) + 1, nx - 1)
+        lo, hi = _segment_row_spans(radii, py, z, a[k], u[k])
+        o_lo = np.maximum(_cell_index(lo[0], ox, h, nx, np.ceil), 0)
+        o_hi = np.minimum(_cell_index(hi[0], ox, h, nx, np.floor), nx - 1)
         if len(lo) > 1:
-            f_lo = np.maximum(_cell_index(lo[1], ox, h, nx, np.ceil) + 1, 0)
-            f_hi = np.minimum(_cell_index(hi[1], ox, h, nx, np.floor) - 1, nx - 1)
+            f_lo = np.maximum(_cell_index(lo[1], ox, h, nx, np.ceil), 0)
+            f_hi = np.minimum(_cell_index(hi[1], ox, h, nx, np.floor), nx - 1)
         else:
             f_lo = np.ones_like(o_lo)
             f_hi = np.zeros_like(o_hi)
@@ -197,51 +220,42 @@ def scanline_mask(shape, origin, h, j0, j1, spans, near) -> np.ndarray:
         counts = np.maximum(np.concatenate([left - o_lo, o_hi - right]) + 1, 0)
         pair, i = _ranges(starts, counts)
         pair %= len(k)  # left and right ranges of the same pair
-        hit = near(k[pair], ox + (i + 0.5) * h, py[pair])
+        P = np.empty((len(i), 3))
+        P[:, 0] = ox + (i + 0.5) * h
+        P[:, 1] = py[pair]
+        P[:, 2] = z
+        seg = k[pair]
+        hit = _near(P, a[seg], u[seg], r)
         exact.append(i[hit] * ny + j[pair[hit]])
-    rows, starts, stops = (np.concatenate(a) for a in zip(*fills))
+    rows, starts, stops = (np.concatenate(x) for x in zip(*fills))
     mask = _row_span_sums(shape, rows, starts, stops) > 0
     mask.reshape(-1)[np.concatenate(exact)] = True
     return mask
 
 
 def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean field over grid cells whose center is within tol of the polyline.
+    """Boolean field over grid cells whose center is within tol of the closed
+    polyline: `scanline_mask` over its segments in the plane z = 0."""
+    a, u, y0, y1 = _segments(vertices)
+    oy, ny = grid.origin[1], grid.shape[1]
+    j0 = _cell_index(y0 - tol, oy, grid.h, ny, np.floor)
+    j1 = _cell_index(y1 + tol, oy, grid.h, ny, np.ceil)
+    return scanline_mask(grid.shape, grid.origin, grid.h, j0, j1, 0.0, a, u, tol)
 
-    Each grid row within reach of a segment meets the segment's capsule in
-    one interval, found in closed form at the radii tol - slack (inner span)
-    and tol + slack (outer span), and `scanline_mask` fills or tests its
-    cells with the exact per-cell test ``|p - a - t ab|^2 <= tol^2``, t
-    clipped to [0, 1].  The result is exactly that test applied to every
-    cell, at a cost proportional to the (segment, row) pairs rather than to
-    the cells of each segment's bounding box.
-    """
-    v = np.asarray(vertices, dtype=float)
-    w = np.roll(v, -1, axis=0)
-    h = grid.h
-    nx, ny = grid.shape
-    ab = w - v
-    sq = np.einsum("ij,ij->i", ab, ab)
-    ab2 = np.maximum(sq, 1e-300)
-    length = np.sqrt(sq)
-    ax, ay, bx, by, ux, uy = v[:, 0], v[:, 1], w[:, 0], w[:, 1], ab[:, 0], ab[:, 1]
-    slack = 1e-9 * (float(np.abs(v).max()) + tol + h)
-    r_out = tol + slack
-    # outer and inner radius as a column, broadcast over the (segment, row) pairs
-    radii = np.array([[r_out], [tol - slack]]) if tol > slack else np.array([[r_out]])
 
-    def spans(k, py):
-        return _row_spans(radii, ax[k], bx[k], py - ay[k], py - by[k], ux[k], uy[k], length[k])
-
-    def near(k, px, py):
-        pa_x = px - ax[k]
-        pa_y = py - ay[k]
-        t = np.clip((pa_x * ux[k] + pa_y * uy[k]) / ab2[k], 0.0, 1.0)
-        dx = pa_x - t * ux[k]
-        dy = pa_y - t * uy[k]
-        return dx * dx + dy * dy <= tol * tol
-
-    oy = grid.origin[1]
-    j0 = _cell_index(np.minimum(ay, by) - r_out, oy, h, ny, np.floor)
-    j1 = _cell_index(np.maximum(ay, by) + r_out, oy, h, ny, np.ceil)
-    return scanline_mask(grid.shape, grid.origin, h, j0, j1, spans, near)
+def points_near_polyline(points: np.ndarray, vertices: np.ndarray, tol: float) -> bool:
+    """Whether any point lies within tol of the closed polyline (the exact
+    test `_near`).  Points are sorted by y, and each segment is tested only
+    against the points whose y is within tol of its y-range."""
+    pts = np.asarray(points, dtype=float)
+    P = np.zeros((len(pts), 3))
+    P[:, :2] = pts[np.argsort(pts[:, 1])]
+    a, u, y0, y1 = _segments(vertices)
+    first = np.searchsorted(P[:, 1], y0 - tol, side="left")
+    counts = np.searchsorted(P[:, 1], y1 + tol, side="right") - first
+    for s, e in _chunks(counts):
+        seg, rank = _ranges(first[s:e], counts[s:e])
+        seg += s
+        if np.any(_near(P[rank], a[seg], u[seg], tol)):
+            return True
+    return False

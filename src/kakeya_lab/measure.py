@@ -6,11 +6,11 @@ the input reproduce the same cell pattern, making translation invariance of
 the estimates exact up to floating-point rounding.
 
 The tube union is counted layer by layer in height with the scanline kernel
-of `gridding.scanline_mask`: at a layer's height each tube's section is
-convex (two end-ball disks and the cylinder's ellipse, clipped to the strip
-0 <= t <= 1), so each grid row meets it in one interval with a closed form.
-The cost follows the (tube, layer, row) triples, which are bounded in closed
-form and refused above MAX_TUBE_PAIRS before any layer is allocated.
+of `gridding.scanline_mask` over the tubes' core segments, whose exactness
+argument is stated there.  The cost follows the (tube, layer, row) triples
+and the layers' plane cells, which `tube_grid` bounds in closed form and
+refuses above MAX_TUBE_PAIRS and MAX_TUBE_CELLS before any layer is
+allocated.
 """
 
 from __future__ import annotations
@@ -19,15 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridding import _cell_index, _solve_span, scanline_mask
+from .gridding import _cell_index, scanline_mask
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
 # Parameter samples per axis (m + 1) that rasterize_image_measure may lay out;
 # its square grid then holds at most 4096^2 = 2^24 points before the disk cut.
 MAX_DISK_SIDE = 4096
-# (tube, layer, row) triples tube_union_volume may visit; each union of
-# acceptance criterion 9 (7,502 tubes, delta = 0.02, h = 0.005) needs 1.84e7
+# (tube, layer, row) triples and plane cells tube_union_volume may visit; each
+# union of acceptance criterion 9 (7,502 tubes, delta = 0.02, h = 0.005) needs
+# 1.84e7 triples and at most 2.84e7 cells
 MAX_TUBE_PAIRS = 2e8
+MAX_TUBE_CELLS = 1e9
 
 
 @dataclass(frozen=True)
@@ -179,56 +181,15 @@ def build_tube_family(
     return TubeFamily(float(delta), net, centers, 3)
 
 
-def _tube_row_spans(r, z, cx, cy, vx, vy, py) -> tuple[np.ndarray, np.ndarray]:
-    """x-extent of each row's intersection with the r-neighbourhood, at height
-    z, of the segment from (cx, cy, 0) to (cx + vx, cy + vy, 1); r is a
-    column of radii, one output row each.
+def tube_grid(family: TubeFamily, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corner and (nx, ny, layers) shape of the tube union's cell grid, and
+    each tube's reach in y within a layer, after the work preflight.
 
-    The section is convex, so the intersection is one interval: the union of
-    the chords of the cylinder's ellipse around the axis point
-    (cx + z vx, cy + z vy), semi-axes r and r sqrt(1 + |v|^2), clipped to the
-    strip 0 <= t <= 1 of the segment parameter, and of the two end balls'
-    disks.  On the ellipse |t - z| < r, so the strip is applied only within r
-    of an end, and an end ball only reaches heights within r of its end.  An
-    empty span is (inf, -inf).
+    Raises before anything is allocated if h > delta/4, or if the union may
+    visit more than MAX_TUBE_PAIRS (tube, layer, row) triples or walk more
+    than MAX_TUBE_CELLS plane cells (the row engine visits each layer's
+    whole plane).
     """
-    r_max = float(np.max(r))
-    # ellipse in x' = x - cx - z vx: A x'^2 - 2 vx vy dy x' + (1 + vx^2) dy^2 <= r^2 L^2,
-    # A = 1 + vy^2, L^2 = A + vx^2, with roots (vx vy dy +- L sqrt(r^2 A - dy^2)) / A
-    a = 1.0 + vy * vy
-    l2 = a + vx * vx
-    dy = py - (cy + z * vy)
-    e = r * r * a - dy * dy
-    root = np.sqrt(l2 * np.maximum(e, 0.0))
-    mid = vx * vy * dy
-    x_lo = (mid - root) / a
-    x_hi = (mid + root) / a
-    if not r_max <= z <= 1.0 - r_max:
-        # strip, t = z + (x' vx + dy vy) / L^2 in [0, 1]
-        t_lo, t_hi = _solve_span(-z * l2 - dy * vy, (1.0 - z) * l2 - dy * vy, vx)
-        x_lo = np.maximum(x_lo, t_lo)
-        x_hi = np.minimum(x_hi, t_hi)
-    band = (e >= 0.0) & (x_lo <= x_hi)
-    axis_x = cx + z * vx
-    lo = np.where(band, axis_x + x_lo, np.inf)
-    hi = np.where(band, axis_x + x_hi, -np.inf)
-    for x0, y0, dz in ((cx, cy, z), (cx + vx, cy + vy, z - 1.0)):
-        if abs(dz) > r_max:
-            continue
-        dy = py - y0
-        q = r * r - dz * dz - dy * dy
-        half = np.sqrt(np.maximum(q, 0.0))
-        lo = np.where(q >= 0.0, np.minimum(lo, x0 - half), lo)
-        hi = np.where(q >= 0.0, np.maximum(hi, x0 + half), hi)
-    return lo, hi
-
-
-def _tube_layer_masks(family: TubeFamily, h: float):
-    """Yield, layer by layer in height, the boolean (nx, ny) field of the grid
-    cells whose center is within delta of a core segment (the exact
-    point-segment test in R^3), by scanline spans of each tube's section.
-    Raises before the first layer if h > delta/4 or the (tube, layer, row)
-    triples may exceed MAX_TUBE_PAIRS."""
     if h > family.delta / 4.0:
         raise ValueError(f"grid spacing {h} too coarse; need h <= delta/4")
     delta = family.delta
@@ -236,44 +197,35 @@ def _tube_layer_masks(family: TubeFamily, h: float):
     lo = np.minimum(a3, b3).min(axis=0) - delta - 2.0 * h
     hi = np.maximum(a3, b3).max(axis=0) + delta + 2.0 * h
     dims = np.ceil((hi - lo) / h).astype(int)
-    ab = b3 - a3
-    ab2 = np.einsum("ij,ij->i", ab, ab)
-    cx, cy = family.centers[:, 0], family.centers[:, 1]
-    vx, vy = family.net[:, 0], family.net[:, 1]
-    slack = 1e-9 * (float(np.abs(np.concatenate([a3, b3])).max()) + delta + h)
-    r_out = delta + slack
-    radii = np.array([[r_out], [delta - slack]])  # outer and inner spans
-    # the section at height z lies within r sqrt(1 + vy^2) in y of c + clip(z, 0, 1) v,
-    # so a tube meets at most floor(2 reach / h) + 3 rows of a layer
-    reach = r_out * np.sqrt(1.0 + vy * vy)
+    # the section at height z lies within delta sqrt(1 + vy^2) in y of
+    # c + clip(z, 0, 1) v, so a tube meets at most floor(2 reach / h) + 3 rows of a layer
+    reach = delta * np.sqrt(1.0 + family.net[:, 1] ** 2)
     pairs = float(dims[2]) * float(np.sum(np.floor(2.0 * reach / h) + 3.0))
-    if pairs > MAX_TUBE_PAIRS:
+    cells = float(np.prod(dims.astype(float)))
+    if pairs > MAX_TUBE_PAIRS or cells > MAX_TUBE_CELLS:
         raise ValueError(
-            f"grid spacing {h} needs up to {pairs:.3g} (tube, layer, row) triples, over "
-            f"{MAX_TUBE_PAIRS:.3g}; use a larger h"
+            f"grid spacing {h} needs up to {pairs:.3g} (tube, layer, row) triples and "
+            f"{cells:.3g} plane cells, over {MAX_TUBE_PAIRS:.3g} or {MAX_TUBE_CELLS:.3g}; "
+            "use a larger h"
         )
+    return lo, dims, reach
+
+
+def _tube_layer_masks(family: TubeFamily, h: float):
+    """Yield, layer by layer in height, the boolean (nx, ny) field of the grid
+    cells whose center is within delta of a core segment, by
+    `gridding.scanline_mask` over the core segments at the layer's height
+    (exact: see there).  Raises before the first layer as `tube_grid` does."""
+    lo, dims, reach = tube_grid(family, h)
+    a3, b3 = family.segment_endpoints()
+    u3 = b3 - a3
+    cy, vy = family.centers[:, 1], family.net[:, 1]
     for iz in range(dims[2]):
         z = lo[2] + (iz + 0.5) * h
-
-        def spans(k, py):
-            return _tube_row_spans(radii, z, cx[k], cy[k], vx[k], vy[k], py)
-
-        def near(k, px, py):
-            # |P - a - t ab|^2 <= delta^2, t clipped to [0, 1], for P = (px, py, z);
-            # a = (c, 0), so P - a is (px - cx, py - cy, z)
-            rel = np.empty((len(k), 3))
-            rel[:, 0] = px - cx[k]
-            rel[:, 1] = py - cy[k]
-            rel[:, 2] = z
-            ab_k = ab[k]
-            tpar = np.clip(np.einsum("kd,kd->k", rel, ab_k) / ab2[k], 0.0, 1.0)
-            rel -= np.multiply(tpar[:, None], ab_k, out=ab_k)
-            return np.einsum("kd,kd->k", rel, rel) <= delta * delta
-
         yc = cy + min(max(z, 0.0), 1.0) * vy
         j0 = _cell_index(yc - reach, lo[1], h, dims[1], np.floor)
         j1 = _cell_index(yc + reach, lo[1], h, dims[1], np.ceil)
-        yield scanline_mask(tuple(dims[:2]), lo[:2], h, j0, j1, spans, near)
+        yield scanline_mask(tuple(dims[:2]), lo[:2], h, j0, j1, z, a3, u3, family.delta)
 
 
 def tube_union_volume(family: TubeFamily, h: float) -> MeasureEstimate:
@@ -291,6 +243,32 @@ class TubeScalingRow:
     scaled_product: float  # scale^(n-1) * union_volume
 
 
+def scaled_tube_families(family: TubeFamily, scale_values) -> list[tuple[float, TubeFamily]]:
+    """(s, family with its centers scaled to net Lipschitz constant s) for
+    each scale s: the base positions are rescaled to a unit net Lipschitz
+    constant first."""
+    scale_values = [float(s) for s in scale_values]
+    if any(not 0.5 <= s <= 8.0 for s in scale_values):
+        raise ValueError("scale values must lie in [0.5, 8]")
+    lip = lipschitz_constant_on_net(family.net, family.centers)
+    if lip <= 0.0:
+        raise ValueError("base map has zero net Lipschitz constant")
+    base_centers = family.centers / lip
+    return [(s, TubeFamily(family.delta, family.net, s * base_centers, family.n)) for s in scale_values]
+
+
+def tube_scaling_rows(scaled: list[tuple[float, TubeFamily]], h: float) -> list[TubeScalingRow]:
+    """Union volume and scale^(n-1) * volume of each (scale, family) pair;
+    every family's work preflight (`tube_grid`) runs before the first union."""
+    for _, fam in scaled:
+        tube_grid(fam, h)
+    rows = []
+    for s, fam in scaled:
+        vol = tube_union_volume(fam, h).value
+        rows.append(TubeScalingRow(s, vol, s ** (fam.n - 1) * vol))
+    return rows
+
+
 def lipschitz_tube_experiment(
     c_base,
     scale_values,
@@ -304,22 +282,9 @@ def lipschitz_tube_experiment(
     product scale^2 * volume is the quantity whose positive lower bound the
     scaling law predicts.
     """
-    scale_values = [float(s) for s in scale_values]
-    if any(not 0.5 <= s <= 8.0 for s in scale_values):
-        raise ValueError("scale values must lie in [0.5, 8]")
     if h is None:
         h = delta / 4.0
-    family = build_tube_family(c_base, delta)
-    lip = lipschitz_constant_on_net(family.net, family.centers)
-    if lip <= 0.0:
-        raise ValueError("base map has zero net Lipschitz constant")
-    base_centers = family.centers / lip
-    rows = []
-    for s in scale_values:
-        scaled = TubeFamily(family.delta, family.net, s * base_centers, family.n)
-        vol = tube_union_volume(scaled, h).value
-        rows.append(TubeScalingRow(s, vol, s ** (family.n - 1) * vol))
-    return rows
+    return tube_scaling_rows(scaled_tube_families(build_tube_family(c_base, delta), scale_values), h)
 
 
 @dataclass(frozen=True)

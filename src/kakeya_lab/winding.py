@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridding import (
-    CellGrid, _ranges, _row_span_sums, grid_over, mark_near_polyline, polyline_min_distance,
+    CellGrid, _ranges, _row_span_sums, grid_over, mark_near_polyline, points_near_polyline,
 )
 from .pairs import WIDE_BUDGET, row_blocks, weighted_pair_sum
 from .sphere import SphereMesh
@@ -102,12 +102,8 @@ def winding_number_2d(
     if loop.ambient_dim != 2:
         raise ValueError("winding_number_2d needs a planar loop")
     pts, single = _as_points(points)
-    if check_boundary:
-        d = polyline_min_distance(pts, loop.vertices)
-        if np.any(d <= tol_boundary):
-            raise BoundaryError(
-                f"{int(np.sum(d <= tol_boundary))} point(s) within {tol_boundary} of the loop"
-            )
+    if check_boundary and points_near_polyline(pts, loop.vertices, tol_boundary):
+        raise BoundaryError(f"point(s) within {tol_boundary} of the loop")
     v = loop.vertices
     vc = v[:, 0] + 1j * v[:, 1]
     wc = np.roll(vc, -1)
@@ -140,10 +136,8 @@ def ray_crossing_oracle(
     if loop.ambient_dim != 2:
         raise ValueError("ray_crossing_oracle needs a planar loop")
     pts, single = _as_points(points)
-    if check_boundary:
-        d = polyline_min_distance(pts, loop.vertices)
-        if np.any(d <= tol_boundary):
-            raise BoundaryError("point(s) on or too close to the loop")
+    if check_boundary and points_near_polyline(pts, loop.vertices, tol_boundary):
+        raise BoundaryError("point(s) on or too close to the loop")
     v = loop.vertices
     w = np.roll(v, -1, axis=0)
     scale = max(loop.diameter, 1.0)
@@ -165,16 +159,10 @@ def ray_crossing_oracle(
         hi = np.maximum(av, bv)
         first = np.searchsorted(pu_sorted, lo, side="left")
         last = np.searchsorted(pu_sorted, hi, side="left")
-        counts = last - first
-        edge_of_pair = np.repeat(np.arange(len(v)), counts)
+        edge_of_pair, rank_of_pair = _ranges(first, last - first)
         if len(edge_of_pair) == 0:
             zeros = np.zeros(len(pts), dtype=np.int64)
             return int(zeros[0]) if single else zeros
-        starts = np.repeat(first, counts)
-        offsets = np.arange(len(edge_of_pair)) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        rank_of_pair = starts + offsets
         point_of_pair = order[rank_of_pair]
         e = edge_of_pair
         offs_a = av[e] - pu[point_of_pair]

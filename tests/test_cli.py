@@ -286,6 +286,29 @@ def test_tubes_oversized_work_names_h(tmp_path, capsys, monkeypatch):
     assert _flag_of_failure(code, capsys) == "--h"
 
 
+@pytest.mark.parametrize("h, cap", [
+    # the scale-8 family alone needs 1.5e8 plane cells against 1.06e8 for the base
+    ("0.005", 1.3e8),
+    # every family needs about 2.5e10 to 3.6e10 plane cells at the real cap
+    ("0.0008", None),
+])
+def test_tubes_oversized_planes_name_h(tmp_path, capsys, monkeypatch, h, cap):
+    # the plane preflight of every family runs before the first union
+    import kakeya_lab.measure as measure
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a union ran before every family's work preflight")
+
+    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    if cap is not None:
+        monkeypatch.setattr(measure, "MAX_TUBE_CELLS", cap)
+    code = run_cli(
+        ["tubes", "--map", "lacunary:alpha=0.8,terms=10,seed=21", "--delta", "0.1", "--h", h,
+         "--scales", "8", "--out", tmp_path / "t.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--h"
+
+
 def test_tubes_constant_map_scales_names_map(tmp_path, capsys):
     code = run_cli(
         ["tubes", "--map", "zero", "--delta", "0.1", "--scales", "1,2", "--out", tmp_path / "t.json"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kakeya_lab.gridding import CellGrid, grid_over, mark_near_polyline
+from kakeya_lab.gridding import CellGrid, _near, _segment_row_spans, grid_over, mark_near_polyline
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
 from kakeya_lab.sphere import sample_sphere
@@ -131,3 +131,68 @@ def test_random_polylines_match_reference():
         pts = rng.uniform(-1.0, 11.0, size=(int(rng.integers(2, 12)), 2))
         grid = CellGrid(rng.uniform(-0.5, 0.5, size=2), float(rng.uniform(0.1, 0.4)), (45, 38))
         _assert_same(grid, pts, float(rng.uniform(0.05, 3.0)))
+
+
+def _check_row_spans(a, u, r, z, py):
+    """The closed-form spans of one segment at rows py against the exact
+    test on many x: every x in the inner span (radius r - slack) passes,
+    and every x that passes lies in the outer span (r + slack)."""
+    slack = 1e-9 * (np.abs(a).max() + np.abs(a + u).max() + r)
+    py = np.atleast_1d(np.asarray(py, dtype=float))
+    n = len(py)
+    lo, hi = _segment_row_spans(np.array([[r + slack], [r - slack]]), py, z,
+                                np.repeat(a[None], n, axis=0), np.repeat(u[None], n, axis=0))
+    span = r + np.abs(u).max()
+    for row in range(n):
+        xs = np.linspace(a[0] - span, a[0] + span, 4001)
+        ends = [x for x in (lo[0, row], hi[0, row], lo[1, row], hi[1, row]) if np.isfinite(x)]
+        xs = np.concatenate([xs] + [np.nextafter(x, [-np.inf, np.inf]) for x in ends] + [ends])
+        P = np.stack([xs, np.full(len(xs), py[row]), np.full(len(xs), z)], axis=1)
+        hit = _near(P, np.repeat(a[None], len(xs), axis=0), np.repeat(u[None], len(xs), axis=0), r)
+        inner = (xs >= lo[1, row]) & (xs <= hi[1, row])
+        outer = (xs >= lo[0, row]) & (xs <= hi[0, row])
+        assert hit[inner].all(), (a, u, r, z, py[row])
+        assert outer[hit].all(), (a, u, r, z, py[row])
+    return lo, hi
+
+
+@pytest.mark.parametrize("kind", ["random", "in-plane", "vertical", "zero", "unit", "along-rows"])
+def test_segment_row_spans_bracket_the_exact_test(kind):
+    rng = np.random.default_rng(["random", "in-plane", "vertical", "zero", "unit", "along-rows"].index(kind))
+    for _ in range(25):
+        a = rng.uniform(-1.0, 1.0, size=3)
+        u = rng.uniform(-1.0, 1.0, size=3)
+        if kind == "in-plane":
+            u[2] = 0.0
+        elif kind == "vertical":
+            u[:2] = 0.0
+        elif kind == "zero":
+            u[:] = 0.0
+        elif kind == "unit":
+            u *= np.nextafter(1.0, 0.0) / np.linalg.norm(u)
+        elif kind == "along-rows":
+            u[1:] = 0.0
+        r = float(rng.uniform(0.02, 0.5))
+        z = a[2] + float(rng.uniform(-0.2, 1.2)) * u[2] + float(rng.uniform(-r, r))
+        py = a[1] + rng.uniform(-r - 0.1, r + 0.1, size=6) + rng.uniform(0.0, 1.0, size=6) * u[1]
+        _check_row_spans(a, u, r, z, py)
+
+
+def test_segment_row_spans_tangent_rows():
+    # rows tangent to the cylinder at the segment's midpoint and to an end
+    # ball, where the chord comes out empty or a point up to rounding
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        a = rng.uniform(-1.0, 1.0, size=3)
+        u = rng.uniform(-1.0, 1.0, size=3)
+        r = float(rng.uniform(0.05, 0.3))
+        mid = a + 0.5 * u
+        # the common normal of the rows and the axis: u x e_x, in the y-z plane
+        normal = np.array([0.0, u[2], -u[1]]) / np.hypot(u[1], u[2])
+        for side in (-1.0, 1.0):
+            touch = mid + side * r * normal
+            lo, hi = _check_row_spans(a, u, r, touch[2], touch[1])
+            assert lo[0, 0] <= touch[0] <= hi[0, 0]
+        ball = a[1] + np.array([-r, r])
+        _check_row_spans(a, u, r, a[2], ball)
+        _check_row_spans(a, u, r, a[2] + u[2], ball + u[1])

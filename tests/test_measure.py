@@ -291,6 +291,35 @@ def test_tube_union_refuses_oversized_work(monkeypatch):
         tube_union_volume(fam, 0.00001)
 
 
+def test_tube_union_refuses_oversized_planes(monkeypatch):
+    # few (tube, layer, row) triples, but each layer's plane is walked whole
+    import kakeya_lab.measure as measure
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran before the work preflight")
+
+    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    monkeypatch.setattr(measure, "MAX_TUBE_CELLS", 1e4)
+    fam = TubeFamily(0.05, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), 3)
+    with pytest.raises(ValueError, match="larger h"):
+        tube_union_volume(fam, 0.0125)
+
+
+def test_lipschitz_experiment_checks_every_family_first(monkeypatch):
+    # the scale-8 family needs 1.5e8 plane cells, the scale-1 family far
+    # fewer: the refusal comes before the scale-1 union
+    import kakeya_lab.measure as measure
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a union ran before every family's work preflight")
+
+    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    monkeypatch.setattr(measure, "MAX_TUBE_CELLS", 1.3e8)
+    m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=21)
+    with pytest.raises(ValueError, match="larger h"):
+        lipschitz_tube_experiment(m, [1.0, 8.0], 0.1, h=0.005)
+
+
 def test_lipschitz_experiment_products_positive():
     m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=21)
     rows = lipschitz_tube_experiment(m, [1.0, 2.0], 0.05)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kakeya_lab.smoothing as smoothing
-from kakeya_lab.gridding import polyline_min_distance
+from kakeya_lab.gridding import points_near_polyline
 from kakeya_lab.maps import (
     PositionMap,
     lipschitz_constant_on_net,
@@ -290,12 +290,19 @@ def test_extended_lookup_matches_reference():
     assert np.array_equal(ext(query), ref_extended_lookup(net, vals, 2.5, query))
 
 
-def test_polyline_min_distance_matches_reference():
+def test_points_near_polyline_matches_reference_distance():
+    # the boundary checks' pair filter and exact test against the dense
+    # distance loop they replaced, one point at a time and all at once
     rng = np.random.default_rng(9)
     th = 2 * np.pi * np.arange(2500) / 2500
     loop = np.stack([np.cos(th), np.sin(3 * th)], axis=1) * (1.0 + 0.1 * np.sin(7 * th))[:, None]
     loop[100] = loop[99]  # a zero-length segment
     points = rng.uniform(-1.5, 1.5, size=(2000, 2))
     points[:10] = loop[:10]
-    assert _blocks(len(loop), len(points)) == 2
-    assert np.array_equal(polyline_min_distance(points, loop), ref_polyline_min_distance(points, loop))
+    dist = ref_polyline_min_distance(points, loop)
+    for tol in (0.0, 1e-9, 1e-3, 0.01, 0.05, 0.3):
+        want = dist <= tol
+        got = [points_near_polyline(p[None, :], loop, tol) for p in points[::7]]
+        assert got == list(want[::7]), tol
+        assert points_near_polyline(points, loop, tol) == bool(want.any())
+        assert points_near_polyline(points[10:], loop, tol) == bool(want[10:].any())
