@@ -148,7 +148,8 @@ def _sv_worker(payload):
 
 
 def _cmd_sweep(args) -> list[Path]:
-    _check_range("--t-steps", args.t_steps, 6, 100000)
+    # the degree-n fit needs 2n heights
+    _check_range("--t-steps", args.t_steps, 2 * args.n, 100000)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
     if args.method == "grid":
@@ -355,12 +356,16 @@ def _cmd_regularity(args) -> list[Path]:
 def _cmd_line_kakeya(args) -> list[Path]:
     x = np.array(_float_list("--x", args.x, args.n))
     pmap = _map_from_args(args, domain_kind="sphere")
-    result = line_kakeya_cover(pmap, x, tol=args.tol)
+    try:
+        result = line_kakeya_cover(pmap, x, tol=args.tol)
+    except ValueError as exc:  # x not outside the map radius
+        _fail("--x", str(exc))
     results = {
         "direction": result.direction,
         "residual": result.residual,
         "distance": result.distance,
         "converged": result.converged,
+        "used_fallback": result.used_fallback,
         "reconstruction_error": float(
             np.linalg.norm(pmap(result.direction) + result.distance * result.direction - x)
         ),

@@ -5,6 +5,12 @@ outside.  Convolution weights are normalized per vertex, so the kernel has
 unit mass at every vertex by construction and constant fields pass through
 unchanged; the scalar normalization `d_epsilon` reported on the Kernel is
 the scale-invariant mean normalizer, which stays of order one.
+
+On the equal-angle circle mesh of `sample_sphere(1, N)` the bump depends
+only on the lag |i - j| mod N, so one bump row gives every mass and the
+convolution is one FFT correlation, O(N log N).  Every other mesh (S^2, or
+a circle mesh that is not equal-angle) takes the dense pass over row blocks
+of the N x N bump table.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .maps import PositionMap
 from .pairs import row_blocks, sq_dists
-from .sphere import SphereMesh
+from .sphere import SphereMesh, is_equal_angle_circle
 
 
 def bump_profile(r: np.ndarray) -> np.ndarray:
@@ -45,7 +51,10 @@ def _check_scale(epsilon: float, mesh: SphereMesh) -> None:
 
 
 def _bump_pass(epsilon: float, mesh: SphereMesh, f: np.ndarray | None = None):
-    """Bump masses b @ w and, given f, (b * w) @ f / masses: one bump table b per row block."""
+    """Bump masses b @ w and, given f, (b * w) @ f / masses: one bump table b per
+    row block, or one bump row and an FFT on the equal-angle circle."""
+    if is_equal_angle_circle(mesh):
+        return _circle_bump_pass(epsilon, mesh, f)
     verts = mesh.vertices
     w = mesh.weights
     n = mesh.n_vertices
@@ -57,6 +66,20 @@ def _bump_pass(epsilon: float, mesh: SphereMesh, f: np.ndarray | None = None):
         if f is not None:
             out[s:e] = ((b * w[None, :]) @ f) / masses[s:e, None]
     return masses, out
+
+
+def _circle_bump_pass(epsilon: float, mesh: SphereMesh, f: np.ndarray | None):
+    """`_bump_pass` on the equal-angle circle: the row b_k = bump(|v_0 - v_k| / epsilon)
+    holds every lag, each vertex has mass w * sum(b), and (b * w) @ f is the
+    circular correlation of f with b."""
+    n = mesh.n_vertices
+    w = mesh.weights[0]
+    b = bump_profile(np.sqrt(sq_dists(mesh.vertices[:1], mesh.vertices)[0]) / epsilon)
+    masses = np.full(n, w * b.sum())
+    if f is None:
+        return masses, None
+    spectrum = np.fft.rfft(f, axis=0) * np.conj(np.fft.rfft(b))[:, None]
+    return masses, np.fft.irfft(spectrum, n=n, axis=0) * w / masses[0]
 
 
 def mollifier_kernel(epsilon: float, mesh: SphereMesh) -> Kernel:

@@ -124,6 +124,23 @@ def triangle_solid_angles(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(num, den)
 
 
+def _equal_angle_vertices(n: int) -> np.ndarray:
+    """The n unit vectors at angles 2 pi k / n, counterclockwise from (1, 0)."""
+    theta = CIRCLE_MEASURE * np.arange(n) / n
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def is_equal_angle_circle(mesh: SphereMesh) -> bool:
+    """True for a circle mesh with equal weights and exactly the equal-angle
+    vertices of `sample_sphere(1, N)`.  On such a mesh a pair kernel of the
+    vertex distance depends, up to rounding, only on the lag |i - j| mod N."""
+    return (
+        mesh.dim == 1
+        and bool(np.all(mesh.weights == mesh.weights[0]))
+        and np.array_equal(mesh.vertices, _equal_angle_vertices(mesh.n_vertices))
+    )
+
+
 def sample_sphere(dim: int, resolution: int) -> SphereMesh:
     """Build a quadrature mesh with at least `resolution` vertices.
 
@@ -135,8 +152,7 @@ def sample_sphere(dim: int, resolution: int) -> SphereMesh:
     if resolution < 8:
         raise ValueError(f"resolution {resolution} too small; need >= 8")
     if dim == 1:
-        theta = CIRCLE_MEASURE * np.arange(resolution) / resolution
-        vertices = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        vertices = _equal_angle_vertices(resolution)
         cells = np.stack(
             [np.arange(resolution), (np.arange(resolution) + 1) % resolution], axis=1
         )

@@ -215,6 +215,25 @@ def test_line_kakeya_command(tmp_path):
     results = json.loads(out.read_text())["results"]
     assert results["residual"] < 1e-6
     assert results["reconstruction_error"] < 1e-6
+    assert results["used_fallback"] is False
+
+
+@pytest.mark.parametrize("x", ["0.1,0,0", "0,0,0"])
+def test_line_kakeya_x_inside_map_radius_names_flag(tmp_path, capsys, x):
+    code = run_cli(
+        ["line-kakeya", "--map", "bandlimited:amplitude=0.5", "--x", x, "--out", tmp_path / "lk.json"]
+    )
+    assert _flag_of_failure(code, capsys) == "--x"
+
+
+@pytest.mark.parametrize("n, t_steps", [(4, 6), (4, 7), (3, 5)])
+def test_sweep_too_few_heights_for_the_fit_names_flag(tmp_path, capsys, n, t_steps):
+    # the degree-n fit needs 2n heights
+    code = run_cli(
+        ["sweep", "--n", n, "--map", "zero", "--mesh", "642", "--t-steps", t_steps,
+         "--jobs", "1", "--out", tmp_path / "sv.csv"]
+    )
+    assert _flag_of_failure(code, capsys) == "--t-steps"
 
 
 def _flag_of_failure(code, capsys):

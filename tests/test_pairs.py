@@ -2,8 +2,9 @@
 
 Each reference below is the loop a kernel ran before it moved onto
 `kakeya_lab.pairs`, kept verbatim (the mollifier as its old two passes), so
-every comparison is exact.  The meshes are large enough for two row blocks,
-so sums that cross blocks are covered.
+every comparison is exact, except the mollifier on the equal-angle circle:
+its FFT correlation sums in another order and is held to 1e-13.  The meshes
+are large enough for two row blocks, so sums that cross blocks are covered.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from kakeya_lab.maps import (
 )
 from kakeya_lab.pairs import PAIR_BUDGET, WIDE_BUDGET, row_blocks, sq_dists
 from kakeya_lab.smoothing import bump_profile, mollifier_kernel, mollify_on_sphere
-from kakeya_lab.sphere import sample_sphere
+from kakeya_lab.sphere import CIRCLE_MEASURE, SphereMesh, is_equal_angle_circle, sample_sphere
 from kakeya_lab.winding import degree_integral_bound
 
 
@@ -32,6 +33,19 @@ def circle():
 @pytest.fixture(scope="module")
 def s2():
     return sample_sphere(2, 2562)
+
+
+@pytest.fixture(scope="module")
+def rotated_circle():
+    # equal weights and spacing, vertices half a step off the equal angles
+    n = 2048
+    theta = CIRCLE_MEASURE * (np.arange(n) + 0.5) / n
+    mesh = sample_sphere(1, n)
+    return SphereMesh(1, np.stack([np.cos(theta), np.sin(theta)], axis=1), mesh.cells, mesh.weights)
+
+
+# the circle mollifier's FFT correlation against the dense two-pass reference
+CIRCLE_TOL = 1e-13
 
 
 def _blocks(n_rows, n_cols, budget=PAIR_BUDGET):
@@ -183,14 +197,35 @@ def test_mollify_matches_two_pass_on_circle(circle):
     assert _blocks(circle.n_vertices, circle.n_vertices) == 2
     f = _lacunary_samples(circle, 3)
     ref = ref_mollify(f, epsilon, circle)
-    assert np.array_equal(mollify_on_sphere(f, epsilon, circle), ref)
+    out = mollify_on_sphere(f, epsilon, circle)
+    assert np.max(np.abs(out - ref)) <= CIRCLE_TOL
     column = f[:, 0]
-    assert np.array_equal(mollify_on_sphere(column, epsilon, circle), ref_mollify(column[:, None], epsilon, circle)[:, 0])
+    assert np.array_equal(mollify_on_sphere(column, epsilon, circle), out[:, 0])
     kernel = mollifier_kernel(epsilon, circle)
-    masses = ref_raw_masses(epsilon, circle)
-    assert np.array_equal(kernel.raw_masses, masses)
-    assert kernel.d_epsilon == float(epsilon**circle.dim / np.mean(masses))
-    assert np.array_equal(mollify_on_sphere(f, kernel, circle), ref)
+    np.testing.assert_allclose(kernel.raw_masses, ref_raw_masses(epsilon, circle), rtol=CIRCLE_TOL, atol=0)
+    assert kernel.d_epsilon == float(epsilon**circle.dim / np.mean(kernel.raw_masses))
+    assert np.array_equal(mollify_on_sphere(f, kernel, circle), out)
+
+
+@pytest.mark.parametrize("n", [768, 1000, 1024, 4096])
+@pytest.mark.parametrize("scale", ["0.3", "0.05", "smallest"])
+def test_circle_fft_pass_matches_dense_reference(n, scale):
+    mesh = sample_sphere(1, n)
+    # the smallest scale the spacing <= epsilon/4 guard accepts
+    epsilon = 4.0 * mesh.spacing if scale == "smallest" else float(scale)
+    f = _lacunary_samples(mesh, n)
+    assert np.max(np.abs(mollify_on_sphere(f, epsilon, mesh) - ref_mollify(f, epsilon, mesh))) <= CIRCLE_TOL
+    masses = mollifier_kernel(epsilon, mesh).raw_masses
+    np.testing.assert_allclose(masses, ref_raw_masses(epsilon, mesh), rtol=CIRCLE_TOL, atol=0)
+    const = np.array([0.2, -0.1, 3.0])
+    assert np.max(np.abs(mollify_on_sphere(np.tile(const, (n, 1)), epsilon, mesh) - const)) <= 1e-14
+
+
+def test_mollify_off_the_equal_angles_is_the_dense_pass(rotated_circle):
+    assert not is_equal_angle_circle(rotated_circle)
+    f = _lacunary_samples(rotated_circle, 3)
+    assert np.array_equal(mollify_on_sphere(f, 0.05, rotated_circle), ref_mollify(f, 0.05, rotated_circle))
+    assert np.array_equal(mollifier_kernel(0.05, rotated_circle).raw_masses, ref_raw_masses(0.05, rotated_circle))
 
 
 def test_mollify_matches_two_pass_on_s2(s2):
@@ -203,7 +238,7 @@ def test_mollify_matches_two_pass_on_s2(s2):
     assert np.array_equal(out, ref_mollify(f, 0.3, s2))
 
 
-def test_mollify_evaluates_the_bump_once_per_block(circle, monkeypatch):
+def test_mollify_evaluates_the_bump_once_per_block(circle, rotated_circle, monkeypatch):
     calls = []
 
     def counting(r):
@@ -212,6 +247,9 @@ def test_mollify_evaluates_the_bump_once_per_block(circle, monkeypatch):
 
     monkeypatch.setattr(smoothing, "bump_profile", counting)
     mollify_on_sphere(_lacunary_samples(circle, 1), 0.05, circle)
+    assert calls == [(2048,)]  # one bump row holds every lag
+    calls.clear()
+    mollify_on_sphere(_lacunary_samples(rotated_circle, 1), 0.05, rotated_circle)
     assert calls == [(1953, 2048), (95, 2048)]
 
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from kakeya_lab.sphere import (
+    SphereMesh,
     check_mesh,
     geodesic_distance,
     integrate_over_sphere,
+    is_equal_angle_circle,
     sample_sphere,
 )
 
@@ -23,6 +25,21 @@ def test_circle_resolution_4_is_uniform():
 def test_circle_weight_sum():
     mesh = sample_sphere(1, 256)
     assert abs(mesh.weights.sum() - 2 * np.pi) < 1e-12
+
+
+def test_equal_angle_circle_is_a_property_of_the_mesh():
+    mesh = sample_sphere(1, 1000)
+    assert is_equal_angle_circle(mesh)
+    assert not is_equal_angle_circle(sample_sphere(2, 642))
+    weights = mesh.weights.copy()
+    weights[0] *= 1.0 + 1e-15
+    assert not is_equal_angle_circle(SphereMesh(1, mesh.vertices, mesh.cells, weights))
+    verts = mesh.vertices.copy()
+    verts[7] = [np.cos(2 * np.pi * 7.5 / 1000), np.sin(2 * np.pi * 7.5 / 1000)]
+    assert not is_equal_angle_circle(SphereMesh(1, verts, mesh.cells, mesh.weights))
+    # the same angles built again, with other arrays, still qualify
+    copy = SphereMesh(1, mesh.vertices.copy(), mesh.cells, np.full(1000, 2 * np.pi / 1000))
+    assert is_equal_angle_circle(copy)
 
 
 def test_icosphere_level3_vertex_count_and_area():
