@@ -44,10 +44,14 @@ from .slices import (
 from .smoothing import mollification_bounds, mollifier_kernel, mollify_on_sphere
 from .sphere import integrate_over_sphere, sample_sphere
 from .winding import (
+    field_grid,
     ray_crossing_oracle,
     winding_field,
     winding_number_2d,
 )
+
+# `slice` writes its winding field as a plane: at most 4096^2 cells, as `measure` samples
+MAX_FIELD_SIDE = 4096
 
 
 class CLIError(Exception):
@@ -222,7 +226,11 @@ def _cmd_slice(args) -> list[Path]:
         "degenerate": loop.degenerate,
     }
     if args.n == 3:
-        field = winding_field(loop, args.grid_h)
+        grid = field_grid(loop, args.grid_h)
+        if grid.n_cells > MAX_FIELD_SIDE**2:
+            _fail("--grid-h", f"winding field of {grid.shape[0]} x {grid.shape[1]} cells, over "
+                              f"{MAX_FIELD_SIDE}^2; use a larger grid spacing")
+        field = winding_field(loop, args.grid_h, grid=grid)
         files.append(rpt.write_winding_field_csv(out, field))
         grid_sv = signed_volume_grid(loop, args.grid_h, field=field)
         stats["signed_volume_grid"] = grid_sv.value
@@ -583,8 +591,8 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         print(json.dumps({"error": str(exc), "flag": exc.flag}), file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc), "flag": None}), file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(json.dumps({"error": str(exc) or type(exc).__name__, "flag": None}), file=sys.stderr)
         return 2
 
 

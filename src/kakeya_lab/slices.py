@@ -20,11 +20,13 @@ from math import gamma
 
 import numpy as np
 
-from .gridding import grid_over, mark_near_polyline
+from .gridding import CellGrid, grid_over, mark_near_polyline, near_polyline_runs
 from .maps import PositionMap
 from .smoothing import Kernel, mollify_on_sphere
 from .sphere import SphereMesh
-from .winding import SliceLoop, WindingField, make_slice_loop, winding_field
+from .winding import (
+    SliceLoop, WindingField, field_grid, make_slice_loop, row_crossings, winding_field,
+)
 
 
 def unit_ball_volume(d: int) -> float:
@@ -84,14 +86,40 @@ def signed_volume_grid(
     """Winding-field signed volume; masked boundary cells contribute zero.
 
     `field` is the loop's winding field at spacing h if the caller has it.
+    Without one, no plane is built: each crossing (j, k, sign) of
+    `row_crossings` adds its sign to cells [0, k) of row j, so the sum over
+    unmasked cells is the integer sum of sign (k - |M_j & [0, k)|), where
+    M_j is row j of the h/2 mask as the merged runs of `near_polyline_runs`.
+    The masked count is their length.  The integers are exact, so the result
+    equals the field's, bit for bit.
     """
     if loop.degenerate:
         return GridSignedVolume(0.0, 0, 0)
-    if field is None:
-        field = winding_field(loop, h)
-    return GridSignedVolume(
-        field.signed_sum(), int(field.mask.sum()), field.grid.n_cells
-    )
+    if field is not None:
+        return GridSignedVolume(field.signed_sum(), int(field.mask.sum()), field.grid.n_cells)
+    if loop.ambient_dim != 2:
+        raise ValueError("winding_field supports planar loops")
+    return _signed_volume_runs(loop.vertices, field_grid(loop, h))
+
+
+def _signed_volume_runs(vertices: np.ndarray, grid: CellGrid) -> GridSignedVolume:
+    """`signed_volume_grid` of a closed polyline over `grid`, from its
+    crossings and the merged runs of its h/2 mask."""
+    j, k, sign = row_crossings(vertices, grid)
+    rows, starts, stops = near_polyline_runs(grid, vertices, grid.h / 2.0)
+    # the runs on one line, cell (i, j) at j (nx + 1) + i, and the cells they cover below x
+    width = grid.shape[0] + 1
+    first = rows * width + starts
+    length = np.concatenate([[0], np.cumsum(stops - starts)])
+    end = np.concatenate([[0], first - starts + stops])
+
+    def covered(x):
+        i = np.searchsorted(first, x, side="right")
+        return length[i] - np.maximum(end[i] - x, 0)
+
+    masked = covered(j * width + k) - covered(j * width)
+    total = np.sum(sign * (k - masked))
+    return GridSignedVolume(float(total * grid.cell_measure), int(length[-1]), grid.n_cells)
 
 
 @dataclass

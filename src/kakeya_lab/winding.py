@@ -13,7 +13,8 @@ Two independent planar algorithms are provided on purpose:
 once, through the per-row span engine of the near-loop mask (signed crossing
 counts, Hormann and Agathos, Comput. Geom. 2001); the volume and
 isoperimetric harnesses use it.  Cells too close to the loop are masked and
-carry no value.
+carry no value.  The crossings themselves, one (row, cell, sign) each, come
+from `row_crossings`, which the grid signed volume sums without a field.
 """
 
 from __future__ import annotations
@@ -204,12 +205,13 @@ class WindingField:
         return float(np.sum(np.where(self.mask, 0, self.values)) * self.grid.cell_measure)
 
 
-def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> np.ndarray:
-    """Winding at every cell center: the signed count of crossings to its right.
+def row_crossings(vertices: np.ndarray, grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every crossing of the closed polyline with a row of cell centers:
+    its row j, the first cell k right of the intercept, and its sign
+    (+1 upward, -1 downward, int64).
 
     A segment crosses the rows with center y in [min(ay, by), max(ay, by)),
-    half-open so a shared vertex counts once, and adds its sign to the cells
-    of each such row left of the intercept.
+    half-open so a shared vertex counts once.
     """
     v = vertices
     w = np.roll(v, -1, axis=0)
@@ -221,9 +223,23 @@ def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> np.ndarray:
     frac = (ys[j] - a[:, 1]) / (b[:, 1] - a[:, 1])
     xint = a[:, 0] + frac * (b[:, 0] - a[:, 0])
     k = np.searchsorted(grid.axis_centers(0), xint, side="left")
-    sign = np.where(b[:, 1] > a[:, 1], 1.0, -1.0)
+    return j, k, np.where(b[:, 1] > a[:, 1], 1, -1)
+
+
+def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> np.ndarray:
+    """Winding at every cell center: the signed count of crossings to its
+    right.  Each crossing (j, k, sign) of `row_crossings` adds its sign to
+    cells [0, k) of row j."""
+    j, k, sign = row_crossings(vertices, grid)
     # float sums of +-1 are exact integers
     return _row_span_sums(grid.shape, j, np.zeros_like(k), k, sign).astype(np.int64)
+
+
+def field_grid(loop: SliceLoop, h: float, pad: float | None = None) -> CellGrid:
+    """The grid of the loop's winding field at spacing h: its bounding box
+    padded by `pad`, default max(2 h, 0.1)."""
+    pad = max(2.0 * h, 0.1) if pad is None else pad
+    return grid_over(loop.vertices, h, pad)
 
 
 def winding_field(
@@ -236,8 +252,7 @@ def winding_field(
     if loop.ambient_dim != 2:
         raise ValueError("winding_field supports planar loops")
     if grid is None:
-        pad = max(2.0 * h, 0.1) if pad is None else pad
-        grid = grid_over(loop.vertices, h, pad)
+        grid = field_grid(loop, h, pad)
     if loop.degenerate:
         shape = grid.shape
         return WindingField(grid, np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool))

@@ -250,6 +250,36 @@ def test_sweep_grid_h_out_of_range_names_flag(tmp_path, capsys, grid_h):
     assert _flag_of_failure(code, capsys) == "--grid-h"
 
 
+def test_slice_oversized_field_names_grid_h(tmp_path, capsys, monkeypatch):
+    # about 1.2e5 x 1.2e5 cells, far over 4096^2: refused before any plane
+    import kakeya_lab.cli as cli
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("the winding field was built before the plane preflight")
+
+    monkeypatch.setattr(cli, "winding_field", no_field)
+    code = run_cli(["slice", "--map", "zero", "--grid-h", "1e-5", "--out", tmp_path / "s.csv"])
+    assert _flag_of_failure(code, capsys) == "--grid-h"
+    assert not (tmp_path / "MANIFEST.json").exists()
+
+
+@pytest.mark.parametrize("message, error", [
+    ("Unable to allocate 115. GiB", "Unable to allocate 115. GiB"),
+    ("", "MemoryError"),
+])
+def test_memory_error_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch, message, error):
+    import kakeya_lab.cli as cli
+
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_measure", out_of_memory)
+    code = run_cli(["measure", "--map", "zero", "--out", tmp_path / "m.json"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": error, "flag": None}
+
+
 @pytest.mark.parametrize("kind", ["directory", "missing"])
 def test_config_path_not_a_file_names_flag(tmp_path, capsys, kind):
     path = tmp_path if kind == "directory" else tmp_path / "absent.conf"

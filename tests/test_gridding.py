@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from kakeya_lab.gridding import CellGrid, _near, _segment_row_spans, grid_over, mark_near_polyline
+from kakeya_lab.gridding import (
+    CellGrid, _near, _segment_row_spans, grid_over, mark_near_polyline, merged_runs, near_polyline_runs,
+)
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
 from kakeya_lab.sphere import sample_sphere
@@ -39,11 +41,29 @@ def _reference_mark_near_polyline(grid, vertices, tol):
     return mask
 
 
+def _runs_plane(shape, rows, starts, stops):
+    """Boolean (nx, ny) plane of the runs, cell by cell."""
+    plane = np.zeros(shape, dtype=bool)
+    for row, start, stop in zip(rows, starts, stops):
+        plane[start:stop, row] = True
+    return plane
+
+
+def _assert_disjoint_sorted(nx, ny, rows, starts, stops):
+    assert np.all((0 <= rows) & (rows < ny) & (0 <= starts) & (starts < stops) & (stops <= nx))
+    # sorted by (row, start), and no two runs of a row overlap or touch
+    same_row = rows[1:] == rows[:-1]
+    assert np.all((rows[1:] > rows[:-1]) | (same_row & (starts[1:] > stops[:-1])))
+
+
 def _assert_same(grid, vertices, tol):
     got = mark_near_polyline(grid, vertices, tol)
     want = _reference_mark_near_polyline(grid, vertices, tol)
     assert got.dtype == bool and got.shape == grid.shape
     assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ at tol {tol}"
+    runs = near_polyline_runs(grid, vertices, tol)
+    _assert_disjoint_sorted(*grid.shape, *runs)
+    assert np.array_equal(_runs_plane(grid.shape, *runs), want)
     return got
 
 
@@ -196,3 +216,54 @@ def test_segment_row_spans_tangent_rows():
         ball = a[1] + np.array([-r, r])
         _check_row_spans(a, u, r, a[2], ball)
         _check_row_spans(a, u, r, a[2] + u[2], ball + u[1])
+
+
+def _assert_merges(nx, ny, rows, starts, stops):
+    runs = [np.asarray(x, dtype=np.int64) for x in (rows, starts, stops)]
+    merged = merged_runs(nx, ny, *runs)
+    _assert_disjoint_sorted(nx, ny, *merged)
+    assert np.array_equal(_runs_plane((nx, ny), *merged), _runs_plane((nx, ny), *runs))
+    return merged
+
+
+def test_merged_runs_match_a_boolean_row():
+    nx, ny = 12, 3
+    cases = {
+        "overlapping": ([1, 1], [2, 5], [7, 9]),
+        "touching": ([0, 0, 0], [3, 0, 6], [6, 3, 8]),
+        "nested": ([2, 2, 2], [1, 4, 5], [11, 6, 6]),
+        "one-cell": ([0, 0, 1, 0], [4, 5, 4, 7], [5, 6, 5, 8]),
+        "at 0 and nx": ([0, 1, 2, 1], [0, 11, 0, 0], [1, 12, 12, 1]),
+        "row ends": ([0, 1], [6, 0], [12, 6]),
+        "duplicates": ([1, 1, 1], [3, 3, 3], [4, 4, 4]),
+    }
+    for name, (rows, starts, stops) in cases.items():
+        _assert_merges(nx, ny, rows, starts, stops)
+    # touching runs merge into one; runs at the end of one row and the start
+    # of the next stay apart
+    assert [x.tolist() for x in _assert_merges(nx, ny, *cases["touching"])] == [[0], [0], [8]]
+    assert [x.tolist() for x in _assert_merges(nx, ny, *cases["row ends"])] == [[0, 1], [6, 0], [12, 6]]
+    assert [x.tolist() for x in _assert_merges(nx, ny, *cases["nested"])] == [[2], [1], [11]]
+    empty = _assert_merges(nx, ny, [], [], [])
+    assert all(len(x) == 0 for x in empty)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        starts = rng.integers(0, nx, size=n)
+        stops = np.minimum(starts + rng.integers(1, 5, size=n), nx)
+        _assert_merges(nx, ny, rng.integers(0, ny, size=n), starts, stops)
+
+
+def test_merged_runs_refuse_keys_past_int64(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted before the packing guard")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    none = np.zeros(0, dtype=np.int64)
+    # (nx + 1)^2 ny = 2^62 * 2 = 2^63 and beyond: refused, nothing sorted
+    for nx, ny in ((2**31 - 1, 2), (2**32, 1), (10**6, 10**7)):
+        with pytest.raises(ValueError):
+            merged_runs(nx, ny, none, none, none)
+    monkeypatch.undo()
+    # just below the limit, 2^62 < 2^63
+    assert all(len(x) == 0 for x in merged_runs(2**31 - 1, 1, none, none, none))

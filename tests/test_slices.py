@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from kakeya_lab.maps import make_map
+from kakeya_lab.gridding import CellGrid
+from kakeya_lab.maps import make_map, parse_map_spec
 from kakeya_lab.slices import (
     SVProfile,
+    _signed_volume_runs,
     fit_sv_polynomial,
     isoperimetric_check,
     loop_area,
@@ -178,6 +180,57 @@ def test_grid_signed_volume_and_isoperimetric_reuse_a_field():
     field = winding_field(loop, 0.02)
     assert signed_volume_grid(loop, 0.02, field=field) == signed_volume_grid(loop, 0.02)
     assert isoperimetric_check(loop, 0.02, field=field) == isoperimetric_check(loop, 0.02)
+
+
+def _assert_runs_match_plane(loop, h):
+    got = signed_volume_grid(loop, h)
+    assert got == signed_volume_grid(loop, h, field=winding_field(loop, h))
+    return got
+
+
+def test_grid_signed_volume_runs_match_the_plane_on_the_sweep_grid_heights():
+    # the inputs of the `sweep-grid` benchmark: map seed 7, mesh 2,048, h = 0.005
+    pmap = parse_map_spec("lacunary:alpha=0.8,terms=12,seed=7", n=3)
+    mesh = sample_sphere(1, 2048)
+    samples = pmap(mesh.vertices)
+    for t in np.linspace(0.0, 1.0, 16):
+        got = _assert_runs_match_plane(slice_loop(pmap, t, mesh, samples=samples), 0.005)
+        assert got.masked_cells > 0
+
+
+def test_grid_signed_volume_runs_match_the_plane_on_circles():
+    th = 2 * np.pi * np.arange(512) / 512
+    circle = np.stack([np.cos(th), np.sin(th)], axis=1)
+    # winding 2: the circle traversed twice
+    double = _assert_runs_match_plane(make_slice_loop(0.5, np.concatenate([circle, circle])), 0.01)
+    single = _assert_runs_match_plane(make_slice_loop(0.5, circle), 0.01)
+    assert double.value == pytest.approx(2.0 * single.value)
+    zero = _assert_runs_match_plane(slice_loop(make_map("zero"), 1.0, sample_sphere(1, 1024)), 0.01)
+    assert zero.value == pytest.approx(np.pi, abs=0.05)
+    degenerate = slice_loop(make_map("zero"), 0.0, sample_sphere(1, 256))
+    assert (_assert_runs_match_plane(degenerate, 0.01).masked_cells, degenerate.degenerate) == (0, True)
+    # a flat loop crosses no row of centers, and a tiny one marks no cell
+    flat = make_slice_loop(0.5, np.stack([np.cos(th), np.zeros_like(th)], axis=1))
+    assert _assert_runs_match_plane(flat, 0.01).value == 0.0
+    tiny = make_slice_loop(0.5, 1e-9 * circle + 0.0123)
+    assert not tiny.degenerate
+    assert _assert_runs_match_plane(tiny, 0.01).masked_cells == 0
+
+
+@pytest.mark.parametrize("right", [9.875, 11.3])
+def test_grid_signed_volume_runs_reach_both_grid_edges(right):
+    # a rectangle through the centers of column 0 and of column nx - 1 (or
+    # past the grid's right edge) on a binary-exact grid
+    grid = CellGrid(np.array([0.0, 0.0]), 0.25, (40, 36))
+    corners = np.array([[0.125, 1.3], [right, 1.3], [right, 7.6], [0.125, 7.6]])
+    pts = np.concatenate([a + np.linspace(0, 1, 6, endpoint=False)[:, None] * (b - a)
+                          for a, b in zip(corners, np.roll(corners, -1, axis=0))])
+    loop = make_slice_loop(0.5, pts)
+    field = winding_field(loop, grid.h, grid=grid)
+    assert field.mask[0].any() and field.mask[-1].any()
+    got = _signed_volume_runs(loop.vertices, grid)
+    assert got == signed_volume_grid(loop, grid.h, field=field)
+    assert got.value > 0.0
 
 
 def test_lower_bound_check_zero_map():
