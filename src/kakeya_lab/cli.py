@@ -3,7 +3,8 @@
 Every invocation with the same flags and seeds produces bit-identical
 output files; a MANIFEST.json with content hashes accompanies each run.
 Validation failures exit with status 2 and a machine-readable JSON line on
-stderr naming the offending flag.
+stderr naming the offending flag; any other failure exits 2 with a JSON
+line whose flag is null.  Exit 1 means a failed `verify` check.
 """
 
 from __future__ import annotations
@@ -44,14 +45,12 @@ from .slices import (
 from .smoothing import mollification_bounds, mollifier_kernel, mollify_on_sphere
 from .sphere import integrate_over_sphere, sample_sphere
 from .winding import (
+    MAX_FIELD_SIDE,
     field_grid,
     ray_crossing_oracle,
     winding_field,
     winding_number_2d,
 )
-
-# `slice` writes its winding field as a plane: at most 4096^2 cells, as `measure` samples
-MAX_FIELD_SIDE = 4096
 
 
 class CLIError(Exception):
@@ -593,6 +592,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, MemoryError) as exc:
         print(json.dumps({"error": str(exc) or type(exc).__name__, "flag": None}), file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 is kept for a failed `verify` check
+        error = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(json.dumps({"error": error, "flag": None}), file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ from .maps import PositionMap, RegularityReport, holder_estimate
 from .slices import loop_area, slice_loop
 from .smoothing import mollify_on_sphere
 from .sphere import SphereMesh
-from .winding import winding_field
+from .winding import MAX_FIELD_SIDE, winding_field
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,9 @@ def convergence_split(
 
     Checks: successive gaps of the totals shrink by at least 1.5x, and the
     collar part obeys the collar-measure bound with the constant calibrated
-    at the largest scale and held fixed.
+    at the largest scale and held fixed.  Raises ValueError before the first
+    mollification or winding field if a height's grid would exceed
+    MAX_FIELD_SIDE^2 cells.
     """
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 3 or any(np.diff(epsilons) >= 0):
@@ -175,6 +177,12 @@ def convergence_split(
     t_grid = np.asarray(t_grid, dtype=float)
     regularity = holder_estimate(pmap)
     raw_samples = pmap(mesh.vertices)
+    raw_loops = [slice_loop(pmap, t, mesh, samples=raw_samples) for t in t_grid]
+    grids = [grid_over(loop.vertices, h, pad=max(2.0 * h, 0.3)) for loop in raw_loops]
+    cells = max(grid.n_cells for grid in grids)
+    if cells > MAX_FIELD_SIDE**2:
+        raise ValueError(f"grid spacing h = {h} needs winding fields of {cells} cells, over "
+                         f"{MAX_FIELD_SIDE}^2; use a larger h")
     collars = [_collar_radius(pmap, eps, delta_prime, regularity)[0] for eps in epsilons]
     smooths = [mollify_on_sphere(raw_samples, eps, mesh) for eps in epsilons]
     n_t = len(t_grid)
@@ -186,9 +194,7 @@ def convergence_split(
     unmasked_cells = [0] * len(epsilons)
     # heights outside, scales inside: the raw loop's field is built once per
     # height and compared against every mollification scale
-    for i, t in enumerate(t_grid):
-        raw_loop = slice_loop(pmap, t, mesh, samples=raw_samples)
-        grid = grid_over(raw_loop.vertices, h, pad=max(2.0 * h, 0.3))
+    for i, (t, raw_loop, grid) in enumerate(zip(t_grid, raw_loops, grids)):
         f_raw = winding_field(raw_loop, h, grid=grid)
         cell = grid.cell_measure
         for k, (collar, smooth) in enumerate(zip(collars, smooths)):

@@ -9,8 +9,13 @@ asked here, of segments a -> a + u in R^3 (planar data in z = 0), with one
 exact test, `_near`: the scanline runs of `scanline_runs` (near-loop masks,
 and `measure`'s tube layers) and the boundary checks of
 `points_near_polyline`.  Runs become a plane in `scanline_mask` or disjoint
-sorted runs in `merged_runs`.  The row engine `_row_span_sums` fills the
-planes, and also sums the signed crossing spans of the grid winding field.
+sorted runs in `merged_runs`.  A near-loop mask wider than a few segment
+lengths (a collar) first tests chains of consecutive segments against two
+disks each (`_chain_pairs`, after Barill et al., "Fast winding numbers for
+soups and clouds", SIGGRAPH 2018), and solves exact segment spans only where
+a chain reaches past the cells already certain, at the mask's edge.  The row
+engine `_row_span_sums` fills the planes, and also sums the signed crossing
+spans of the grid winding field.
 """
 
 from __future__ import annotations
@@ -76,7 +81,9 @@ def _chunks(counts: np.ndarray):
     """Slices [s, e) of the owners whose ranges hold about _PAIR_CHUNK elements."""
     csum = np.cumsum(counts)
     cuts = np.searchsorted(csum, np.arange(_PAIR_CHUNK, csum[-1], _PAIR_CHUNK), side="right")
-    edges = np.unique(np.concatenate([[0], cuts, [len(counts)]]))
+    # the edges are sorted; drop repeats without np.unique, which imports numpy.ma
+    edges = np.r_[0, cuts, len(counts)]
+    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
     return zip(edges[:-1], edges[1:])
 
 
@@ -201,9 +208,12 @@ def scanline_mask(shape, origin, h, j0, j1, z, a, u, r) -> np.ndarray:
     return _scanline(shape, origin, h, j0, j1, z, a, u, r, plane=True)
 
 
-def _scanline(shape, origin, h, j0, j1, z, a, u, r, plane: bool):
+def _scanline(shape, origin, h, j0, j1, z, a, u, r, plane: bool, chain: int = 1):
     """The loop of `scanline_runs`, returning its runs, or with plane=True
-    the field of `scanline_mask`."""
+    the field of `scanline_mask`.  With chain > 1 the segments must be the
+    consecutive segments of a polyline, and the (segment, row) pairs that
+    the loop takes are first pruned by `_chain_pairs`; the cells accepted
+    are the same."""
     nx, ny = shape
     ox, oy = origin
     slack = 1e-9 * (max(float(np.abs(a).max()), float(np.abs(a + u).max())) + r + h)
@@ -213,9 +223,12 @@ def _scanline(shape, origin, h, j0, j1, z, a, u, r, plane: bool):
     rows = np.maximum(np.minimum(j1, ny - 1) - j0 + 1, 0)
     fills = []
     exact = []
-    for s, e in _chunks(rows):
-        k, j = _ranges(j0[s:e], rows[s:e])
-        k += s
+    if chain > 1:
+        certain, pairs = _chain_pairs(shape, origin, h, j0, rows, z, a, u, r, slack, chain)
+        fills.append(certain)
+    else:
+        pairs = _segment_pairs(j0, rows)
+    for k, j in pairs:
         py = oy + (j + 0.5) * h
         lo, hi = _segment_row_spans(radii, py, z, a[k], u[k])
         o_lo = np.maximum(_cell_index(lo[0], ox, h, nx, np.ceil), 0)
@@ -255,6 +268,92 @@ def _scanline(shape, origin, h, j0, j1, z, a, u, r, plane: bool):
     return mask
 
 
+def _segment_pairs(j0, rows):
+    """The (segment, row) pairs (k, j) with j0[k] <= j < j0[k] + rows[k], in
+    chunks of about _PAIR_CHUNK pairs."""
+    for s, e in _chunks(rows):
+        k, j = _ranges(j0[s:e], rows[s:e])
+        k += s
+        yield k, j
+
+
+def _chain_pairs(shape, origin, h, j0, rows, z, a, u, r, slack, chain):
+    """Prune the (segment, row) pairs of a polyline's consecutive segments
+    a[k] -> a[k] + u[k] at radius r, chain by chain.  Returns the certain
+    chords as runs (rows, starts, stops) and the (segment, row) pairs left
+    over, as `_segment_pairs` yields them.
+
+    The segments are cut into chains of `chain` consecutive segments.  A
+    chain has centre c, the midpoint of its bounding box, and radius rho,
+    the largest distance from c to its vertices, end vertex included; the
+    ball (c, rho) holds the vertices and, being convex, the whole chain.
+    In each row the certain chord of the ball (c, r - rho - 2 slack) holds
+    only cells within r - slack of every point of the chain, which the exact
+    test accepts, and the outer chord of (c, r + rho + slack) holds every
+    cell within r + slack of a point of the chain, so every cell the test
+    can accept for one of its segments (the slack, as in `scanline_runs`,
+    is far above rounding error).  A (chain, row) pair whose outer chord
+    lies in one merged run of certain chords adds nothing and is dropped;
+    the others expand into their segments' (segment, row) pairs.  The mask
+    is the same as from all the (segment, row) pairs.
+    """
+    nx, ny = shape
+    ox, oy = origin
+    first, size, c, rho = _chain_disks(a, u, chain)
+    radii = r + np.array([[1.0], [-1.0]]) * rho + np.array([[slack], [-2.0 * slack]])
+    cj0 = np.maximum(_cell_index(c[:, 1] - radii[0], oy, h, ny, np.floor), 0)
+    cj1 = np.minimum(_cell_index(c[:, 1] + radii[0], oy, h, ny, np.ceil), ny - 1)
+    cc, j = _ranges(cj0, np.maximum(cj1 - cj0 + 1, 0))
+    # outer (row 0) and certain (row 1) chords of each (chain, row) pair
+    radius = radii[:, cc]
+    q = radius * radius - (oy + (j + 0.5) * h - c[cc, 1]) ** 2 - (z - c[cc, 2]) ** 2
+    half = np.sqrt(np.maximum(q, 0.0))
+    cut = (q >= 0.0) & (radius > 0.0)
+    lo = np.maximum(_cell_index(np.where(cut, c[cc, 0] - half, np.inf), ox, h, nx, np.ceil), 0)
+    hi = np.minimum(_cell_index(np.where(cut, c[cc, 0] + half, -np.inf), ox, h, nx, np.floor), nx - 1)
+    sure = lo[1] <= hi[1]
+    certain = (j[sure], lo[1][sure], hi[1][sure] + 1)
+    # a pair is done when its outer chord is empty or inside the merged run
+    # of certain chords that holds its first cell
+    done = lo[0] > hi[0]
+    m_rows, m_starts, m_stops = merged_runs(nx, ny, *certain)
+    if len(m_rows):
+        at = np.maximum(np.searchsorted(m_rows * (nx + 1) + m_starts, j * (nx + 1) + lo[0], side="right") - 1, 0)
+        done |= (m_rows[at] == j) & (m_starts[at] <= lo[0]) & (m_stops[at] > hi[0])
+    cc, j = cc[~done], j[~done]
+    return certain, _chain_segment_pairs(first[cc], size[cc], j, j0, rows)
+
+
+def _chain_disks(a, u, chain):
+    """First segment, segment count, centre c and radius rho of each chain
+    of `chain` consecutive segments a[k] -> a[k] + u[k]: c is the midpoint
+    of the bounding box of the chain's vertices, end vertex included, and
+    rho the largest distance from c to one of them."""
+    first = np.arange(0, len(a), chain)
+    size = np.diff(np.r_[first, len(a)])
+    end = a[first + size - 1] + u[first + size - 1]
+    c = 0.5 * (np.minimum(np.minimum.reduceat(a, first), end) + np.maximum(np.maximum.reduceat(a, first), end))
+    rel = a - np.repeat(c, size, axis=0)
+    rho2 = np.maximum(np.maximum.reduceat(np.einsum("kd,kd->k", rel, rel), first),
+                      np.einsum("kd,kd->k", end - c, end - c))
+    return first, size, c, np.sqrt(rho2)
+
+
+def _chain_segment_pairs(first, size, rows_of, j0, rows):
+    """The (segment, row) pairs of the (chain, row) pairs left by
+    `_chain_pairs`: chain segments first..first + size - 1 at row rows_of,
+    kept where the segment's own row range j0[k] <= j < j0[k] + rows[k]
+    holds the row; in chunks of about _PAIR_CHUNK pairs."""
+    if not len(size):  # every pair pruned: one empty chunk, as the loop expects
+        yield first, rows_of
+        return
+    for s, e in _chunks(size):
+        pair, k = _ranges(first[s:e], size[s:e])
+        j = rows_of[s:e][pair]
+        keep = (j0[k] <= j) & (j < j0[k] + rows[k])
+        yield k[keep], j[keep]
+
+
 def merged_runs(nx: int, ny: int, rows, starts, stops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Disjoint runs (rows, starts, stops), sorted by row and start, covering
     the same cells as the given non-empty runs, cells [start, stop) of row
@@ -283,26 +382,32 @@ def merged_runs(nx: int, ny: int, rows, starts, stops) -> tuple[np.ndarray, np.n
     return row, start[opens], last[closes] - row * width
 
 
-def _polyline_scan(grid: CellGrid, vertices: np.ndarray, tol: float) -> tuple:
-    """The `scanline_runs` arguments for a closed polyline's segments in the
-    plane z = 0 at radius tol."""
+def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, plane: bool, chain: int | None = None):
+    """`_scanline` over a closed polyline's segments in the plane z = 0 at
+    radius tol, in chains of `chain` segments.  By default a chain has arc
+    length about tol/4, so below a few segment lengths every chain is one
+    segment and nothing is pruned."""
     a, u, y0, y1 = _segments(vertices)
     oy, ny = grid.origin[1], grid.shape[1]
     j0 = _cell_index(y0 - tol, oy, grid.h, ny, np.floor)
     j1 = _cell_index(y1 + tol, oy, grid.h, ny, np.ceil)
-    return grid.shape, grid.origin, grid.h, j0, j1, 0.0, a, u, tol
+    if chain is None:
+        arc = float(np.sqrt(np.einsum("kd,kd->k", u, u)).sum())
+        chain = len(u) if 4.0 * arc <= tol else max(1, int(tol * len(u) / (4.0 * arc)))
+    return _scanline(grid.shape, grid.origin, grid.h, j0, j1, 0.0, a, u, tol, plane, chain)
 
 
 def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.ndarray:
     """Boolean field over grid cells whose center is within tol of the closed
-    polyline: `scanline_mask` over its segments in the plane z = 0."""
-    return scanline_mask(*_polyline_scan(grid, vertices, tol))
+    polyline: the field `scanline_mask` gives for its segments in the plane
+    z = 0, with the pairs pruned chain by chain (`_chain_pairs`)."""
+    return _near_polyline(grid, vertices, tol, plane=True)
 
 
 def near_polyline_runs(grid: CellGrid, vertices: np.ndarray, tol: float):
     """The cells of `mark_near_polyline` as the disjoint sorted runs
     (rows, starts, stops) of `merged_runs`; no plane is built."""
-    (rows, starts, stops), (cell_rows, cell_cols) = scanline_runs(*_polyline_scan(grid, vertices, tol))
+    (rows, starts, stops), (cell_rows, cell_cols) = _near_polyline(grid, vertices, tol, plane=False)
     nx, ny = grid.shape
     return merged_runs(nx, ny, np.concatenate([rows, cell_rows]),
                        np.concatenate([starts, cell_cols]), np.concatenate([stops, cell_cols + 1]))

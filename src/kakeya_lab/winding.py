@@ -30,6 +30,8 @@ from .pairs import WIDE_BUDGET, row_blocks, weighted_pair_sum
 from .sphere import SphereMesh
 
 RESIDUAL_LIMIT = 0.1
+# a winding field is a plane of values: callers refuse grids over MAX_FIELD_SIDE^2 cells
+MAX_FIELD_SIDE = 4096
 # tie-avoidance slopes for the crossing oracle
 _ORACLE_SLOPES = (0.0072973525693, 0.0137035999084)
 

@@ -500,3 +500,24 @@ def test_sweep_pool_partitions_heights(tmp_path, monkeypatch, jobs, cpus, t_step
     # the scatter puts every height's SV back in its row
     monkeypatch.setattr(cli, "_sv_worker", real_worker)
     assert pooled == _sweep_files(tmp_path, "serial", argv + ["--jobs", "1"])
+
+
+@pytest.mark.parametrize("exc, error", [
+    (KeyError("radius"), "KeyError: 'radius'"),
+    (IndexError("index 7 is out of bounds for axis 0 with size 4"),
+     "IndexError: index 7 is out of bounds for axis 0 with size 4"),
+    (IndexError(), "IndexError"),
+])
+def test_unexpected_errors_exit_2_without_a_traceback(tmp_path, capsys, monkeypatch, exc, error):
+    # exit 1 means a failed verify check; any other failure is exit 2 with flag null
+    import kakeya_lab.cli as cli
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_measure", broken)
+    code = run_cli(["measure", "--map", "zero", "--out", tmp_path / "m.json"])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err + captured.out
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {"error": error, "flag": None}
+    assert not (tmp_path / "MANIFEST.json").exists()

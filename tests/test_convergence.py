@@ -153,3 +153,19 @@ def test_convergence_report_serializes_to_json(tmp_path):
     assert payload["schema_version"] == 1
     assert len(payload["results"]["total_integrals"]) == 3
     assert isinstance(payload["results"]["cauchy_ok"], bool)
+
+
+def test_convergence_split_refuses_oversized_fields_first(monkeypatch):
+    import kakeya_lab.convergence as conv
+    from kakeya_lab.winding import MAX_FIELD_SIDE
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the field-size preflight")
+
+    monkeypatch.setattr(conv, "winding_field", unreachable)
+    monkeypatch.setattr(conv, "mollify_on_sphere", unreachable)
+    # a unit-circle loop padded by 0.3 at h = 1e-4: about 2.6e4 cells a side
+    with pytest.raises(ValueError, match=r"h = 0\.0001 needs winding fields of \d+ cells") as info:
+        convergence_split(make_map("zero"), [0.1, 0.05, 0.025], np.linspace(0, 1, 3), sample_sphere(1, 512), 1e-4)
+    cells = int(str(info.value).split(" of ")[1].split(" cells")[0])
+    assert cells > MAX_FIELD_SIDE**2

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kakeya_lab
 from kakeya_lab.gridding import (
-    CellGrid, _near, _segment_row_spans, grid_over, mark_near_polyline, merged_runs, near_polyline_runs,
+    _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _near, _near_polyline, _segment_row_spans, _segments,
+    grid_over, mark_near_polyline, merged_runs, near_polyline_runs,
 )
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
@@ -56,14 +63,26 @@ def _assert_disjoint_sorted(nx, ny, rows, starts, stops):
     assert np.all((rows[1:] > rows[:-1]) | (same_row & (starts[1:] > stops[:-1])))
 
 
-def _assert_same(grid, vertices, tol):
-    got = mark_near_polyline(grid, vertices, tol)
-    want = _reference_mark_near_polyline(grid, vertices, tol)
-    assert got.dtype == bool and got.shape == grid.shape
-    assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ at tol {tol}"
-    runs = near_polyline_runs(grid, vertices, tol)
-    _assert_disjoint_sorted(*grid.shape, *runs)
-    assert np.array_equal(_runs_plane(grid.shape, *runs), want)
+def _assert_same(grid, vertices, tol, chains=(None,), want=None):
+    """The mask and runs of `mark_near_polyline` and `near_polyline_runs`
+    (chains None), or of the same kernel with `chain` segments a chain,
+    equal the reference loop's plane."""
+    if want is None:
+        want = _reference_mark_near_polyline(grid, vertices, tol)
+    for chain in chains:
+        if chain is None:
+            got = mark_near_polyline(grid, vertices, tol)
+            runs = near_polyline_runs(grid, vertices, tol)
+        else:
+            got = _near_polyline(grid, vertices, tol, plane=True, chain=chain)
+            (rows, starts, stops), (cell_rows, cell_cols) = _near_polyline(
+                grid, vertices, tol, plane=False, chain=chain)
+            runs = merged_runs(*grid.shape, np.concatenate([rows, cell_rows]),
+                               np.concatenate([starts, cell_cols]), np.concatenate([stops, cell_cols + 1]))
+        assert got.dtype == bool and got.shape == grid.shape
+        assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ at tol {tol}, chain {chain}"
+        _assert_disjoint_sorted(*grid.shape, *runs)
+        assert np.array_equal(_runs_plane(grid.shape, *runs), want), f"chain {chain}"
     return got
 
 
@@ -267,3 +286,171 @@ def test_merged_runs_refuse_keys_past_int64(monkeypatch):
     monkeypatch.undo()
     # just below the limit, 2^62 < 2^63
     assert all(len(x) == 0 for x in merged_runs(2**31 - 1, 1, none, none, none))
+
+
+def test_chunk_edges_match_the_unique_form():
+    # the edges of `_chunks`, taken from sorted cuts without np.unique
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 40, 300):
+        for scale in (0, 3, 2000, 40000):
+            counts = rng.integers(0, scale + 1, size=n)
+            counts[rng.random(n) < 0.3] = 0
+            csum = np.cumsum(counts)
+            cuts = np.searchsorted(csum, np.arange(_PAIR_CHUNK, csum[-1], _PAIR_CHUNK), side="right")
+            edges = np.unique(np.concatenate([[0], cuts, [n]]))
+            assert list(_chunks(counts)) == list(zip(edges[:-1], edges[1:]))
+
+
+def test_masks_and_tube_unions_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, which every mask paid for
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from kakeya_lab import make_map\n"
+        "from kakeya_lab.gridding import grid_over, mark_near_polyline, near_polyline_runs\n"
+        "from kakeya_lab.measure import build_tube_family, tube_union_volume\n"
+        "v = np.stack([np.cos(np.arange(200) * 0.0314), np.sin(np.arange(200) * 0.0314)], axis=1)\n"
+        "g = grid_over(v, 0.02, 0.3)\n"
+        "for tol in (0.01, 0.5):\n"
+        "    mark_near_polyline(g, v, tol)\n"
+        "    near_polyline_runs(g, v, tol)\n"
+        "tube_union_volume(build_tube_family(make_map('lacunary_fourier', alpha=0.8, terms=6, seed=1), 0.1), 0.025)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(kakeya_lab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
+# chain lengths in segments given to the kernel (None: its own choice)
+CHAINS = (1, 2, 3, 7, 64, None)
+
+
+def _collar_loop(seed=5, mesh=1024, h=0.02):
+    # a raw slice loop and grid as `convergence_split` builds them
+    m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=seed)
+    v = slice_loop(m, 0.5, sample_sphere(1, mesh)).vertices
+    return v, grid_over(v, h, pad=0.3)
+
+
+@pytest.mark.parametrize("tol", [0.53, 1.07, 2.26])
+def test_chains_match_reference_at_collar_radii(tol):
+    v, grid = _collar_loop()
+    _assert_same(grid, v, tol, chains=CHAINS + (len(v),))
+
+
+def test_chains_cells_exactly_r_from_a_vertex():
+    # vertices on cell centers and radii in whole cells: the center k cells
+    # left of the first vertex is exactly k h from it, and that vertex is its
+    # nearest point of the loop
+    pts = np.array([[_center(8), _center(9)], [_center(14), _center(9)], [_center(20), _center(9)],
+                    [_center(20), _center(15)], [_center(26), _center(21)], [_center(12), _center(21)]])
+    for cells in (2, 4, 6, 8):
+        tol = cells * 0.25
+        mask = _assert_same(EXACT_GRID, pts, tol, chains=(2, 3, len(pts), None))
+        assert mask[8 - cells, 9] and (cells == 8 or not mask[7 - cells, 9])
+
+
+def _certain_cells(grid, vertices, tol, chain, slack):
+    """Centers of the certain chords of `_chain_pairs`, every row allowed."""
+    a, u, _, _ = _segments(vertices)
+    (rows, starts, stops), _ = _chain_pairs(grid.shape, grid.origin, grid.h, np.zeros(len(a), dtype=np.int64),
+                                            np.full(len(a), grid.shape[1]), 0.0, a, u, tol, slack, chain)
+    plane = _runs_plane(grid.shape, rows, starts, stops)
+    i, j = np.nonzero(plane)
+    return np.stack([grid.origin[0] + (i + 0.5) * grid.h, grid.origin[1] + (j + 0.5) * grid.h], axis=1)
+
+
+def test_certain_chords_lie_within_r_minus_slack_of_every_vertex():
+    # one chain: every certain cell is within tol - slack of every vertex
+    slack = 1e-9
+    # c = the middle vertex, rho = 1 and tol = 2: the first vertex's center
+    # is exactly tol - rho from c and tol from the last vertex
+    line = np.array([[_center(10), _center(18)], [_center(14), _center(18)], [_center(18), _center(18)]])
+    cases = [(line, 2.0), (line, 2.75), (_collar_loop(mesh=256, h=0.05)[0], 1.5)]
+    rng = np.random.default_rng(3)
+    cases += [(rng.uniform(3.0, 6.0, size=(int(rng.integers(2, 9)), 2)), float(rng.uniform(1.0, 4.0)))
+              for _ in range(10)]
+    for v, tol in cases:
+        P = _certain_cells(EXACT_GRID, v, tol, len(v), slack)
+        assert len(P) or tol < 2.0
+        d = np.hypot(P[:, None, 0] - v[None, :, 0], P[:, None, 1] - v[None, :, 1])
+        assert np.all(d <= tol - slack), (v, tol)
+    # the cells at distance exactly tol - rho from c are not certain
+    P = _certain_cells(EXACT_GRID, line, 2.0, len(line), slack)
+    assert [_center(10), _center(18)] not in P.tolist()
+    assert [_center(11), _center(18)] in P.tolist()
+
+
+def test_chains_with_radius_below_rho_have_no_certain_chord():
+    v, grid = _collar_loop(mesh=256, h=0.05)
+    # the whole loop as one chain, rho about 1.3: nothing is certain at these radii
+    for tol in (0.025, 0.3, 1.0):
+        assert len(_certain_cells(grid, v, tol, len(v), 1e-9)) == 0
+        _assert_same(grid, v, tol, chains=(len(v), 64, 7))
+
+
+def test_chains_with_repeated_vertices():
+    pts = np.array([[1.3, 2.1], [1.3, 2.1], [4.2, 2.9], [4.2, 2.9], [4.2, 2.9], [2.0, 6.6]])
+    for tol in (0.125, 0.6, 2.0, 4.0):
+        _assert_same(EXACT_GRID, pts, tol, chains=(2, 3, len(pts), None))
+    # a loop collapsed to one point: one chain of radius 0
+    point = np.repeat([[_center(20), _center(18)]], 16, axis=0)
+    for tol in (0.5, 1.0, 2.5):
+        _assert_same(EXACT_GRID, point, tol, chains=(2, 7, 16, None))
+
+
+def test_chains_on_a_loop_traversed_twice():
+    v, grid = _collar_loop(mesh=256, h=0.05)
+    twice = np.concatenate([v, v])
+    for tol in (0.3, 1.07):
+        want = _reference_mark_near_polyline(grid, v, tol)
+        _assert_same(grid, twice, tol, chains=CHAINS + (len(twice),), want=want)
+
+
+def test_chains_on_a_loop_partly_off_the_grid():
+    pts = np.array([[-3.0, 1.0], [5.0, -2.0], [14.0, 4.5], [6.0, 12.0], [-1.0, 8.0]])
+    dense = np.concatenate([np.linspace(p, q, 9, endpoint=False) for p, q in zip(pts, np.roll(pts, -1, axis=0))])
+    for tol in (0.9, 3.0, 6.0):
+        _assert_same(EXACT_GRID, dense, tol, chains=(2, 3, 7, len(dense), None))
+    v, grid = _collar_loop(mesh=256, h=0.05)
+    small = CellGrid(grid.origin + 0.4 * np.array(grid.shape) * grid.h, grid.h, (30, 25))
+    _assert_same(small, v, 1.07, chains=CHAINS)
+
+
+def test_chains_with_a_radius_covering_the_grid():
+    v, grid = _collar_loop(mesh=256, h=0.05)
+    tol = 2.0 * max(grid.shape) * grid.h
+    _assert_same(grid, v, tol, chains=CHAINS + (len(v),), want=np.ones(grid.shape, dtype=bool))
+
+
+def test_random_polylines_in_chains_match_reference():
+    # uneven segments, so a chain's end vertex is often its farthest one
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        n = int(rng.integers(3, 24))
+        pts = np.cumsum(rng.standard_normal((n, 2)) * rng.uniform(0.05, 1.5, size=(n, 1)), axis=0)
+        pts += np.array([5.0, 4.5]) - pts.mean(axis=0)
+        chains = tuple(int(c) for c in rng.integers(2, 8, size=2)) + (n,)
+        _assert_same(EXACT_GRID, pts, float(rng.uniform(0.2, 4.0)), chains=chains)
+
+
+def test_chain_disks_hold_every_vertex():
+    # each chain's ball (c, rho) holds all of its vertices, end vertex
+    # included, and c is the midpoint of their bounding box
+    rng = np.random.default_rng(9)
+    loops = [rng.uniform(0.0, 9.0, size=(int(rng.integers(2, 30)), 2)) for _ in range(20)]
+    # a chain whose end vertex is its only farthest one
+    loops.append(np.array([[0.0, 1.0], [1.0, 0.0], [3.0, 2.0], [2.5, 2.5]]))
+    for v in loops:
+        a, u, _, _ = _segments(v)
+        for chain in (1, 2, 3, 7, len(v)):
+            first, size, c, rho = _chain_disks(a, u, chain)
+            assert np.array_equal(first, np.arange(0, len(v), chain)) and size.sum() == len(v)
+            for k0, m, centre, radius in zip(first, size, c, rho):
+                verts = np.concatenate([a[k0:k0 + m], a[k0 + m - 1:k0 + m] + u[k0 + m - 1:k0 + m]])
+                assert np.array_equal(centre, 0.5 * (verts.min(axis=0) + verts.max(axis=0)))
+                assert np.hypot(*(verts - centre)[:, :2].T).max() <= radius * (1.0 + 1e-15)
+    first, size, c, rho = _chain_disks(*_segments(loops[-1])[:2], 2)
+    assert rho[0] == np.hypot(1.5, 1.0)
