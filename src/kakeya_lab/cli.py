@@ -43,7 +43,7 @@ from .slices import (
     sweep_signed_volume,
 )
 from .smoothing import mollification_bounds, mollifier_kernel, mollify_on_sphere
-from .sphere import integrate_over_sphere, sample_sphere
+from .sphere import icosphere_vertex_count, integrate_over_sphere, sample_sphere
 from .winding import (
     MAX_FIELD_SIDE,
     field_grid,
@@ -137,6 +137,25 @@ def _check_mesh_resolves(mesh, epsilon: float) -> None:
                         "need spacing <= epsilon/4")
 
 
+# Icosphere vertices above which mollification on S^2 (--n 4), a dense pass
+# over every vertex pair, is refused.  On a 2-core host one pass took 6.3 s at
+# 10,242 vertices; 40,962 (what epsilon = 0.1 needs) take about 100 s, the
+# next icosphere, 163,842, about half an hour, and --mesh 2^20 asks for
+# 2,621,442 (7e12 pairs).
+MAX_DENSE_S2_VERTICES = 40962
+
+
+def _check_dense_mollification(args) -> None:
+    """Refuse an S^2 mesh too large to mollify densely, from its vertex count
+    in closed form, before the mesh is built."""
+    if args.n == 4:
+        count = icosphere_vertex_count(args.mesh)
+        if count > MAX_DENSE_S2_VERTICES:
+            _fail("--mesh", f"--mesh {args.mesh} gives an icosphere of {count} vertices, "
+                            f"over {MAX_DENSE_S2_VERTICES} for dense mollification on S^2; "
+                            "use a smaller mesh")
+
+
 def _require_n3(args, what: str) -> None:
     if args.n != 3:
         _fail("--n", f"{what} supports n = 3 only")
@@ -157,6 +176,8 @@ def _cmd_sweep(args) -> list[Path]:
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
     if args.method == "grid":
         _require_n3(args, "--method grid")
+    if args.epsilon is not None:
+        _check_dense_mollification(args)
     mesh = _mesh_for(args, args.n)
     if args.epsilon is not None:
         _check_range("--epsilon", args.epsilon, 0.0, 0.3, lo_open=True)
@@ -210,6 +231,8 @@ def _cmd_slice(args) -> list[Path]:
     _check_range("--t", args.t, 0.0, 1.0)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
+    if args.epsilon is not None:
+        _check_dense_mollification(args)
     mesh = _mesh_for(args, args.n)
     if args.epsilon is not None:
         _check_range("--epsilon", args.epsilon, 0.0, 0.3, lo_open=True)
@@ -312,6 +335,7 @@ def _cmd_moll(args) -> list[Path]:
     epsilons = _float_list("--epsilon", args.epsilon, lo=0.0, hi=0.3, lo_open=True)
     _check_range("--alpha", args.alpha, 0.0, 1.0, lo_open=True)
     _check_range("--mesh", args.mesh, 16, 1 << 20)
+    _check_dense_mollification(args)
     mesh = _mesh_for(args, args.n)
     _check_mesh_resolves(mesh, min(epsilons))
     pmap = _map_from_args(args)

@@ -9,13 +9,15 @@ asked here, of segments a -> a + u in R^3 (planar data in z = 0), with one
 exact test, `_near`: the scanline runs of `scanline_runs` (near-loop masks,
 and `measure`'s tube layers) and the boundary checks of
 `points_near_polyline`.  Runs become a plane in `scanline_mask` or disjoint
-sorted runs in `merged_runs`.  A near-loop mask wider than a few segment
-lengths (a collar) first tests chains of consecutive segments against two
-disks each (`_chain_pairs`, after Barill et al., "Fast winding numbers for
-soups and clouds", SIGGRAPH 2018), and solves exact segment spans only where
-a chain reaches past the cells already certain, at the mask's edge.  The row
-engine `_row_span_sums` fills the planes, and also sums the signed crossing
-spans of the grid winding field.
+sorted runs in `accepted_runs` (`merged_runs`).  Where every plane of a call
+is clear of its segments' end balls (tube layers away from the tube ends),
+a row's span is the cylinder's chord alone (`_clear_of_ends`).  A near-loop
+mask wider than a few segment lengths (a collar) first tests chains of
+consecutive segments against two disks each (`_chain_pairs`, after Barill et
+al., "Fast winding numbers for soups and clouds", SIGGRAPH 2018), and solves
+exact segment spans only where a chain reaches past the cells already
+certain, at the mask's edge.  The row engine `_row_span_sums` fills the
+planes, and also sums the signed crossing spans of the grid winding field.
 """
 
 from __future__ import annotations
@@ -119,21 +121,47 @@ def _row_span_sums(shape, rows, starts, stops, weights=None) -> np.ndarray:
 
 
 def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interval of x with lo <= x*c <= hi; an empty one is (inf, -inf)."""
+    """Interval of x with lo <= x*c <= hi, for lo <= hi; an empty one is
+    (inf, -inf).  Where c != 0 the ends are lo/c and hi/c, in the order of
+    c's sign, which the rounding keeps."""
     with np.errstate(divide="ignore", invalid="ignore"):
         a = lo / c
         b = hi / c
+    x_lo = np.minimum(a, b)
+    x_hi = np.maximum(a, b)
     flat = c == 0.0
-    whole = (lo <= 0.0) & (hi >= 0.0)
-    x_lo = np.where(flat, np.where(whole, -np.inf, np.inf), np.where(c > 0.0, a, b))
-    x_hi = np.where(flat, np.where(whole, np.inf, -np.inf), np.where(c > 0.0, b, a))
+    if flat.any():
+        whole = (lo <= 0.0) & (hi >= 0.0)
+        x_lo = np.where(flat, np.where(whole, -np.inf, np.inf), x_lo)
+        x_hi = np.where(flat, np.where(whole, np.inf, -np.inf), x_hi)
     return x_lo, x_hi
+
+
+def _clear_of_ends(r, dz, uz) -> bool:
+    """Whether every plane z = a_z + dz of a call lies strictly between the
+    end balls of its segment, at every radius of r, by a margin far above
+    rounding: r_out < dz sgn(u_z) < |u_z| - r_out, with r_out the largest
+    radius plus the margin, 1e-9 of that radius and of the largest |u_z|.
+
+    Write P - a = t u + w with w perpendicular to u; a point of the cylinder
+    has |w| <= r, so at height z, |t u_z - dz| <= r.  Under the test every
+    such point has 0 < t < 1, and |dz| and |dz - u_z| exceed r: neither end
+    ball meets the plane and the strip clip cannot bind.  A planar segment
+    (u_z = 0) never passes.
+    """
+    if not len(uz):
+        return False
+    top = np.abs(uz)
+    edge = float(np.max(r)) * (1.0 + 1e-9) + 1e-9 * float(top.max())
+    s = dz * np.sign(uz)
+    return bool(s.min() > edge) and bool(np.all(s < top - edge))
 
 
 def _segment_row_spans(r, py, z, a, u) -> tuple[np.ndarray, np.ndarray]:
     """x-extent of each row (the line y = py in the plane at height z) within
-    r of its segment a -> a + u; r may be a column of radii, one output row
-    each.
+    r of its segment a -> a + u; a and u are given as their three columns
+    (x, y, z), each of one value per row, and r may be a column of radii,
+    one output row each.
 
     The r-neighbourhood is convex, so the extent is one interval: the union
     of the chords of the two end balls and of the cylinder
@@ -144,40 +172,83 @@ def _segment_row_spans(r, py, z, a, u) -> tuple[np.ndarray, np.ndarray]:
     L = |u|, with no cancellation under the root.  For A = 0 (u along the
     rows) the cylinder holds the whole row or none of it; a zero-length
     segment has no cylinder.  An empty span is (inf, -inf).
+
+    When every plane of the call is clear of its segment's ends
+    (`_clear_of_ends`), the span is the cylinder's chord alone, computed in
+    the same order, so the result is the same to the bit.
     """
-    ax, ux, uy, uz = a[:, 0], u[:, 0], u[:, 1], u[:, 2]
-    dy = py - a[:, 1]
-    dz = z - a[:, 2]
+    ax, ay, az = a
+    ux, uy, uz = u
+    dy = py - ay
+    dz = z - az
     rr = r * r
-    lo = np.full(len(ax), np.inf)
-    hi = np.full(len(ax), -np.inf)
-    for cx, ey, ez in ((ax, dy, dz), (ax + ux, dy - uy, dz - uz)):
-        q = rr - ey * ey - ez * ez
-        half = np.sqrt(np.maximum(q, 0.0))
-        lo = np.where(q >= 0.0, np.minimum(lo, cx - half), lo)
-        hi = np.where(q >= 0.0, np.maximum(hi, cx + half), hi)
-    area = uy * uy + uz * uz
-    l2 = area + ux * ux
-    m = dy * uy + dz * uz
-    c = dy * uz - dz * uy
-    e = area * rr - c * c
-    root = np.sqrt(l2 * np.maximum(e, 0.0))
-    flat = area == 0.0
+    # in place, term by term: area = u_y^2 + u_z^2, l2 = area + u_x^2,
+    # m = dy u_y + dz u_z, c = dy u_z - dz u_y, e = area r^2 - c^2 and
+    # root = sqrt(l2 max(e, 0))
+    area = uy * uy
+    area += uz * uz
+    l2 = ux * ux
+    l2 += area
+    m = dy * uy
+    m += dz * uz
+    c = dy * uz
+    c -= dz * uy
+    e = area * rr
+    e -= c * c
+    root = np.maximum(e, 0.0)
+    root *= l2
+    np.sqrt(root, out=root)
+    mid = ux * m
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_lo = np.where(flat, -np.inf, (ux * m - root) / area)
-        x_hi = np.where(flat, np.inf, (ux * m + root) / area)
-    inside = np.where(flat, dy * dy + dz * dz <= rr, e >= 0.0)
-    t_lo, t_hi = _solve_span(-m, l2 - m, ux)
-    x_lo = ax + np.maximum(x_lo, t_lo)
-    x_hi = ax + np.minimum(x_hi, t_hi)
-    band = inside & (l2 > 0.0) & (x_lo <= x_hi)
-    return np.where(band, np.minimum(lo, x_lo), lo), np.where(band, np.maximum(hi, x_hi), hi)
+        x_lo = mid - root
+        x_lo /= area
+        x_hi = np.add(mid, root, out=root)
+        x_hi /= area
+    inside = e >= 0.0
+    clear = _clear_of_ends(r, dz, uz)
+    if not clear:
+        flat = area == 0.0
+        if flat.any():
+            x_lo = np.where(flat, -np.inf, x_lo)
+            x_hi = np.where(flat, np.inf, x_hi)
+            inside = np.where(flat, dy * dy + dz * dz <= rr, inside)
+        t_lo, t_hi = _solve_span(-m, l2 - m, ux)
+        np.maximum(x_lo, t_lo, out=x_lo)
+        np.minimum(x_hi, t_hi, out=x_hi)
+    x_lo += ax
+    x_hi += ax
+    # the cylinder's chord, empty where the row misses it
+    out = ~inside if clear else ~(inside & (l2 > 0.0) & (x_lo <= x_hi))
+    x_lo[out] = np.inf
+    x_hi[out] = -np.inf
+    if clear:
+        return x_lo, x_hi
+    lo = np.full(e.shape, np.inf)
+    hi = np.full(e.shape, -np.inf)
+    for cx, ey, ez in ((ax, dy, dz), (ax + ux, dy - uy, dz - uz)):
+        # the end ball's chord cx -+ sqrt(r^2 - ey^2 - ez^2), where the root is real
+        q = rr - ey * ey
+        q -= ez * ez
+        miss = q < 0.0
+        half = np.maximum(q, 0.0, out=q)
+        np.sqrt(half, out=half)
+        end = cx - half
+        end[miss] = np.inf
+        np.minimum(lo, end, out=lo)
+        np.add(cx, half, out=end)
+        end[miss] = -np.inf
+        np.maximum(hi, end, out=hi)
+    return np.minimum(lo, x_lo, out=lo), np.maximum(hi, x_hi, out=hi)
 
 
 def _cell_index(x: np.ndarray, origin: float, h: float, n: int, rounding) -> np.ndarray:
     """First (rounding=np.ceil) or last (np.floor) cell whose center is at or
     beyond / at or before x, clipped just outside [0, n - 1]."""
-    return np.clip(rounding((x - origin) / h - 0.5), -2, n + 1).astype(np.int64)
+    t = x - origin
+    t /= h
+    t -= 0.5
+    rounding(t, out=t)
+    return np.clip(t, -2, n + 1, out=t).astype(np.int64)
 
 
 def scanline_runs(shape, origin, h, j0, j1, z, a, u, r):
@@ -228,26 +299,33 @@ def _scanline(shape, origin, h, j0, j1, z, a, u, r, plane: bool, chain: int = 1)
         fills.append(certain)
     else:
         pairs = _segment_pairs(j0, rows)
+    # the spans read the segments by column, each gathered on its own
+    columns = [np.ascontiguousarray(x) for x in (*a.T, *u.T)]
     for k, j in pairs:
         py = oy + (j + 0.5) * h
-        lo, hi = _segment_row_spans(radii, py, z, a[k], u[k])
-        o_lo = np.maximum(_cell_index(lo[0], ox, h, nx, np.ceil), 0)
-        o_hi = np.minimum(_cell_index(hi[0], ox, h, nx, np.floor), nx - 1)
+        ax, ay, az, ux, uy, uz = (x[k] for x in columns)
+        lo, hi = _segment_row_spans(radii, py, z, (ax, ay, az), (ux, uy, uz))
+        o_lo = np.maximum(_cell_index(lo, ox, h, nx, np.ceil), 0)
+        o_hi = np.minimum(_cell_index(hi, ox, h, nx, np.floor), nx - 1)
         if len(lo) > 1:
-            f_lo = np.maximum(_cell_index(lo[1], ox, h, nx, np.ceil), 0)
-            f_hi = np.minimum(_cell_index(hi[1], ox, h, nx, np.floor), nx - 1)
+            (o_lo, f_lo), (o_hi, f_hi) = o_lo, o_hi
         else:
+            (o_lo,), (o_hi,) = o_lo, o_hi
             f_lo = np.ones_like(o_lo)
             f_hi = np.zeros_like(o_hi)
         fill = f_lo <= f_hi
         fills.append((j[fill], f_lo[fill], f_hi[fill] + 1))
-        # exact test on the outer span minus the filled one: [o_lo, left] and [right, o_hi]
+        # exact test on the outer span minus the filled one, [o_lo, left] and
+        # [right, o_hi]; a pair whose spans agree has no such cell
+        band = np.flatnonzero((o_lo != f_lo) | (o_hi != f_hi))
+        o_lo, o_hi, f_lo, f_hi = o_lo[band], o_hi[band], f_lo[band], f_hi[band]
+        fill = fill[band]
         left = np.where(fill, np.minimum(f_lo - 1, o_hi), o_hi)
         right = np.where(fill, np.maximum(f_hi + 1, o_lo), o_hi + 1)
         starts = np.concatenate([o_lo, right])
         counts = np.maximum(np.concatenate([left - o_lo, o_hi - right]) + 1, 0)
         pair, i = _ranges(starts, counts)
-        pair %= len(k)  # left and right ranges of the same pair
+        pair = band[pair % max(len(band), 1)]  # left and right ranges of the same pair
         P = np.empty((len(i), 3))
         P[:, 0] = ox + (i + 0.5) * h
         P[:, 1] = py[pair]
@@ -259,10 +337,9 @@ def _scanline(shape, origin, h, j0, j1, z, a, u, r, plane: bool, chain: int = 1)
     if not plane:
         return (rows, starts, stops), tuple(np.concatenate(x) for x in zip(*exact))
     # The plane is filled here, in the loop's frame, while the last chunk's
-    # arrays are alive.  This order is measured, not derived: filled after
-    # they were freed, the plane let glibc trim the heap top and fault it in
-    # again on every tube layer (the union of the `tube-union` inputs went
-    # from 0.27 to 0.40 s).
+    # arrays are alive: filled after they were freed, a plane let glibc trim
+    # the heap top and fault it in again on the next call (measured on
+    # planes built once per tube layer).
     mask = _row_span_sums(shape, rows, starts, stops) > 0
     mask.reshape(-1)[np.concatenate([i * ny + j for j, i in exact])] = True
     return mask
@@ -382,6 +459,14 @@ def merged_runs(nx: int, ny: int, rows, starts, stops) -> tuple[np.ndarray, np.n
     return row, start[opens], last[closes] - row * width
 
 
+def accepted_runs(shape, runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of the runs `scanline_runs` returns, filled spans and
+    exact-test cells together, as the disjoint sorted runs of `merged_runs`."""
+    (rows, starts, stops), (cell_rows, cell_cols) = runs
+    return merged_runs(*shape, np.concatenate([rows, cell_rows]),
+                       np.concatenate([starts, cell_cols]), np.concatenate([stops, cell_cols + 1]))
+
+
 def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, plane: bool, chain: int | None = None):
     """`_scanline` over a closed polyline's segments in the plane z = 0 at
     radius tol, in chains of `chain` segments.  By default a chain has arc
@@ -407,10 +492,7 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.n
 def near_polyline_runs(grid: CellGrid, vertices: np.ndarray, tol: float):
     """The cells of `mark_near_polyline` as the disjoint sorted runs
     (rows, starts, stops) of `merged_runs`; no plane is built."""
-    (rows, starts, stops), (cell_rows, cell_cols) = _near_polyline(grid, vertices, tol, plane=False)
-    nx, ny = grid.shape
-    return merged_runs(nx, ny, np.concatenate([rows, cell_rows]),
-                       np.concatenate([starts, cell_cols]), np.concatenate([stops, cell_cols + 1]))
+    return accepted_runs(grid.shape, _near_polyline(grid, vertices, tol, plane=False))
 
 
 def points_near_polyline(points: np.ndarray, vertices: np.ndarray, tol: float) -> bool:

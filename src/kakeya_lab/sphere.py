@@ -141,6 +141,16 @@ def is_equal_angle_circle(mesh: SphereMesh) -> bool:
     )
 
 
+def icosphere_vertex_count(resolution: int) -> int:
+    """Vertices of the icosphere `sample_sphere(2, resolution)` builds, in
+    closed form: k subdivisions of the icosahedron give 10 4^k + 2, and k is
+    the least with at least `resolution` of them."""
+    k = 0
+    while 10 * 4**k + 2 < resolution:
+        k += 1
+    return 10 * 4**k + 2
+
+
 def sample_sphere(dim: int, resolution: int) -> SphereMesh:
     """Build a quadrature mesh with at least `resolution` vertices.
 

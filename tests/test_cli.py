@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kakeya_lab.cli import main
+from kakeya_lab.sphere import sample_sphere
 
 
 def run_cli(args):
@@ -328,7 +329,7 @@ def test_tubes_oversized_work_names_h(tmp_path, capsys, monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran before the work preflight")
 
-    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
     code = run_cli(
         ["tubes", "--map", "zero", "--delta", "0.05", "--h", "0.00001", "--out", tmp_path / "t.json"]
     )
@@ -348,7 +349,7 @@ def test_tubes_oversized_planes_name_h(tmp_path, capsys, monkeypatch, h, cap):
     def no_kernel(*args, **kwargs):
         raise AssertionError("a union ran before every family's work preflight")
 
-    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
     if cap is not None:
         monkeypatch.setattr(measure, "MAX_TUBE_CELLS", cap)
     code = run_cli(
@@ -382,6 +383,44 @@ def test_mesh_too_coarse_for_epsilon_names_flag(tmp_path, capsys, monkeypatch, a
     monkeypatch.setattr(smoothing, "mollify_on_sphere", no_mollify)
     code = run_cli(argv + ["--out", tmp_path / "out.json"])
     assert _flag_of_failure(code, capsys) == "--mesh"
+
+
+@pytest.mark.parametrize("mesh", [40963, 1 << 20])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--epsilon", "0.05", "--t-steps", "16", "--jobs", "1"],
+    ["slice", "--epsilon", "0.05"],
+    ["moll", "--alpha", "0.5"],
+])
+def test_dense_s2_mollification_over_the_cap_names_mesh(tmp_path, capsys, monkeypatch, argv, mesh):
+    # 163,842 and 2,621,442 icosphere vertices: refused from the closed-form
+    # count, before the mesh is built or any dense pass runs
+    import kakeya_lab.cli as cli
+    import kakeya_lab.smoothing as smoothing
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the mesh was built or mollified before the size check")
+
+    monkeypatch.setattr(cli, "sample_sphere", no_work)
+    monkeypatch.setattr(smoothing, "_bump_pass", no_work)
+    code = run_cli(argv + ["--n", "4", "--mesh", mesh, "--out", tmp_path / "out.json"])
+    assert _flag_of_failure(code, capsys) == "--mesh"
+
+
+def test_dense_s2_cap_leaves_the_documented_meshes_alone():
+    import argparse
+
+    import kakeya_lab.cli as cli
+    from kakeya_lab.sphere import icosphere_vertex_count
+
+    for resolution in (8, 12, 13, 42, 162, 642, 643, 2562):
+        assert icosphere_vertex_count(resolution) == sample_sphere(2, resolution).n_vertices
+    assert icosphere_vertex_count(40962) == cli.MAX_DENSE_S2_VERTICES == 40962
+    assert icosphere_vertex_count(40963) == 163842
+    for mesh in (642, 2562, 40962, 1 << 20):
+        # the circle (n = 3) is never refused; S^2 up to the cap is not
+        cli._check_dense_mollification(argparse.Namespace(n=3, mesh=mesh))
+        if mesh <= 40962:
+            cli._check_dense_mollification(argparse.Namespace(n=4, mesh=mesh))
 
 
 @pytest.mark.parametrize("argv", [

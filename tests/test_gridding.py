@@ -8,8 +8,8 @@ import pytest
 
 import kakeya_lab
 from kakeya_lab.gridding import (
-    _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _near, _near_polyline, _segment_row_spans, _segments,
-    grid_over, mark_near_polyline, merged_runs, near_polyline_runs,
+    _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _clear_of_ends, _near, _near_polyline,
+    _segment_row_spans, _segments, accepted_runs, grid_over, mark_near_polyline, merged_runs, near_polyline_runs,
 )
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
@@ -75,10 +75,7 @@ def _assert_same(grid, vertices, tol, chains=(None,), want=None):
             runs = near_polyline_runs(grid, vertices, tol)
         else:
             got = _near_polyline(grid, vertices, tol, plane=True, chain=chain)
-            (rows, starts, stops), (cell_rows, cell_cols) = _near_polyline(
-                grid, vertices, tol, plane=False, chain=chain)
-            runs = merged_runs(*grid.shape, np.concatenate([rows, cell_rows]),
-                               np.concatenate([starts, cell_cols]), np.concatenate([stops, cell_cols + 1]))
+            runs = accepted_runs(grid.shape, _near_polyline(grid, vertices, tol, plane=False, chain=chain))
         assert got.dtype == bool and got.shape == grid.shape
         assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ at tol {tol}, chain {chain}"
         _assert_disjoint_sorted(*grid.shape, *runs)
@@ -180,7 +177,7 @@ def _check_row_spans(a, u, r, z, py):
     py = np.atleast_1d(np.asarray(py, dtype=float))
     n = len(py)
     lo, hi = _segment_row_spans(np.array([[r + slack], [r - slack]]), py, z,
-                                np.repeat(a[None], n, axis=0), np.repeat(u[None], n, axis=0))
+                                np.repeat(a[:, None], n, axis=1), np.repeat(u[:, None], n, axis=1))
     span = r + np.abs(u).max()
     for row in range(n):
         xs = np.linspace(a[0] - span, a[0] + span, 4001)
@@ -235,6 +232,110 @@ def test_segment_row_spans_tangent_rows():
         ball = a[1] + np.array([-r, r])
         _check_row_spans(a, u, r, a[2], ball)
         _check_row_spans(a, u, r, a[2] + u[2], ball + u[1])
+
+
+def _full_row_spans(r, py, z, a, u):
+    """The closed form of `_segment_row_spans` with every term, over (m, 3)
+    rows a and u: end-ball chords, cylinder chord and strip clip."""
+    ax, ux, uy, uz = a[:, 0], u[:, 0], u[:, 1], u[:, 2]
+    dy = py - a[:, 1]
+    dz = z - a[:, 2]
+    rr = r * r
+    lo = np.full(len(ax), np.inf)
+    hi = np.full(len(ax), -np.inf)
+    for cx, ey, ez in ((ax, dy, dz), (ax + ux, dy - uy, dz - uz)):
+        q = rr - ey * ey - ez * ez
+        half = np.sqrt(np.maximum(q, 0.0))
+        lo = np.where(q >= 0.0, np.minimum(lo, cx - half), lo)
+        hi = np.where(q >= 0.0, np.maximum(hi, cx + half), hi)
+    area = uy * uy + uz * uz
+    l2 = area + ux * ux
+    m = dy * uy + dz * uz
+    c = dy * uz - dz * uy
+    e = area * rr - c * c
+    root = np.sqrt(l2 * np.maximum(e, 0.0))
+    flat = area == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_lo = np.where(flat, -np.inf, (ux * m - root) / area)
+        x_hi = np.where(flat, np.inf, (ux * m + root) / area)
+        s_lo, s_hi = -m / ux, (l2 - m) / ux
+    inside = np.where(flat, dy * dy + dz * dz <= rr, e >= 0.0)
+    whole = (m <= 0.0) & (l2 - m >= 0.0)
+    t_lo = np.where(ux == 0.0, np.where(whole, -np.inf, np.inf), np.where(ux > 0.0, s_lo, s_hi))
+    t_hi = np.where(ux == 0.0, np.where(whole, np.inf, -np.inf), np.where(ux > 0.0, s_hi, s_lo))
+    x_lo = ax + np.maximum(x_lo, t_lo)
+    x_hi = ax + np.minimum(x_hi, t_hi)
+    band = inside & (l2 > 0.0) & (x_lo <= x_hi)
+    return np.where(band, np.minimum(lo, x_lo), lo), np.where(band, np.maximum(hi, x_hi), hi)
+
+
+@pytest.mark.parametrize("kind", ["rising", "falling", "planar", "mixed"])
+def test_segment_row_spans_equal_the_full_formula(kind):
+    # u_z > 0, u_z < 0 (planes clear of the ends, so the cylinder-only
+    # shortcut, and planes through the end balls), u_z = 0, and calls that
+    # mix the signs: bit-equal to every term of the closed form
+    rng = np.random.default_rng(["rising", "falling", "planar", "mixed"].index(kind))
+    slack = 1e-9
+    shortcuts = 0
+    for trial in range(200):
+        n = int(rng.integers(2, 80))
+        a = rng.uniform(-1.0, 1.0, size=(n, 3))
+        u = rng.uniform(-1.0, 1.0, size=(n, 3))
+        r = float(rng.uniform(0.01, 0.2))
+        if kind == "planar":
+            u[:, 2] = 0.0
+            u[rng.random(n) < 0.2, 1] = 0.0  # some segments along the rows
+            z = float(rng.uniform(-0.3, 0.3))
+        else:
+            sign = {"rising": 1.0, "falling": -1.0}.get(kind) or np.resize([1.0, -1.0], n)
+            u[:, 2] = sign * rng.uniform(0.5, 1.5, size=n)
+            a[:, 2] = 0.0
+            # every other call has its plane in the middle of every segment
+            z = float(rng.uniform(-0.2, 0.2) if trial % 2 else np.sign(u[0, 2]) * rng.uniform(0.25, 0.35))
+        radii = np.array([[r + slack], [r - slack]])
+        py = a[:, 1] + rng.uniform(-r, r, size=n) + rng.uniform(0.0, 1.0, size=n) * u[:, 1]
+        got = _segment_row_spans(radii, py, z, a.T.copy(), u.T.copy())
+        want = _full_row_spans(radii, py, z, a, u)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (kind, trial)
+        clear = _clear_of_ends(radii, z - a[:, 2], u[:, 2])
+        assert not (clear and kind in ("planar", "mixed"))
+        shortcuts += clear
+    if kind in ("rising", "falling"):
+        assert shortcuts >= 50
+
+
+def test_clear_of_ends_keeps_a_margin():
+    # planes within rounding of an end ball's reach take every term
+    r = np.array([[0.06 + 1e-9], [0.06 - 1e-9]])
+    r_out = float(r.max())
+    uz = np.full(4, 1.0)
+    for dz in (r_out, np.nextafter(r_out, 1.0), 1.0 - r_out, np.nextafter(1.0 - r_out, 0.0)):
+        for sign in (1.0, -1.0):
+            assert not _clear_of_ends(r, np.full(4, sign * dz), sign * uz)
+    assert _clear_of_ends(r, np.full(4, 0.5), uz)
+    assert _clear_of_ends(r, np.full(4, -0.5), -uz)
+    assert not _clear_of_ends(r, np.full(4, 0.5), np.zeros(4))
+    assert not _clear_of_ends(r, np.zeros(0), np.zeros(0))
+
+
+def test_planar_masks_never_take_the_shortcut(monkeypatch):
+    import kakeya_lab.gridding as gridding
+
+    seen = []
+    real = gridding._clear_of_ends
+
+    def spy(r, dz, uz):
+        seen.append(real(r, dz, uz))
+        return seen[-1]
+
+    monkeypatch.setattr(gridding, "_clear_of_ends", spy)
+    m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=1)
+    loop = slice_loop(m, 0.5, sample_sphere(1, 512))
+    grid = grid_over(loop.vertices, 0.02, pad=0.3)
+    for tol in (0.01, 0.06, 0.3):
+        mark_near_polyline(grid, loop.vertices, tol)
+        near_polyline_runs(grid, loop.vertices, tol)
+    assert seen and not any(seen)
 
 
 def _assert_merges(nx, ny, rows, starts, stops):

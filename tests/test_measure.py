@@ -279,13 +279,63 @@ def test_tube_union_matches_brute_force_tilted(ratio):
     _assert_tube_marks_equal(fam, 0.04 / ratio, _brute_tube_marks)
 
 
+@pytest.mark.parametrize("ratio", [4, 16])
+def test_tube_union_counts_runs_layer_by_layer(ratio, monkeypatch):
+    # each layer's merged run length equals its plane count, on the layers
+    # clear of the tube ends and on those next to them (z near delta and
+    # 1 - delta, where the spans switch between the cylinder-only shortcut
+    # and every term)
+    import kakeya_lab.gridding as gridding
+    import kakeya_lab.measure as measure
+
+    if ratio == 4:
+        fam = build_tube_family(make_map("lacunary_fourier", alpha=0.8, terms=10, seed=3), 0.1)
+    else:
+        net = np.array([[0.69, 0.7], [-0.98, 0.1], [0.05, -0.97], [0.3, 0.2], [0.0, 0.0]])
+        centers = np.array([[0.0, 0.0], [0.4, -0.1], [-0.2, 0.5], [0.1, 0.1], [0.3, 0.3]])
+        fam = TubeFamily(0.08, net, centers, 3)
+    h = fam.delta / ratio
+    planes = [int(np.count_nonzero(mask)) for mask in _tube_layer_masks(fam, h)]
+    counted = []
+    decided = []
+    real_runs, real_clear = measure.scanline_runs, gridding._clear_of_ends
+
+    def clear_of_ends(*args):
+        decided.append(real_clear(*args))
+        return decided[-1]
+
+    def per_layer(*args):
+        decided.clear()
+        runs = real_runs(*args)
+        _, starts, stops = gridding.accepted_runs(args[0], runs)
+        # (height, the spans took the shortcut, cells)
+        counted.append((args[5], all(decided), int(np.sum(stops - starts))))
+        return runs
+
+    monkeypatch.setattr(gridding, "_clear_of_ends", clear_of_ends)
+    monkeypatch.setattr(measure, "scanline_runs", per_layer)
+    total = tube_union_volume(fam, h).cells_hit
+    assert [c for _, _, c in counted] == planes
+    assert total == sum(planes)
+    z = np.array([z for z, _, _ in counted])
+    clear = np.array([c for _, c, _ in counted])
+    assert clear.any() and not clear.all()
+    # the shortcut switches on near delta and off near 1 - delta; the two
+    # layers on either side of each switch lie within h of it and hold cells
+    edges = np.flatnonzero(clear[1:] != clear[:-1])
+    assert len(edges) == 2
+    for k, end in zip(edges, (fam.delta, 1.0 - fam.delta)):
+        assert abs(z[k] - end) <= h and abs(z[k + 1] - end) <= h
+        assert planes[k] > 0 and planes[k + 1] > 0
+
+
 def test_tube_union_refuses_oversized_work(monkeypatch):
     import kakeya_lab.measure as measure
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran before the work preflight")
 
-    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
     fam = build_tube_family(make_map("zero"), 0.05)
     with pytest.raises(ValueError, match="larger h"):
         tube_union_volume(fam, 0.00001)
@@ -298,7 +348,7 @@ def test_tube_union_refuses_oversized_planes(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran before the work preflight")
 
-    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
     monkeypatch.setattr(measure, "MAX_TUBE_CELLS", 1e4)
     fam = TubeFamily(0.05, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), 3)
     with pytest.raises(ValueError, match="larger h"):
@@ -313,7 +363,7 @@ def test_lipschitz_experiment_checks_every_family_first(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("a union ran before every family's work preflight")
 
-    monkeypatch.setattr(measure, "scanline_mask", no_kernel)
+    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
     monkeypatch.setattr(measure, "MAX_TUBE_CELLS", 1.3e8)
     m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=21)
     with pytest.raises(ValueError, match="larger h"):
