@@ -355,10 +355,27 @@ def _cmd_moll(args) -> list[Path]:
     ]
 
 
+# Vertex pairs of one seminorm's dense double sum above which `regularity
+# --theta-p` is refused.  One sum took 1.7 s at --mesh 4096 and 22.7 s at
+# 16384 on a 2-core host; --mesh goes up to 2^20, about a day per seminorm.
+MAX_SEMINORM_PAIRS = 8192**2
+
+
 def _cmd_regularity(args) -> list[Path]:
     _check_range("--mesh", args.mesh, 64, 1 << 20)
     _require_n3(args, "regularity")
     pmap = _map_from_args(args)
+    pairs = []
+    for pair in (args.theta_p or "").split(";"):
+        if not pair:
+            continue
+        theta, p = _float_list("--theta-p", pair, 2)
+        _check_range("--theta-p", theta, 0.0, 1.0, lo_open=True, hi_open=True)
+        _check_range("--theta-p", p, 1.0, np.inf)
+        pairs.append((theta, p))
+    if pairs and args.mesh**2 > MAX_SEMINORM_PAIRS:
+        _fail("--mesh", f"--mesh {args.mesh} needs {args.mesh**2} vertex pairs per seminorm, over "
+                        f"{MAX_SEMINORM_PAIRS}; use a smaller mesh")
     mesh = _mesh_for(args, args.n)
     rep = holder_estimate(pmap)
     results = {
@@ -366,16 +383,11 @@ def _cmd_regularity(args) -> list[Path]:
         "holder_constant": rep.holder_constant_estimate,
         "degenerate": rep.degenerate,
         "fit_diagnostics": rep.fit_diagnostics,
-        "slobodeckij": [],
+        "slobodeckij": [
+            {"theta": theta, "p": p, "seminorm": slobodeckij_seminorm(pmap, theta, p, mesh)}
+            for theta, p in pairs
+        ],
     }
-    for pair in (args.theta_p or "").split(";"):
-        if not pair:
-            continue
-        theta, p = _float_list("--theta-p", pair, 2)
-        _check_range("--theta-p", theta, 0.0, 1.0, lo_open=True, hi_open=True)
-        _check_range("--theta-p", p, 1.0, np.inf)
-        value = slobodeckij_seminorm(pmap, theta, p, mesh)
-        results["slobodeckij"].append({"theta": theta, "p": p, "seminorm": value})
     return [
         rpt.write_json_report(
             Path(args.out), "regularity",

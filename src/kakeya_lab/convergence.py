@@ -4,7 +4,10 @@ collar/exterior split of the total winding integral across mollification
 scales.
 
 All grids here are anchored to the raw (unmollified) loop of each slice, so
-fields at different mollification scales are compared cell for cell.
+fields at different mollification scales are compared cell for cell.  The
+totals, collar sums, collar areas and agreement counts are exact integers
+from the fields' row crossings and merged runs (`WindingField`); no plane
+is built.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridding import grid_over, mark_near_polyline
+from .gridding import grid_over, mark_near_polyline, run_cells, union_runs
 from .maps import PositionMap, RegularityReport, holder_estimate
 from .slices import loop_area, slice_loop
 from .smoothing import mollify_on_sphere
 from .sphere import SphereMesh
-from .winding import MAX_FIELD_SIDE, winding_field
+from .winding import _NO_RUNS, MAX_FIELD_SIDE, WindingField, winding_field
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,23 @@ def _collar_radius(
     return H * epsilon**exponent, regularity
 
 
+def _collar_runs(grid, loop, collar: float):
+    """The cells within the collar radius of the loop, as merged runs."""
+    return mark_near_polyline(grid, loop.vertices, collar) if collar > 0.0 else _NO_RUNS
+
+
+def _agreement(f_a: WindingField, f_b: WindingField, *outside) -> tuple[int, int]:
+    """The cells unmasked in both fields and outside the runs `outside`, and
+    how many of them hold the same winding in both: the cells left out of
+    the union of the masks and `outside`, and those left out of that union
+    with the cells where the windings differ."""
+    shape = f_a.grid.shape
+    dropped = union_runs(shape, f_a.runs, f_b.runs, *outside)
+    differing = union_runs(shape, dropped, f_a.differs(f_b))
+    n = f_a.grid.n_cells
+    return n - run_cells(dropped), n - run_cells(differing)
+
+
 @dataclass(frozen=True)
 class AgreementStats:
     compared_cells: int
@@ -110,28 +130,11 @@ def winding_agreement(
     grid = grid_over(both, h, pad=max(2.0 * h, 0.1, collar))
     f_raw = winding_field(loop_raw, h, grid=grid)
     f_eps = winding_field(loop_eps, h, grid=grid)
-    in_collar = (
-        mark_near_polyline(grid, loop_raw.vertices, collar)
-        if collar > 0.0
-        else np.zeros(grid.shape, dtype=bool)
-    )
-    comparable = ~(f_raw.mask | f_eps.mask | in_collar)
-    mism = int(np.sum(f_raw.values[comparable] != f_eps.values[comparable]))
-    compared = int(comparable.sum())
-    total_unmasked = int((~(f_raw.mask | f_eps.mask)).sum())
-    agree_all = int(
-        np.sum(
-            f_raw.values[~(f_raw.mask | f_eps.mask)]
-            == f_eps.values[~(f_raw.mask | f_eps.mask)]
-        )
-    )
-    return AgreementStats(
-        compared,
-        int(in_collar.sum()),
-        mism,
-        collar,
-        agree_all / max(total_unmasked, 1),
-    )
+    in_collar = _collar_runs(grid, loop_raw, collar)
+    compared, agreeing = _agreement(f_raw, f_eps, in_collar)
+    total_unmasked, agree_all = _agreement(f_raw, f_eps)
+    return AgreementStats(compared, run_cells(in_collar), compared - agreeing, collar,
+                          agree_all / max(total_unmasked, 1))
 
 
 @dataclass
@@ -200,19 +203,14 @@ def convergence_split(
         for k, (collar, smooth) in enumerate(zip(collars, smooths)):
             lp = slice_loop(pmap, t, mesh, samples=smooth)
             f_eps = winding_field(lp, h, grid=grid)
-            in_collar = (
-                mark_near_polyline(grid, raw_loop.vertices, collar)
-                if collar > 0.0
-                else np.zeros(grid.shape, dtype=bool)
-            )
-            vals = np.where(f_eps.mask, 0, f_eps.values)
-            total_part[k][i] = vals.sum() * cell
-            collar_part[k][i] = vals[in_collar].sum() * cell
-            collar_area[k][i] = in_collar.sum() * cell
+            in_collar = _collar_runs(grid, raw_loop, collar)
+            total_part[k][i] = f_eps.unmasked_sum() * cell
+            collar_part[k][i] = f_eps.unmasked_sum(within=in_collar) * cell
+            collar_area[k][i] = run_cells(in_collar) * cell
             max_area[k] = max(max_area[k], loop_area(lp))
-            both = ~(f_eps.mask | f_raw.mask)
-            unmasked_cells[k] += int(both.sum())
-            agree_cells[k] += int(np.sum(f_eps.values[both] == f_raw.values[both]))
+            unmasked, agreeing = _agreement(f_eps, f_raw)
+            unmasked_cells[k] += unmasked
+            agree_cells[k] += agreeing
     totals, i1s, i2s, bounds, agree = [], [], [], [], []
     for k in range(len(epsilons)):
         total = float(np.trapezoid(total_part[k], t_grid))

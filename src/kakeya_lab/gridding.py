@@ -8,16 +8,19 @@ Every "which points lie within r of a segment" question of the package is
 asked here, of segments a -> a + u in R^3 (planar data in z = 0), with one
 exact test, `_near`: the scanline runs of `scanline_runs` (near-loop masks,
 and `measure`'s tube layers) and the boundary checks of
-`points_near_polyline`.  Runs become a plane in `scanline_mask` or disjoint
-sorted runs in `accepted_runs` (`merged_runs`).  Where every plane of a call
-is clear of its segments' end balls (tube layers away from the tube ends),
-a row's span is the cylinder's chord alone (`_clear_of_ends`).  A near-loop
-mask wider than a few segment lengths (a collar) first tests chains of
-consecutive segments against two disks each (`_chain_pairs`, after Barill et
-al., "Fast winding numbers for soups and clouds", SIGGRAPH 2018), and solves
-exact segment spans only where a chain reaches past the cells already
-certain, at the mask's edge.  The row engine `_row_span_sums` fills the
-planes, and also sums the signed crossing spans of the grid winding field.
+`points_near_polyline`.  Runs become disjoint sorted runs in
+`accepted_runs` (`merged_runs`); no (nx, ny) array is built.  Where every
+plane of a call is clear of its segments' end balls (tube layers away from
+the tube ends), a row's span is the cylinder's chord alone
+(`_clear_of_ends`).  A near-loop mask wider than a few segment lengths (a
+collar) first tests chains of consecutive segments against two disks each
+(`_chain_pairs`, after Barill et al., "Fast winding numbers for soups and
+clouds", SIGGRAPH 2018), and solves exact segment spans only where a chain
+reaches past the cells already certain, at the mask's edge.
+
+Runs live on one packed line, cell (i, j) at j (nx + 1) + i, with column nx
+of each row a padding cell; there `line_sums` sums a piecewise-constant
+function (the rows of a grid winding field) over runs.
 """
 
 from __future__ import annotations
@@ -108,16 +111,6 @@ def _near(P: np.ndarray, a: np.ndarray, u: np.ndarray, r: float) -> np.ndarray:
     t = np.clip(np.einsum("kd,kd->k", rel, u) / uu, 0.0, 1.0)
     rel -= t[:, None] * u
     return np.einsum("kd,kd->k", rel, rel) <= r * r
-
-
-def _row_span_sums(shape, rows, starts, stops, weights=None) -> np.ndarray:
-    """Per-cell sum of the weights (default 1: integer counts) of the spans
-    covering it; span k is cells [starts[k], stops[k]) of row rows[k], with
-    0 <= start and stop <= nx, filled through a per-row difference array."""
-    nx, ny = shape
-    n = (nx + 1) * ny
-    diff = np.bincount(starts * ny + rows, weights, n) - np.bincount(stops * ny + rows, weights, n)
-    return np.cumsum(diff.reshape(nx + 1, ny), axis=0)[:nx]
 
 
 def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,19 +262,11 @@ def scanline_runs(shape, origin, h, j0, j1, z, a, u, r):
     accepts it.  The cost is proportional to the (segment, row) pairs; they
     are handled in chunks of _PAIR_CHUNK.
     """
-    return _scanline(shape, origin, h, j0, j1, z, a, u, r, plane=False)
+    return _scanline(shape, origin, h, j0, j1, z, a, u, r)
 
 
-def scanline_mask(shape, origin, h, j0, j1, z, a, u, r) -> np.ndarray:
-    """Boolean (nx, ny) field of the cells that `scanline_runs` accepts: the
-    filled spans through the per-row difference array of `_row_span_sums`,
-    then the exact-test cells by index assignment."""
-    return _scanline(shape, origin, h, j0, j1, z, a, u, r, plane=True)
-
-
-def _scanline(shape, origin, h, j0, j1, z, a, u, r, plane: bool, chain: int = 1):
-    """The loop of `scanline_runs`, returning its runs, or with plane=True
-    the field of `scanline_mask`.  With chain > 1 the segments must be the
+def _scanline(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
+    """The loop of `scanline_runs`.  With chain > 1 the segments must be the
     consecutive segments of a polyline, and the (segment, row) pairs that
     the loop takes are first pruned by `_chain_pairs`; the cells accepted
     are the same."""
@@ -333,16 +318,8 @@ def _scanline(shape, origin, h, j0, j1, z, a, u, r, plane: bool, chain: int = 1)
         seg = k[pair]
         hit = _near(P, a[seg], u[seg], r)
         exact.append((j[pair[hit]], i[hit]))
-    rows, starts, stops = (np.concatenate(x) for x in zip(*fills))
-    if not plane:
-        return (rows, starts, stops), tuple(np.concatenate(x) for x in zip(*exact))
-    # The plane is filled here, in the loop's frame, while the last chunk's
-    # arrays are alive: filled after they were freed, a plane let glibc trim
-    # the heap top and fault it in again on the next call (measured on
-    # planes built once per tube layer).
-    mask = _row_span_sums(shape, rows, starts, stops) > 0
-    mask.reshape(-1)[np.concatenate([i * ny + j for j, i in exact])] = True
-    return mask
+    spans = tuple(np.concatenate(x) for x in zip(*fills))
+    return spans, tuple(np.concatenate(x) for x in zip(*exact))
 
 
 def _segment_pairs(j0, rows):
@@ -459,19 +436,43 @@ def merged_runs(nx: int, ny: int, rows, starts, stops) -> tuple[np.ndarray, np.n
     return row, start[opens], last[closes] - row * width
 
 
+def union_runs(shape, *runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The disjoint sorted runs of `merged_runs` covering the cells of every
+    set of runs (rows, starts, stops) given."""
+    return merged_runs(*shape, *(np.concatenate(x) for x in zip(*runs)))
+
+
+def run_cells(runs) -> int:
+    """The cell count of disjoint runs (rows, starts, stops)."""
+    _, starts, stops = runs
+    return int(np.sum(stops - starts))
+
+
+def line_sums(at, level, first, last) -> int:
+    """Exact sum over the cells [first[r], last[r]) of the packed line (cell
+    (i, j) at j (nx + 1) + i, as in `merged_runs`) of the integer function
+    that is level[m] on [at[m], at[m + 1]) and 0 before at[0] (at sorted,
+    repeats allowed).  The sum over [0, x) is the sum up to the last step at
+    or before x, plus that step's level times the distance to it."""
+    area = np.zeros(len(at) + 1, dtype=np.int64)
+    np.cumsum(level[:-1] * np.diff(at), out=area[2:])
+    ends = np.concatenate([first, last])
+    m = np.searchsorted(at, ends, side="right")
+    below = area[m] + np.r_[0, level][m] * (ends - np.r_[0, at][m])
+    return int(below[len(first):].sum() - below[:len(first)].sum())
+
+
 def accepted_runs(shape, runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells of the runs `scanline_runs` returns, filled spans and
     exact-test cells together, as the disjoint sorted runs of `merged_runs`."""
-    (rows, starts, stops), (cell_rows, cell_cols) = runs
-    return merged_runs(*shape, np.concatenate([rows, cell_rows]),
-                       np.concatenate([starts, cell_cols]), np.concatenate([stops, cell_cols + 1]))
+    spans, (cell_rows, cell_cols) = runs
+    return union_runs(shape, spans, (cell_rows, cell_cols, cell_cols + 1))
 
 
-def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, plane: bool, chain: int | None = None):
-    """`_scanline` over a closed polyline's segments in the plane z = 0 at
-    radius tol, in chains of `chain` segments.  By default a chain has arc
-    length about tol/4, so below a few segment lengths every chain is one
-    segment and nothing is pruned."""
+def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, chain: int | None = None):
+    """`mark_near_polyline` with the pairs pruned in chains of `chain`
+    segments.  By default a chain has arc length about tol/4, so below a few
+    segment lengths every chain is one segment and nothing is pruned."""
     a, u, y0, y1 = _segments(vertices)
     oy, ny = grid.origin[1], grid.shape[1]
     j0 = _cell_index(y0 - tol, oy, grid.h, ny, np.floor)
@@ -479,20 +480,15 @@ def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, plane: bool
     if chain is None:
         arc = float(np.sqrt(np.einsum("kd,kd->k", u, u)).sum())
         chain = len(u) if 4.0 * arc <= tol else max(1, int(tol * len(u) / (4.0 * arc)))
-    return _scanline(grid.shape, grid.origin, grid.h, j0, j1, 0.0, a, u, tol, plane, chain)
+    return accepted_runs(grid.shape, _scanline(grid.shape, grid.origin, grid.h, j0, j1, 0.0, a, u, tol, chain))
 
 
-def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean field over grid cells whose center is within tol of the closed
-    polyline: the field `scanline_mask` gives for its segments in the plane
-    z = 0, with the pairs pruned chain by chain (`_chain_pairs`)."""
-    return _near_polyline(grid, vertices, tol, plane=True)
-
-
-def near_polyline_runs(grid: CellGrid, vertices: np.ndarray, tol: float):
-    """The cells of `mark_near_polyline` as the disjoint sorted runs
-    (rows, starts, stops) of `merged_runs`; no plane is built."""
-    return accepted_runs(grid.shape, _near_polyline(grid, vertices, tol, plane=False))
+def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float):
+    """The grid cells whose center is within tol of the closed polyline, as
+    the disjoint sorted runs (rows, starts, stops) of `merged_runs`: the
+    cells `scanline_runs` accepts for its segments in the plane z = 0, with
+    the pairs pruned chain by chain (`_chain_pairs`)."""
+    return _near_polyline(grid, vertices, tol)
 
 
 def points_near_polyline(points: np.ndarray, vertices: np.ndarray, tol: float) -> bool:

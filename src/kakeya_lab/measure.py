@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridding import _cell_index, accepted_runs, scanline_mask, scanline_runs
+from .gridding import _cell_index, accepted_runs, run_cells, scanline_runs
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
 # Parameter samples per axis (m + 1) that rasterize_image_measure may lay out;
@@ -217,9 +217,9 @@ def tube_grid(family: TubeFamily, h: float) -> tuple[np.ndarray, np.ndarray, np.
 
 def _tube_layers(family: TubeFamily, h: float):
     """Yield, layer by layer in height, the arguments of the scanline kernel
-    (`gridding.scanline_runs`, `scanline_mask`) for the cells of the layer
-    whose center is within delta of a core segment.  Raises before the first
-    layer as `tube_grid` does.
+    `gridding.scanline_runs` for the cells of the layer whose center is
+    within delta of a core segment.  Raises before the first layer as
+    `tube_grid` does.
 
     Each tube gets the rows whose center lies within its reach of
     yc = c_y + clip(z, 0, 1) v_y, widened far above rounding.  No other row
@@ -241,15 +241,6 @@ def _tube_layers(family: TubeFamily, h: float):
         yield tuple(dims[:2]), lo[:2], h, j0, j1, z, a3, u3, family.delta
 
 
-def _tube_layer_masks(family: TubeFamily, h: float):
-    """Yield, layer by layer in height, the boolean (nx, ny) field of the grid
-    cells whose center is within delta of a core segment, by
-    `gridding.scanline_mask` (exact: see there); the reference of the counts
-    of `tube_union_volume`."""
-    for args in _tube_layers(family, h):
-        yield scanline_mask(*args)
-
-
 def tube_union_volume(family: TubeFamily, h: float) -> MeasureEstimate:
     """Grid volume of the union of delta-tubes around the core segments: the
     count of cells whose center is within delta of a segment, times h^3.
@@ -257,8 +248,7 @@ def tube_union_volume(family: TubeFamily, h: float) -> MeasureEstimate:
     `gridding.scanline_runs` (`accepted_runs`); no plane is built."""
     hits = 0
     for args in _tube_layers(family, h):
-        _, starts, stops = accepted_runs(args[0], scanline_runs(*args))
-        hits += int(np.sum(stops - starts))
+        hits += run_cells(accepted_runs(args[0], scanline_runs(*args)))
     return MeasureEstimate(hits * h**3, float(h), hits, "tube_union")
 
 

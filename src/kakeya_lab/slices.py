@@ -5,6 +5,8 @@ The signed volume of a slice is computed either from the boundary
 (shoelace / divergence form, exact for the polyline) or by summing the
 winding field over a grid; the two are independent evaluations of the same
 identity and their agreement is one of the package's core cross-checks.
+The grid sums (signed volume, isoperimetric norm, neighborhood measure)
+read row crossings and merged runs; no (nx, ny) plane is built.
 
 With the counterclockwise orientation convention the signed volume of any
 slice of any map is a polynomial in the slice height whose leading
@@ -20,13 +22,11 @@ from math import gamma
 
 import numpy as np
 
-from .gridding import CellGrid, grid_over, mark_near_polyline, near_polyline_runs
+from .gridding import grid_over, mark_near_polyline, run_cells
 from .maps import PositionMap
 from .smoothing import Kernel, mollify_on_sphere
 from .sphere import SphereMesh
-from .winding import (
-    SliceLoop, WindingField, field_grid, make_slice_loop, row_crossings, winding_field,
-)
+from .winding import SliceLoop, WindingField, make_slice_loop, winding_field
 
 
 def unit_ball_volume(d: int) -> float:
@@ -80,46 +80,17 @@ class GridSignedVolume:
     grid_cells: int
 
 
-def signed_volume_grid(
-    loop: SliceLoop, h: float, field: WindingField | None = None
-) -> GridSignedVolume:
+def signed_volume_grid(loop: SliceLoop, h: float, field: WindingField | None = None) -> GridSignedVolume:
     """Winding-field signed volume; masked boundary cells contribute zero.
 
-    `field` is the loop's winding field at spacing h if the caller has it.
-    Without one, no plane is built: each crossing (j, k, sign) of
-    `row_crossings` adds its sign to cells [0, k) of row j, so the sum over
-    unmasked cells is the integer sum of sign (k - |M_j & [0, k)|), where
-    M_j is row j of the h/2 mask as the merged runs of `near_polyline_runs`.
-    The masked count is their length.  The integers are exact, so the result
-    equals the field's, bit for bit.
+    The exact integer sum of the loop's winding field at spacing h (`field`,
+    if the caller has it) over its unmasked cells, times the cell measure.
     """
     if loop.degenerate:
         return GridSignedVolume(0.0, 0, 0)
-    if field is not None:
-        return GridSignedVolume(field.signed_sum(), int(field.mask.sum()), field.grid.n_cells)
-    if loop.ambient_dim != 2:
-        raise ValueError("winding_field supports planar loops")
-    return _signed_volume_runs(loop.vertices, field_grid(loop, h))
-
-
-def _signed_volume_runs(vertices: np.ndarray, grid: CellGrid) -> GridSignedVolume:
-    """`signed_volume_grid` of a closed polyline over `grid`, from its
-    crossings and the merged runs of its h/2 mask."""
-    j, k, sign = row_crossings(vertices, grid)
-    rows, starts, stops = near_polyline_runs(grid, vertices, grid.h / 2.0)
-    # the runs on one line, cell (i, j) at j (nx + 1) + i, and the cells they cover below x
-    width = grid.shape[0] + 1
-    first = rows * width + starts
-    length = np.concatenate([[0], np.cumsum(stops - starts)])
-    end = np.concatenate([[0], first - starts + stops])
-
-    def covered(x):
-        i = np.searchsorted(first, x, side="right")
-        return length[i] - np.maximum(end[i] - x, 0)
-
-    masked = covered(j * width + k) - covered(j * width)
-    total = np.sum(sign * (k - masked))
-    return GridSignedVolume(float(total * grid.cell_measure), int(length[-1]), grid.n_cells)
+    field = winding_field(loop, h) if field is None else field
+    return GridSignedVolume(float(field.unmasked_sum() * field.grid.cell_measure), run_cells(field.runs),
+                            field.grid.n_cells)
 
 
 @dataclass
@@ -257,8 +228,7 @@ def neighborhood_measure(loop: SliceLoop, r: float, h: float) -> float:
     if h > r / 4.0:
         raise ValueError(f"grid spacing {h} too coarse for radius {r}; need h <= r/4")
     grid = grid_over(loop.vertices, h, r + 2.0 * h)
-    hit = mark_near_polyline(grid, loop.vertices, r)
-    return float(hit.sum() * grid.cell_measure)
+    return float(run_cells(mark_near_polyline(grid, loop.vertices, r)) * grid.cell_measure)
 
 
 @dataclass(frozen=True)
@@ -270,24 +240,21 @@ class IsoperimetricCheck:
     sharp_constant: float
 
 
-def isoperimetric_check(
-    loop: SliceLoop, h: float, field: WindingField | None = None
-) -> IsoperimetricCheck:
+def isoperimetric_check(loop: SliceLoop, h: float, field: WindingField | None = None) -> IsoperimetricCheck:
     """Winding-field norm against the loop area, with the planar sharp constant.
 
-    For planar loops the left side is the L^2 norm of the winding field and
-    the sharp comparison constant (attained by circles) is 1/sqrt(4 pi).
-    `field` is the loop's winding field at spacing h if the caller has it.
+    For planar loops the left side is the L^2 norm of the winding field at
+    spacing h (`field`, if the caller has it), from the exact integer sum of
+    w^2 over its unmasked cells, and the sharp comparison constant (attained
+    by circles) is 1/sqrt(4 pi).
     """
     area = loop_area(loop)
+    sharp = 1.0 / np.sqrt(4.0 * np.pi)
     if loop.degenerate:
-        return IsoperimetricCheck(0.0, area, 0.0, True, 1.0 / np.sqrt(4.0 * np.pi))
-    if loop.ambient_dim == 2:
-        if field is None:
-            field = winding_field(loop, h)
-        lhs = field.sum_measure(power=2.0) ** 0.5
-        sharp = 1.0 / np.sqrt(4.0 * np.pi)
-    else:
+        return IsoperimetricCheck(0.0, area, 0.0, True, sharp)
+    if loop.ambient_dim != 2:
         raise NotImplementedError("grid winding fields are planar-only")
+    field = winding_field(loop, h) if field is None else field
+    lhs = (field.unmasked_sum(power=2) * field.grid.cell_measure) ** 0.5
     ratio = lhs / area if area > 0 else 0.0
     return IsoperimetricCheck(lhs, area, ratio, bool(ratio <= sharp + 0.02), sharp)

@@ -10,11 +10,15 @@ Two independent planar algorithms are provided on purpose:
   irrational slope, retrying once with a second slope on a degenerate hit.
 
 `winding_field` evaluates the crossing count for every cell of the grid at
-once, through the per-row span engine of the near-loop mask (signed crossing
-counts, Hormann and Agathos, Comput. Geom. 2001); the volume and
-isoperimetric harnesses use it.  Cells too close to the loop are masked and
-carry no value.  The crossings themselves, one (row, cell, sign) each, come
-from `row_crossings`, which the grid signed volume sums without a field.
+once, run-length (signed crossing counts, Hormann and Agathos, "The point in
+polygon problem for arbitrary polygons", Comput. Geom. 2001): along a row
+of cell centers the winding changes only where the loop crosses the row, so
+a field is the sorted steps of `crossing_winding_rows` and the merged runs
+of its h/2 near-loop mask, on the packed line of `gridding.merged_runs`.
+Cells in the mask are too close to the loop and carry no value.  The signed
+volume, isoperimetric and convergence harnesses sum the field over runs
+(`WindingField.unmasked_sum`); (nx, ny) planes are rendered only on access
+to `values` and `mask`.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridding import (
-    CellGrid, _ranges, _row_span_sums, grid_over, mark_near_polyline, points_near_polyline,
+    CellGrid, _ranges, grid_over, line_sums, mark_near_polyline, points_near_polyline, union_runs,
 )
 from .pairs import WIDE_BUDGET, row_blocks, weighted_pair_sum
 from .sphere import SphereMesh
 
 RESIDUAL_LIMIT = 0.1
-# a winding field is a plane of values: callers refuse grids over MAX_FIELD_SIDE^2 cells
+# grids over MAX_FIELD_SIDE^2 cells are refused by `slice`, whose CSV renders
+# the field's planes, and by `convergence_split`
 MAX_FIELD_SIDE = 4096
 # tie-avoidance slopes for the crossing oracle
 _ORACLE_SLOPES = (0.0072973525693, 0.0137035999084)
@@ -186,34 +191,75 @@ def ray_crossing_oracle(
     raise ResidualError("degenerate ray crossings for both tie-avoidance slopes")
 
 
+_NO_RUNS = (np.zeros(0, dtype=np.int64),) * 3
+
+
 @dataclass(frozen=True)
 class WindingField:
-    """Integer winding per grid cell with a boundary mask."""
+    """Integer winding per grid cell with a boundary mask, run-length on the
+    packed line of `gridding.line_sums` (cell (i, j) at j (nx + 1) + i): the
+    winding as the sorted steps (at, level) of `crossing_winding_rows`, and
+    the mask (near the loop, where the winding is undefined) as merged runs
+    (rows, starts, stops).  `values` and `mask` render (nx, ny) planes."""
 
     grid: CellGrid
-    values: np.ndarray  # int64, 0 on masked cells
-    mask: np.ndarray  # True where winding is undefined (near the loop)
+    steps: tuple[np.ndarray, np.ndarray]
+    runs: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
-    def unmasked_values(self) -> np.ndarray:
-        return self.values[~self.mask]
+    def values(self) -> np.ndarray:  # int64, 0 on masked cells
+        return np.where(self.mask, 0, self._render(*self.steps))
 
-    def sum_measure(self, power: float = 1.0) -> float:
-        """Sum of |wind|^power over unmasked cells times the cell measure."""
-        vals = np.abs(self.unmasked_values).astype(float)
-        return float(np.sum(vals**power) * self.grid.cell_measure)
+    @property
+    def mask(self) -> np.ndarray:
+        ends = np.stack(self._packed(self.runs), axis=1).ravel()
+        return self._render(ends, np.tile([1, 0], len(self.runs[0]))).astype(bool)
 
-    def signed_sum(self) -> float:
-        return float(np.sum(np.where(self.mask, 0, self.values)) * self.grid.cell_measure)
+    def _packed(self, runs):
+        rows, starts, stops = runs
+        row = rows * (self.grid.shape[0] + 1)
+        return row + starts, row + stops
+
+    def _render(self, at, level) -> np.ndarray:
+        nx, ny = self.grid.shape
+        line = np.repeat(np.r_[0, level], np.diff(np.r_[0, at, ny * (nx + 1)]))
+        return np.ascontiguousarray(line.reshape(ny, nx + 1)[:, :nx].T)
+
+    def unmasked_sum(self, power: int = 1, within=None) -> int:
+        """Exact sum of w^power over the unmasked cells, of the runs `within`
+        if given: the sum over all cells, or over the union of `within` and
+        the mask, less the sum over the mask."""
+        at, level = self.steps[0], self.steps[1] ** power
+        nx, ny = self.grid.shape
+        whole = ([0], [ny * (nx + 1)])
+        cover = whole if within is None else self._packed(union_runs((nx, ny), within, self.runs))
+        return line_sums(at, level, *cover) - line_sums(at, level, *self._packed(self.runs))
+
+    def differs(self, other: WindingField):
+        """The cells where the two fields' windings differ, masks ignored, as
+        runs: where the difference of their steps is not 0.  It is 0 on every
+        row's padding cell, so no run leaves its row."""
+        at = np.concatenate([self.steps[0], other.steps[0]])
+        order = np.argsort(at, kind="stable")
+        at = at[order]
+        step = np.concatenate([np.diff(self.steps[1], prepend=0), -np.diff(other.steps[1], prepend=0)])
+        level = np.cumsum(step[order])
+        keep = (level[:-1] != 0) & (at[1:] > at[:-1])
+        rows, start = np.divmod(at[:-1][keep], self.grid.shape[0] + 1)
+        return rows, start, start + np.diff(at)[keep]
 
 
-def row_crossings(vertices: np.ndarray, grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every crossing of the closed polyline with a row of cell centers:
-    its row j, the first cell k right of the intercept, and its sign
-    (+1 upward, -1 downward, int64).
+def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Winding at every cell center, the signed count of crossings to its
+    right, as sorted steps (at, level) on the packed line of `line_sums`.
 
     A segment crosses the rows with center y in [min(ay, by), max(ay, by)),
-    half-open so a shared vertex counts once.
+    half-open so a shared vertex counts once: where one end is at or below
+    y and the other above.  So a closed loop crosses each row as often
+    upward (+1) as downward (-1), and the winding at a cell, the sum of the
+    signs to its right, is minus the sum of those at or left of it.  A
+    crossing of row j whose first cell right of the intercept is k is a
+    step of -sign at j (nx + 1) + k, and each row's padding cell is 0.
     """
     v = vertices
     w = np.roll(v, -1, axis=0)
@@ -224,17 +270,9 @@ def row_crossings(vertices: np.ndarray, grid: CellGrid) -> tuple[np.ndarray, np.
     a, b = v[seg], w[seg]
     frac = (ys[j] - a[:, 1]) / (b[:, 1] - a[:, 1])
     xint = a[:, 0] + frac * (b[:, 0] - a[:, 0])
-    k = np.searchsorted(grid.axis_centers(0), xint, side="left")
-    return j, k, np.where(b[:, 1] > a[:, 1], 1, -1)
-
-
-def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> np.ndarray:
-    """Winding at every cell center: the signed count of crossings to its
-    right.  Each crossing (j, k, sign) of `row_crossings` adds its sign to
-    cells [0, k) of row j."""
-    j, k, sign = row_crossings(vertices, grid)
-    # float sums of +-1 are exact integers
-    return _row_span_sums(grid.shape, j, np.zeros_like(k), k, sign).astype(np.int64)
+    at = j * (grid.shape[0] + 1) + np.searchsorted(grid.axis_centers(0), xint, side="left")
+    order = np.argsort(at, kind="stable")
+    return at[order], np.cumsum(np.where(b[:, 1] > a[:, 1], -1, 1)[order])
 
 
 def field_grid(loop: SliceLoop, h: float, pad: float | None = None) -> CellGrid:
@@ -256,12 +294,9 @@ def winding_field(
     if grid is None:
         grid = field_grid(loop, h, pad)
     if loop.degenerate:
-        shape = grid.shape
-        return WindingField(grid, np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool))
-    values = crossing_winding_rows(loop.vertices, grid)
-    mask = mark_near_polyline(grid, loop.vertices, grid.h / 2.0)
-    values = np.where(mask, 0, values)
-    return WindingField(grid, values, mask)
+        return WindingField(grid, _NO_RUNS[:2], _NO_RUNS)
+    return WindingField(grid, crossing_winding_rows(loop.vertices, grid),
+                        mark_near_polyline(grid, loop.vertices, grid.h / 2.0))
 
 
 def generalized_winding_3d(loop: SliceLoop, points, tol_boundary: float = 1e-9):

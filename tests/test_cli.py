@@ -296,6 +296,29 @@ def test_regularity_malformed_theta_p_names_flag(tmp_path, capsys, theta_p):
     assert _flag_of_failure(code, capsys) == "--theta-p"
 
 
+def test_regularity_oversized_mesh_names_mesh(tmp_path, capsys, monkeypatch):
+    import kakeya_lab.cli as cli
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("reached past the seminorm work cap")
+
+    monkeypatch.setattr(cli, "slobodeckij_seminorm", no_kernel)
+    monkeypatch.setattr(cli, "sample_sphere", no_kernel)
+    assert cli.MAX_SEMINORM_PAIRS == 8192**2
+    for mesh in (8193, 16384, 1 << 20):
+        code = run_cli(["regularity", "--mesh", mesh, "--theta-p", "0.25,2;0.5,3",
+                        "--out", tmp_path / "r.json"])
+        assert _flag_of_failure(code, capsys) == "--mesh"
+    # at the cap, and above it with no seminorm asked for, nothing is refused
+    monkeypatch.setattr(cli, "sample_sphere", sample_sphere)
+    seen = []
+    monkeypatch.setattr(cli, "slobodeckij_seminorm",
+                        lambda pmap, theta, p, mesh: seen.append(mesh.n_vertices) or 1.0)
+    assert run_cli(["regularity", "--mesh", 8192, "--theta-p", "0.25,2", "--out", tmp_path / "r.json"]) == 0
+    assert run_cli(["regularity", "--mesh", 16384, "--out", tmp_path / "r.json"]) == 0
+    assert seen == [8192]
+
+
 @pytest.mark.parametrize("epsilon", ["0.1,abc", "0.1,,0.05", "0.1,nan"])
 def test_moll_malformed_epsilon_names_flag(tmp_path, capsys, epsilon):
     code = run_cli(

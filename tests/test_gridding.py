@@ -9,7 +9,7 @@ import pytest
 import kakeya_lab
 from kakeya_lab.gridding import (
     _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _clear_of_ends, _near, _near_polyline,
-    _segment_row_spans, _segments, accepted_runs, grid_over, mark_near_polyline, merged_runs, near_polyline_runs,
+    _segment_row_spans, _segments, grid_over, mark_near_polyline, merged_runs,
 )
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
@@ -64,22 +64,19 @@ def _assert_disjoint_sorted(nx, ny, rows, starts, stops):
 
 
 def _assert_same(grid, vertices, tol, chains=(None,), want=None):
-    """The mask and runs of `mark_near_polyline` and `near_polyline_runs`
-    (chains None), or of the same kernel with `chain` segments a chain,
-    equal the reference loop's plane."""
+    """The runs of `mark_near_polyline` (chains None), or of the same kernel
+    with `chain` segments a chain, are disjoint and sorted, and their plane
+    equals the reference loop's; returns that plane."""
     if want is None:
         want = _reference_mark_near_polyline(grid, vertices, tol)
     for chain in chains:
         if chain is None:
-            got = mark_near_polyline(grid, vertices, tol)
-            runs = near_polyline_runs(grid, vertices, tol)
+            runs = mark_near_polyline(grid, vertices, tol)
         else:
-            got = _near_polyline(grid, vertices, tol, plane=True, chain=chain)
-            runs = accepted_runs(grid.shape, _near_polyline(grid, vertices, tol, plane=False, chain=chain))
-        assert got.dtype == bool and got.shape == grid.shape
-        assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ at tol {tol}, chain {chain}"
+            runs = _near_polyline(grid, vertices, tol, chain=chain)
         _assert_disjoint_sorted(*grid.shape, *runs)
-        assert np.array_equal(_runs_plane(grid.shape, *runs), want), f"chain {chain}"
+        got = _runs_plane(grid.shape, *runs)
+        assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ at tol {tol}, chain {chain}"
     return got
 
 
@@ -334,7 +331,6 @@ def test_planar_masks_never_take_the_shortcut(monkeypatch):
     grid = grid_over(loop.vertices, 0.02, pad=0.3)
     for tol in (0.01, 0.06, 0.3):
         mark_near_polyline(grid, loop.vertices, tol)
-        near_polyline_runs(grid, loop.vertices, tol)
     assert seen and not any(seen)
 
 
@@ -403,18 +399,21 @@ def test_chunk_edges_match_the_unique_form():
 
 
 def test_masks_and_tube_unions_do_not_import_numpy_ma():
-    # np.unique imports numpy.ma on its first call, which every mask paid for
+    # np.unique imports numpy.ma on its first call, which every mask paid for;
+    # the winding field's sums over runs must not bring it back
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from kakeya_lab import make_map\n"
-        "from kakeya_lab.gridding import grid_over, mark_near_polyline, near_polyline_runs\n"
+        "from kakeya_lab.gridding import grid_over, mark_near_polyline\n"
         "from kakeya_lab.measure import build_tube_family, tube_union_volume\n"
+        "from kakeya_lab.winding import make_slice_loop, winding_field\n"
         "v = np.stack([np.cos(np.arange(200) * 0.0314), np.sin(np.arange(200) * 0.0314)], axis=1)\n"
         "g = grid_over(v, 0.02, 0.3)\n"
         "for tol in (0.01, 0.5):\n"
         "    mark_near_polyline(g, v, tol)\n"
-        "    near_polyline_runs(g, v, tol)\n"
+        "f = winding_field(make_slice_loop(0.5, v), 0.02, grid=g)\n"
+        "f.unmasked_sum(), f.unmasked_sum(2, within=mark_near_polyline(g, v, 0.5)), f.differs(f)\n"
         "tube_union_volume(build_tube_family(make_map('lacunary_fourier', alpha=0.8, terms=6, seed=1), 0.1), 0.025)\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )

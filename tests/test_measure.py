@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from kakeya_lab.gridding import scanline_runs
 from kakeya_lab.maps import lipschitz_constant_on_net, make_map
 from kakeya_lab.measure import (
     TubeFamily,
-    _tube_layer_masks,
+    _tube_layers,
     build_tube_family,
     cone_coverage_check,
     line_kakeya_cover,
@@ -12,6 +13,8 @@ from kakeya_lab.measure import (
     rasterize_image_measure,
     tube_union_volume,
 )
+
+from test_gridding import _runs_plane
 
 
 def test_cone_measure_close_to_closed_form():
@@ -192,6 +195,16 @@ def _brute_tube_marks(family, h):
             layer |= np.einsum("kd,kd->k", dvec, dvec) <= delta * delta
         marked[:, :, iz] = layer.reshape(dims[0], dims[1])
     return marked
+
+
+def _tube_layer_masks(family, h):
+    """The boolean (nx, ny) plane of each tube layer: the filled spans and
+    exact-test cells of `scanline_runs`, painted cell by cell."""
+    for args in _tube_layers(family, h):
+        spans, (rows, cols) = scanline_runs(*args)
+        plane = _runs_plane(args[0], *spans)
+        plane[cols, rows] = True
+        yield plane
 
 
 def _scanline_marks(family, h):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from kakeya_lab.gridding import CellGrid
-from kakeya_lab.maps import make_map, parse_map_spec
+from kakeya_lab.convergence import _agreement, _collar_radius, _collar_runs
+from kakeya_lab.gridding import CellGrid, grid_over, run_cells
+from kakeya_lab.maps import holder_estimate, make_map, parse_map_spec
 from kakeya_lab.slices import (
+    GridSignedVolume,
     SVProfile,
-    _signed_volume_runs,
     fit_sv_polynomial,
     isoperimetric_check,
     loop_area,
@@ -17,8 +18,12 @@ from kakeya_lab.slices import (
     sv_lower_bound_check,
     sweep_signed_volume,
 )
+from kakeya_lab.smoothing import mollify_on_sphere
 from kakeya_lab.sphere import sample_sphere
-from kakeya_lab.winding import make_slice_loop, winding_field
+from kakeya_lab.winding import field_grid, make_slice_loop, winding_field
+
+from test_gridding import _reference_mark_near_polyline
+from test_winding import _reference_crossing_winding_rows
 
 # brute-force minimization oracle output, frozen before the build:
 # min over (a, b) of the [0,1]-integral of |pi t^2 + b t + a| is pi/16,
@@ -182,10 +187,93 @@ def test_grid_signed_volume_and_isoperimetric_reuse_a_field():
     assert isoperimetric_check(loop, 0.02, field=field) == isoperimetric_check(loop, 0.02)
 
 
+def test_grid_signed_volume_and_isoperimetric_match_the_rendered_field():
+    loop = slice_loop(make_map("lacunary_fourier", alpha=0.7, terms=10, seed=3), 0.4,
+                      sample_sphere(1, 512))
+    field = winding_field(loop, 0.02)
+    values, mask, cell = field.values, field.mask, field.grid.cell_measure
+    assert signed_volume_grid(loop, 0.02) == GridSignedVolume(float(values.sum() * cell), int(mask.sum()),
+                                                              field.grid.n_cells)
+    assert isoperimetric_check(loop, 0.02).lhs == float(np.sum(values**2.0) * cell) ** 0.5
+
+
+def _reference_planes(loop, grid):
+    """The winding and h/2 mask planes of `loop` on `grid` from the
+    brute-force references; a degenerate loop has neither."""
+    if loop.degenerate:
+        return np.zeros(grid.shape, dtype=np.int64), np.zeros(grid.shape, dtype=bool)
+    return (_reference_crossing_winding_rows(loop.vertices, grid),
+            _reference_mark_near_polyline(grid, loop.vertices, grid.h / 2.0))
+
+
 def _assert_runs_match_plane(loop, h):
     got = signed_volume_grid(loop, h)
-    assert got == signed_volume_grid(loop, h, field=winding_field(loop, h))
+    if loop.degenerate:
+        assert got == GridSignedVolume(0.0, 0, 0)
+        return got
+    grid = field_grid(loop, h)
+    values, mask = _reference_planes(loop, grid)
+    want = float(values[~mask].sum() * grid.cell_measure)
+    assert got == GridSignedVolume(want, int(mask.sum()), grid.n_cells)
     return got
+
+
+def _assert_sums_match_plane(raw, loop, grid, collar):
+    """The sums `convergence_split` takes of `loop`'s field against the raw
+    loop's, from runs, equal those of the reference planes: the total, the
+    collar sum and area, the agreement counts (with and without the collar)
+    and the sum of w^2."""
+    f_raw, f = winding_field(raw, grid.h, grid=grid), winding_field(loop, grid.h, grid=grid)
+    w_raw, m_raw = _reference_planes(raw, grid)
+    w, m = _reference_planes(loop, grid)
+    runs = _collar_runs(grid, raw, collar)
+    in_collar = (_reference_mark_near_polyline(grid, raw.vertices, collar) if collar > 0.0
+                 else np.zeros(grid.shape, dtype=bool))
+    assert f.unmasked_sum() == w[~m].sum()
+    assert f.unmasked_sum(within=runs) == w[in_collar & ~m].sum()
+    assert run_cells(runs) == in_collar.sum()
+    both = ~(m | m_raw)
+    assert _agreement(f, f_raw) == (both.sum(), np.sum(w[both] == w_raw[both]))
+    both &= ~in_collar
+    assert _agreement(f, f_raw, runs) == (both.sum(), np.sum(w[both] == w_raw[both]))
+    assert f.unmasked_sum(power=2) == np.sum(w[~m] ** 2)
+    return w, m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_convergence_sums_match_the_planes_on_the_benchmark_inputs(seed):
+    # the inputs of the `convergence-split` benchmark at this seed
+    pmap = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=5 + seed)
+    mesh = sample_sphere(1, 1024)
+    regularity = holder_estimate(pmap)
+    raw_samples = pmap(mesh.vertices)
+    smooths = {eps: mollify_on_sphere(raw_samples, eps, mesh) for eps in (0.15, 0.06, 0.025)}
+    for t in np.linspace(0.0, 1.0, 3):
+        raw = slice_loop(pmap, t, mesh, samples=raw_samples)
+        grid = grid_over(raw.vertices, 0.02, pad=0.3)
+        for eps, smooth in smooths.items():
+            collar = _collar_radius(pmap, eps, None, regularity)[0]
+            assert collar > 0.0
+            _assert_sums_match_plane(raw, slice_loop(pmap, t, mesh, samples=smooth), grid, collar)
+
+
+def test_convergence_sums_match_the_planes_on_circles():
+    th = 2 * np.pi * np.arange(512) / 512
+    circle = np.stack([np.cos(th), np.sin(th)], axis=1)
+    single = make_slice_loop(0.5, circle)
+    loops = {
+        "winding 2": make_slice_loop(0.5, np.concatenate([circle, circle])),
+        "flat": make_slice_loop(0.5, np.stack([np.cos(th), np.zeros_like(th)], axis=1)),
+        "tiny": make_slice_loop(0.5, 1e-9 * circle + 0.0123),
+        "degenerate": slice_loop(make_map("zero"), 0.0, sample_sphere(1, 512)),
+    }
+    grid = grid_over(circle, 0.02, pad=0.3)
+    for loop in loops.values():
+        for collar in (0.0, 0.1):
+            _assert_sums_match_plane(single, loop, grid, collar)
+            _assert_sums_match_plane(loop, single, grid, collar)
+    w, m = _assert_sums_match_plane(single, loops["winding 2"], grid, 0.1)
+    assert w.max() == 2 and np.any(m)
 
 
 def test_grid_signed_volume_runs_match_the_plane_on_the_sweep_grid_heights():
@@ -228,9 +316,9 @@ def test_grid_signed_volume_runs_reach_both_grid_edges(right):
     loop = make_slice_loop(0.5, pts)
     field = winding_field(loop, grid.h, grid=grid)
     assert field.mask[0].any() and field.mask[-1].any()
-    got = _signed_volume_runs(loop.vertices, grid)
-    assert got == signed_volume_grid(loop, grid.h, field=field)
-    assert got.value > 0.0
+    values, mask = _reference_planes(loop, grid)
+    assert run_cells(field.runs) == mask.sum()
+    assert field.unmasked_sum() == values[~mask].sum() > 0
 
 
 def test_lower_bound_check_zero_map():

@@ -8,6 +8,7 @@ from kakeya_lab.sphere import sample_sphere
 from kakeya_lab.winding import (
     BoundaryError,
     ResidualError,
+    WindingField,
     crossing_winding_rows,
     degree_circle_map,
     degree_integral_bound,
@@ -139,7 +140,12 @@ def _reference_crossing_winding_rows(vertices, grid):
 
 
 def _assert_rows_same(vertices, grid):
-    got = crossing_winding_rows(np.asarray(vertices, dtype=float), grid)
+    # the steps, sorted on the packed line and back to 0 after the last,
+    # rendered through a field with no mask
+    at, level = crossing_winding_rows(np.asarray(vertices, dtype=float), grid)
+    assert np.all(np.diff(at) >= 0) and (len(level) == 0 or level[-1] == 0)
+    none = np.zeros(0, dtype=np.int64)
+    got = WindingField(grid, (at, level), (none, none, none)).values
     want = _reference_crossing_winding_rows(np.asarray(vertices, dtype=float), grid)
     assert got.dtype == np.int64 and got.shape == grid.shape
     assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ"
