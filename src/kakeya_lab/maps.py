@@ -193,14 +193,17 @@ class PositionMap:
         return out
 
     def sup_bound(self) -> float:
-        """Measured sup |c| over a dense deterministic sample of the domain."""
-        if self.domain_kind == "sphere":
-            pts = _fibonacci_sphere(_DENSE_SPHERE_SAMPLES)
-        else:
-            theta = 2.0 * np.pi * np.arange(4096) / 4096
-            ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            pts = np.concatenate([r * ring for r in np.linspace(0.1, 1.0, 10)])
-        return float(np.max(np.linalg.norm(self(pts), axis=1)))
+        """Measured sup |c| over a dense deterministic sample of the domain,
+        sampled once per map."""
+        if "sup" not in self._tables:
+            if self.domain_kind == "sphere":
+                pts = _fibonacci_sphere(_DENSE_SPHERE_SAMPLES)
+            else:
+                theta = 2.0 * np.pi * np.arange(4096) / 4096
+                ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+                pts = np.concatenate([r * ring for r in np.linspace(0.1, 1.0, 10)])
+            self._tables["sup"] = float(np.max(np.linalg.norm(self(pts), axis=1)))
+        return self._tables["sup"]
 
     def modulus_of_continuity(self) -> tuple[float, float]:
         """Analytic (C, alpha) with |c(x) - c(y)| <= C |x - y|^alpha on the domain.
@@ -303,6 +306,38 @@ class RegularityReport:
 DEFAULT_SCALES = tuple(2.0**-m for m in range(4, 11))
 
 
+def _chord(j: int, samples: int) -> float:
+    return 2.0 * np.sin(np.pi * j / samples)
+
+
+def _ring_oscillations(vals: np.ndarray, scales: tuple[float, ...]) -> np.ndarray:
+    """max |c(x_i) - c(x_{i+j})| over the lags j whose chord is at most each
+    scale (sorted ascending), for samples c(x_i) equally spaced on the circle.
+
+    The ring is extended once so that every lag is a slice; lag j takes
+    dx^2 + dy^2 into two buffers, and one sqrt per scale gives the maximum
+    of the norms bit for bit, since sqrt is monotone and correctly rounded.
+    """
+    samples = len(vals)
+    ext = np.concatenate([vals, vals[: samples // 2]]).T.copy()
+    dx = np.empty(samples)
+    dy = np.empty(samples)
+    osc = np.zeros(len(scales))
+    running = 0.0
+    j = 1
+    for si, s in enumerate(scales):
+        while j <= samples // 2 and _chord(j, samples) <= s:
+            np.subtract(ext[0, :samples], ext[0, j : j + samples], out=dx)
+            np.subtract(ext[1, :samples], ext[1, j : j + samples], out=dy)
+            np.multiply(dx, dx, out=dx)
+            np.multiply(dy, dy, out=dy)
+            np.add(dx, dy, out=dx)
+            running = max(running, float(np.max(dx)))
+            j += 1
+        osc[si] = np.sqrt(running)
+    return osc
+
+
 def holder_estimate(
     pmap: PositionMap,
     scales: tuple[float, ...] = DEFAULT_SCALES,
@@ -327,18 +362,9 @@ def holder_estimate(
     theta = 2.0 * np.pi * np.arange(samples) / samples
     ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     vals = pmap(ring)
-    chord = lambda j: 2.0 * np.sin(np.pi * j / samples)
-    if chord(1) > min(scales):
+    if _chord(1, samples) > min(scales):
         raise ValueError("sampling resolution is coarser than the smallest scale")
-    osc = np.zeros(len(scales))
-    running = 0.0
-    j = 1
-    for si, s in enumerate(scales):
-        while j <= samples // 2 and chord(j) <= s:
-            diff = vals - np.roll(vals, -j, axis=0)
-            running = max(running, float(np.max(np.linalg.norm(diff, axis=1))))
-            j += 1
-        osc[si] = running
+    osc = _ring_oscillations(vals, scales)
     report = RegularityReport()
     if np.max(osc) < 1e-14:
         report.degenerate = True

@@ -125,55 +125,72 @@ def rasterize_image_measure(
     return MeasureEstimate(hits * h**3, float(h), hits, "image")
 
 
-def build_tube_family(
-    c_or_values,
-    delta: float,
-    shuffle_seed: int | None = None,
-) -> TubeFamily:
-    """Greedy maximal separated net over a fine candidate grid in the disk.
+def _greedy_net(delta: float) -> np.ndarray:
+    """Row-major greedy delta-net over the delta/4 candidate grid in the disk.
 
-    Candidates are visited in row-major order (or a seeded shuffle); a
-    candidate is accepted when it keeps pairwise distances >= delta.  The
-    result is maximal over the candidate grid by construction.
+    An accepted point q rejects a candidate p when dx*dx + dy*dy < delta^2 in
+    floats and the cells of side delta holding p and q are at most one apart
+    in each axis.  The cell rule matters only at ties, lattice distance
+    exactly delta along an axis (4 steps), where the cells can be two apart
+    and it spares a point the float test rejects: any other pair whose
+    cells are two apart fails the float test.  So the y cells are compared
+    only across rows (the dx = 0 ties) and the x cells only along a row.
+
+    The rows are walked in order.  A row's candidates are tested at once
+    against the accepted points of the earlier rows within a y window wider
+    than delta; the survivors then run the greedy in x, where only the last
+    point accepted in the row can reject.
     """
-    if not 0.005 <= delta <= 0.1:
-        raise ValueError(f"delta {delta} outside [0.005, 0.1]")
     step = delta / 4.0
     m = int(np.floor(1.0 / step))
     ax = np.arange(-m, m + 1) * step
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    X, Y = np.meshgrid(ax, ax)
+    # y-major, x increasing within a row: the row-major order of the net
     cand = np.stack([X.ravel(), Y.ravel()], axis=1)
     cand = cand[np.einsum("ij,ij->i", cand, cand) <= 1.0]
-    order = np.lexsort((cand[:, 0], cand[:, 1]))
-    cand = cand[order]
-    if shuffle_seed is not None:
-        rng = np.random.default_rng(shuffle_seed)
-        cand = cand[rng.permutation(len(cand))]
-    accepted: list[np.ndarray] = []
-    buckets: dict[tuple[int, int], list[int]] = {}
     d2 = delta * delta
     inv = 1.0 / delta
-    for p in cand:
-        ci = int(np.floor(p[0] * inv))
-        cj = int(np.floor(p[1] * inv))
-        ok = True
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for idx in buckets.get((ci + di, cj + dj), ()):
-                    q = accepted[idx]
-                    dx = p[0] - q[0]
-                    dy = p[1] - q[1]
-                    if dx * dx + dy * dy < d2:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            buckets.setdefault((ci, cj), []).append(len(accepted))
-            accepted.append(p)
-    net = np.asarray(accepted)
+    cells = np.floor(cand * inv)
+    edges = [0, *(np.flatnonzero(np.diff(cand[:, 1])) + 1).tolist(), len(cand)]
+    # a row accepts points at least 4 steps apart: at most ceil(k / 4) of k
+    acc = np.empty((3, len(cand) // 4 + len(edges)))  # x, y, y cell
+    n = 0
+    for s, e in zip(edges[:-1], edges[1:]):
+        y, cy = cand[s, 1], cells[s, 1]
+        xs, cxs = cand[s:e, 0], cells[s:e, 0]
+        lo = np.searchsorted(acc[1, :n], y - delta - 0.5 * step)
+        q = acc[:, lo:n][:, np.abs(cy - acc[2, lo:n]) <= 1.0]
+        if q.shape[1]:
+            dx = xs[:, None] - q[0]
+            dy = y - q[1]
+            free = ~np.any(dx * dx + dy * dy < d2, axis=1)
+            xs, cxs = xs[free], cxs[free]
+        keep = []
+        for i, (x, c) in enumerate(zip(xs.tolist(), cxs.tolist())):
+            if keep:
+                dx = x - last_x
+                # along the row dy = 0, and the cells only grow
+                if dx * dx < d2 and c - last_c <= 1.0:
+                    continue
+            keep.append(i)
+            last_x, last_c = x, c
+        k = len(keep)
+        acc[0, n : n + k] = xs[keep]
+        acc[1:, n : n + k] = [[y], [cy]]
+        n += k
+    return acc[:2, :n].T.copy()
+
+
+def build_tube_family(c_or_values, delta: float) -> TubeFamily:
+    """Greedy maximal separated net over a fine candidate grid in the disk.
+
+    Candidates are visited in row-major order; a candidate is accepted when
+    it keeps pairwise distances >= delta (the tie rule is `_greedy_net`'s).
+    The result is maximal over the candidate grid by construction.
+    """
+    if not 0.005 <= delta <= 0.1:
+        raise ValueError(f"delta {delta} outside [0.005, 0.1]")
+    net = _greedy_net(delta)
     if callable(c_or_values):
         centers = np.asarray(c_or_values(net), dtype=float)
     else:

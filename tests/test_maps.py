@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from kakeya_lab import maps
 from kakeya_lab.maps import (
+    DEFAULT_SCALES,
     holder_estimate,
     lipschitz_constant_on_net,
     make_map,
@@ -140,6 +142,96 @@ def test_holder_recovers_lacunary_exponent(alpha, scales):
 def test_holder_rejects_bad_scales():
     with pytest.raises(ValueError):
         holder_estimate(make_map("zero"), scales=(2.0**-20, 0.5))
+
+
+def _reference_holder_oscillations(vals, scales):
+    """The lag loop `_ring_oscillations` replaced: one rolled copy and one
+    norm per lag."""
+    samples = len(vals)
+    chord = lambda j: 2.0 * np.sin(np.pi * j / samples)
+    osc = np.zeros(len(scales))
+    running = 0.0
+    j = 1
+    for si, s in enumerate(scales):
+        while j <= samples // 2 and chord(j) <= s:
+            diff = vals - np.roll(vals, -j, axis=0)
+            running = max(running, float(np.max(np.linalg.norm(diff, axis=1))))
+            j += 1
+        osc[si] = running
+    return osc
+
+
+def _holder_outcome(pmap, scales, samples):
+    try:
+        return repr(holder_estimate(pmap, scales=scales, samples=samples))
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
+def _assert_holder_matches_reference(pmap, scales, samples, monkeypatch):
+    got = _holder_outcome(pmap, scales, samples)
+    with monkeypatch.context() as mp:
+        mp.setattr(maps, "_ring_oscillations", _reference_holder_oscillations)
+        want = _holder_outcome(pmap, scales, samples)
+    assert got == want
+
+
+HOLDER_WINDOWS = [
+    DEFAULT_SCALES,
+    tuple(2.0**-m for m in range(2, 9)),
+    tuple(2.0**-m for m in range(7, 14)),
+    (2.0**-6, 0.25, 0.5, 0.95),  # the last scale takes lags up to about samples / 6
+    (2.0**-15, 0.5),  # finer than the ring's spacing: raises
+]
+
+
+@pytest.mark.parametrize("scales", HOLDER_WINDOWS)
+@pytest.mark.parametrize(
+    "alpha,terms,seed",
+    [(0.3, 14, 0), (0.5, 10, 3), (0.75, 12, 7), (0.8, 10, 5), (0.95, 6, 11), (1.0, 4, 2)],
+)
+def test_holder_matches_reference_lacunary(alpha, terms, seed, scales, monkeypatch):
+    pmap = make_map("lacunary_fourier", alpha=alpha, terms=terms, seed=seed)
+    _assert_holder_matches_reference(pmap, scales, 2**12, monkeypatch)
+
+
+@pytest.mark.parametrize("scales", HOLDER_WINDOWS)
+@pytest.mark.parametrize(
+    "spec", ["radial_scale:r=0.5", "constant:p=0.3;0.3", "zero", "poly:coeffs=0.1;0.4;-0.3"]
+)
+def test_holder_matches_reference_smooth_and_degenerate(spec, scales, monkeypatch):
+    _assert_holder_matches_reference(parse_map_spec(spec), scales, 2**12, monkeypatch)
+
+
+@pytest.mark.parametrize("samples", [2**14, 4097, 1001])
+def test_holder_matches_reference_sample_counts(samples, monkeypatch):
+    pmap = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=5)
+    for scales in (DEFAULT_SCALES, (2.0**-6, 0.25, 0.5, 0.95)):
+        _assert_holder_matches_reference(pmap, scales, samples, monkeypatch)
+
+
+def test_ring_oscillations_reach_the_half_turn():
+    # scales are below 1, so holder_estimate never reaches lag samples // 2;
+    # called directly with a scale of 2 every lag is taken, the last one
+    # reading the extension's final row; on the ring itself that lag is the
+    # largest difference
+    rng = np.random.default_rng(4)
+    for samples in (64, 65):
+        for vals in (rng.normal(size=(samples, 2)), unit_ring(samples)):
+            got = maps._ring_oscillations(vals, (0.3, 2.0))
+            want = _reference_holder_oscillations(vals, (0.3, 2.0))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_sup_bound_is_sampled_once_per_map(monkeypatch):
+    a = make_map("bandlimited", n=3, domain_kind="sphere", amplitude=0.5, terms=6, seed=4)
+    b = make_map("bandlimited", n=3, domain_kind="sphere", amplitude=0.5, terms=6, seed=4)
+    first = a.sup_bound()
+    with monkeypatch.context() as mp:
+        mp.setattr(maps, "_fibonacci_sphere", lambda count: pytest.fail("sup sampled twice"))
+        assert a.sup_bound() == first
+    # another map samples its own, to the same float
+    assert b.sup_bound() == first
 
 
 def test_slobodeckij_constant_is_zero():

@@ -75,6 +75,58 @@ def test_tube_family_rejects_bad_delta():
         build_tube_family(make_map("zero"), 0.5)
 
 
+def _reference_greedy_net(delta):
+    """The candidate-at-a-time loop `_greedy_net` replaced: each candidate, in
+    row-major order, is tested against the accepted points bucketed in the 3 x 3
+    cells of side delta around it."""
+    step = delta / 4.0
+    m = int(np.floor(1.0 / step))
+    ax = np.arange(-m, m + 1) * step
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    cand = np.stack([X.ravel(), Y.ravel()], axis=1)
+    cand = cand[np.einsum("ij,ij->i", cand, cand) <= 1.0]
+    cand = cand[np.lexsort((cand[:, 0], cand[:, 1]))]
+    accepted = []
+    buckets = {}
+    d2 = delta * delta
+    inv = 1.0 / delta
+    for p in cand:
+        ci = int(np.floor(p[0] * inv))
+        cj = int(np.floor(p[1] * inv))
+        ok = True
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                for idx in buckets.get((ci + di, cj + dj), ()):
+                    q = accepted[idx]
+                    dx = p[0] - q[0]
+                    dy = p[1] - q[1]
+                    if dx * dx + dy * dy < d2:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            buckets.setdefault((ci, cj), []).append(len(accepted))
+            accepted.append(p)
+    return np.asarray(accepted)
+
+
+# Every delta has lattice ties at distance 4 steps = delta, mostly rejected by
+# the float test, so a y window of earlier rows narrower than delta changes the
+# net.  At 0.0244, 0.0309, 0.05675, 0.0618, 0.08485 and 0.09085 a tie along a
+# row has cells two apart, and the cell rule keeps a point that the float test
+# alone would reject.
+NET_DELTAS = [0.1, 0.09085, 0.08485, 0.07, 0.0618, 0.06, 0.05675, 0.05, 0.04, 0.0309, 0.025, 0.0244, 0.02]
+
+
+@pytest.mark.parametrize("delta", NET_DELTAS)
+def test_greedy_net_matches_reference(delta):
+    fam = build_tube_family(make_map("zero"), delta)
+    assert np.array_equal(fam.net, _reference_greedy_net(delta))
+
+
 def test_single_tube_volume_is_cylinder():
     from kakeya_lab.measure import TubeFamily
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from kakeya_lab.sphere import (
+    CIRCLE_MEASURE,
+    SPHERE_MEASURE,
     SphereMesh,
-    check_mesh,
     geodesic_distance,
     integrate_over_sphere,
     is_equal_angle_circle,
@@ -46,6 +47,33 @@ def test_icosphere_level3_vertex_count_and_area():
     mesh = sample_sphere(2, 642)
     assert mesh.n_vertices == 642
     assert abs(mesh.weights.sum() - 4 * np.pi) < 1e-6
+
+
+def check_mesh(mesh: SphereMesh) -> None:
+    """Raise if the mesh violates its structural invariants."""
+    norms = np.linalg.norm(mesh.vertices, axis=1)
+    if np.max(np.abs(norms - 1.0)) > 1e-12:
+        raise AssertionError("mesh vertices are not on the unit sphere")
+    if np.any(mesh.weights <= 0):
+        raise AssertionError("mesh has non-positive quadrature weights")
+    target = CIRCLE_MEASURE if mesh.dim == 1 else SPHERE_MEASURE
+    if abs(mesh.weights.sum() - target) > 1e-9:
+        raise AssertionError("mesh weights do not sum to the surface measure")
+    if mesh.dim == 1:
+        expect = np.stack(
+            [np.arange(mesh.n_vertices), (np.arange(mesh.n_vertices) + 1) % mesh.n_vertices],
+            axis=1,
+        )
+        if not np.array_equal(mesh.cells, expect):
+            raise AssertionError("circle cells are not cyclically ordered")
+    else:
+        edges: dict[tuple[int, int], int] = {}
+        for tri in mesh.cells:
+            for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                key = (min(e), max(e))
+                edges[key] = edges.get(key, 0) + 1
+        if any(count != 2 for count in edges.values()):
+            raise AssertionError("sphere mesh is not a closed edge-paired complex")
 
 
 def test_mesh_invariants():
