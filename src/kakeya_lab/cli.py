@@ -130,11 +130,22 @@ def _mesh_for(args, n: int):
     return sample_sphere(dim, args.mesh)
 
 
-def _check_mesh_resolves(mesh, epsilon: float) -> None:
-    """Reject a mesh too coarse to mollify at scale epsilon."""
-    if mesh.spacing > epsilon / 4.0:
-        _fail("--mesh", f"mesh spacing {mesh.spacing:.4g} too coarse for epsilon {epsilon}; "
+def _mollification_mesh(args, epsilons: list[float]):
+    """The sphere mesh of `sweep`, `slice` and `moll`, after every check that
+    needs no mesh: the --mesh range, each --epsilon in (0, 0.3] and, when
+    there is an epsilon, the dense S^2 cap.  Then the mesh is built and
+    refused if too coarse to mollify at the smallest epsilon (spacing above
+    epsilon/4)."""
+    _check_range("--mesh", args.mesh, 16, 1 << 20)
+    for epsilon in epsilons:
+        _check_range("--epsilon", epsilon, 0.0, 0.3, lo_open=True)
+    if epsilons:
+        _check_dense_mollification(args)
+    mesh = _mesh_for(args, args.n)
+    if epsilons and mesh.spacing > min(epsilons) / 4.0:
+        _fail("--mesh", f"mesh spacing {mesh.spacing:.4g} too coarse for epsilon {min(epsilons)}; "
                         "need spacing <= epsilon/4")
+    return mesh
 
 
 # Icosphere vertices above which mollification on S^2 (--n 4), a dense pass
@@ -172,16 +183,10 @@ def _sv_worker(payload):
 def _cmd_sweep(args) -> list[Path]:
     # the degree-n fit needs 2n heights
     _check_range("--t-steps", args.t_steps, 2 * args.n, 100000)
-    _check_range("--mesh", args.mesh, 16, 1 << 20)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
     if args.method == "grid":
         _require_n3(args, "--method grid")
-    if args.epsilon is not None:
-        _check_dense_mollification(args)
-    mesh = _mesh_for(args, args.n)
-    if args.epsilon is not None:
-        _check_range("--epsilon", args.epsilon, 0.0, 0.3, lo_open=True)
-        _check_mesh_resolves(mesh, args.epsilon)
+    mesh = _mollification_mesh(args, [] if args.epsilon is None else [args.epsilon])
     pmap = _map_from_args(args)
     t_grid = np.linspace(0.0, 1.0, args.t_steps)
     # each worker gets interleaved heights, at least the n a sweep needs
@@ -229,14 +234,8 @@ def _cmd_sweep(args) -> list[Path]:
 
 def _cmd_slice(args) -> list[Path]:
     _check_range("--t", args.t, 0.0, 1.0)
-    _check_range("--mesh", args.mesh, 16, 1 << 20)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
-    if args.epsilon is not None:
-        _check_dense_mollification(args)
-    mesh = _mesh_for(args, args.n)
-    if args.epsilon is not None:
-        _check_range("--epsilon", args.epsilon, 0.0, 0.3, lo_open=True)
-        _check_mesh_resolves(mesh, args.epsilon)
+    mesh = _mollification_mesh(args, [] if args.epsilon is None else [args.epsilon])
     pmap = _map_from_args(args)
     loop = slice_loop(pmap, args.t, mesh, epsilon=args.epsilon)
     out = Path(args.out)
@@ -332,12 +331,9 @@ def _cmd_tubes(args) -> list[Path]:
 
 
 def _cmd_moll(args) -> list[Path]:
-    epsilons = _float_list("--epsilon", args.epsilon, lo=0.0, hi=0.3, lo_open=True)
+    epsilons = _float_list("--epsilon", args.epsilon)
     _check_range("--alpha", args.alpha, 0.0, 1.0, lo_open=True)
-    _check_range("--mesh", args.mesh, 16, 1 << 20)
-    _check_dense_mollification(args)
-    mesh = _mesh_for(args, args.n)
-    _check_mesh_resolves(mesh, min(epsilons))
+    mesh = _mollification_mesh(args, epsilons)
     pmap = _map_from_args(args)
     rows = [mollification_bounds(pmap, e, args.alpha, mesh) for e in epsilons]
     sup_ratios = [r["bound_ratios"][0] for r in rows]
@@ -396,8 +392,18 @@ def _cmd_regularity(args) -> list[Path]:
     ]
 
 
+# Cone samples `line-kakeya --cone-r` may solve for, one ray solve each (about
+# 1.5 ms on a 2-core host, so 150 s at the cap)
+MAX_CONE_SAMPLES = 100_000
+
+
 def _cmd_line_kakeya(args) -> list[Path]:
     x = np.array(_float_list("--x", args.x, args.n))
+    _check_range("--tol", args.tol, 0.0, np.inf, lo_open=True, hi_open=True)
+    if args.cone_r is not None:
+        _check_range("--cone-r", args.cone_r, 0.0, 0.5, lo_open=True)
+    _check_range("--cone-samples", args.cone_samples, 1, MAX_CONE_SAMPLES)
+    _check_range("--seed", args.seed, 0, np.inf)
     pmap = _map_from_args(args, domain_kind="sphere")
     try:
         result = line_kakeya_cover(pmap, x, tol=args.tol)
@@ -414,7 +420,6 @@ def _cmd_line_kakeya(args) -> list[Path]:
         ),
     }
     if args.cone_r is not None:
-        _check_range("--cone-r", args.cone_r, 0.0, 0.5, lo_open=True)
         cone = cone_coverage_check(
             pmap, args.cone_r, sample_count=args.cone_samples, seed=args.seed
         )

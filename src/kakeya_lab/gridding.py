@@ -8,19 +8,20 @@ Every "which points lie within r of a segment" question of the package is
 asked here, of segments a -> a + u in R^3 (planar data in z = 0), with one
 exact test, `_near`: the scanline runs of `scanline_runs` (near-loop masks,
 and `measure`'s tube layers) and the boundary checks of
-`points_near_polyline`.  Runs become disjoint sorted runs in
-`accepted_runs` (`merged_runs`); no (nx, ny) array is built.  Where every
-plane of a call is clear of its segments' end balls (tube layers away from
-the tube ends), a row's span is the cylinder's chord alone
-(`_clear_of_ends`).  A near-loop mask wider than a few segment lengths (a
-collar) first tests chains of consecutive segments against two disks each
-(`_chain_pairs`, after Barill et al., "Fast winding numbers for soups and
-clouds", SIGGRAPH 2018), and solves exact segment spans only where a chain
-reaches past the cells already certain, at the mask's edge.
+`points_near_polyline`.  No (nx, ny) array is built.  Where every plane of
+a call is clear of its segments' end balls (tube layers away from the tube
+ends), a row's span is the cylinder's chord alone (`_clear_of_ends`).  A
+near-loop mask wider than a few segment lengths (a collar) first tests
+chains of consecutive segments against two disks each (`_chain_pairs`,
+after Barill et al., "Fast winding numbers for soups and clouds", SIGGRAPH
+2018), and solves exact segment spans only where a chain reaches past the
+cells already certain, at the mask's edge.
 
-Runs live on one packed line, cell (i, j) at j (nx + 1) + i, with column nx
-of each row a padding cell; there `line_sums` sums a piecewise-constant
-function (the rows of a grid winding field) over runs.
+Runs have one format, (first, last): cells [first, last) of one packed line
+where cell (i, j) sits at j (nx + 1) + i, with column nx of each row a
+padding cell that no run covers.  `merged_runs` makes them disjoint and
+sorted, and `line_sums` sums a piecewise-constant function (the rows of a
+grid winding field) over them.
 """
 
 from __future__ import annotations
@@ -244,44 +245,37 @@ def _cell_index(x: np.ndarray, origin: float, h: float, n: int, rounding) -> np.
     return np.clip(t, -2, n + 1, out=t).astype(np.int64)
 
 
-def scanline_runs(shape, origin, h, j0, j1, z, a, u, r):
+def scanline_runs(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
     """The cells of the plane at height z whose center P = (x, y, z) passes
     the exact test `_near` against any of the segments a[k] -> a[k] + u[k]
-    ((n, 3) arrays) at radius r, as run-length rows: the filled spans
-    (rows, starts, stops), cells [start, stop) of row `row`, and the other
-    accepted cells (rows, columns).  Spans and cells may overlap.
+    ((n, 3) arrays) at radius r, as the disjoint sorted runs (first, last)
+    of `merged_runs`.
 
     Segment k may reach grid rows j0[k]..j1[k] (a superset; clipped here).
     Each row meets a segment's r-neighbourhood in one interval
     (`_segment_row_spans`), taken at r + slack (outer span) and r - slack
     (inner span), the slack far above rounding error and far below a cell.
-    The cells of the inner span are the filled spans, and the other cells
-    of the outer span get the exact test.  That is exact: a cell the test
+    The cells of the inner span are accepted whole, and the other cells of
+    the outer span get the exact test.  That is exact: a cell the test
     accepts lies within r of the segment up to rounding, so inside the outer
     span, and a cell of the inner span lies within r - slack, so the test
     accepts it.  The cost is proportional to the (segment, row) pairs; they
-    are handled in chunks of _PAIR_CHUNK.
+    are handled in chunks of _PAIR_CHUNK.  With chain > 1 the segments must
+    be the consecutive segments of a polyline, and the pairs are first
+    pruned by `_chain_pairs`; the cells accepted are the same.
     """
-    return _scanline(shape, origin, h, j0, j1, z, a, u, r)
-
-
-def _scanline(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
-    """The loop of `scanline_runs`.  With chain > 1 the segments must be the
-    consecutive segments of a polyline, and the (segment, row) pairs that
-    the loop takes are first pruned by `_chain_pairs`; the cells accepted
-    are the same."""
     nx, ny = shape
     ox, oy = origin
+    width = nx + 1
     slack = 1e-9 * (max(float(np.abs(a).max()), float(np.abs(a + u).max())) + r + h)
     # outer and inner radius as a column, broadcast over the (segment, row) pairs
     radii = np.array([[r + slack], [r - slack]]) if r > slack else np.array([[r + slack]])
     j0 = np.maximum(j0, 0)
     rows = np.maximum(np.minimum(j1, ny - 1) - j0 + 1, 0)
-    fills = []
-    exact = []
+    runs = []
     if chain > 1:
         certain, pairs = _chain_pairs(shape, origin, h, j0, rows, z, a, u, r, slack, chain)
-        fills.append(certain)
+        runs.append(certain)
     else:
         pairs = _segment_pairs(j0, rows)
     # the spans read the segments by column, each gathered on its own
@@ -299,7 +293,8 @@ def _scanline(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
             f_lo = np.ones_like(o_lo)
             f_hi = np.zeros_like(o_hi)
         fill = f_lo <= f_hi
-        fills.append((j[fill], f_lo[fill], f_hi[fill] + 1))
+        line = j[fill] * width
+        runs.append((line + f_lo[fill], line + f_hi[fill] + 1))
         # exact test on the outer span minus the filled one, [o_lo, left] and
         # [right, o_hi]; a pair whose spans agree has no such cell
         band = np.flatnonzero((o_lo != f_lo) | (o_hi != f_hi))
@@ -317,9 +312,9 @@ def _scanline(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
         P[:, 2] = z
         seg = k[pair]
         hit = _near(P, a[seg], u[seg], r)
-        exact.append((j[pair[hit]], i[hit]))
-    spans = tuple(np.concatenate(x) for x in zip(*fills))
-    return spans, tuple(np.concatenate(x) for x in zip(*exact))
+        cell = j[pair[hit]] * width + i[hit]
+        runs.append((cell, cell + 1))
+    return union_runs(shape, *runs)
 
 
 def _segment_pairs(j0, rows):
@@ -334,7 +329,7 @@ def _segment_pairs(j0, rows):
 def _chain_pairs(shape, origin, h, j0, rows, z, a, u, r, slack, chain):
     """Prune the (segment, row) pairs of a polyline's consecutive segments
     a[k] -> a[k] + u[k] at radius r, chain by chain.  Returns the certain
-    chords as runs (rows, starts, stops) and the (segment, row) pairs left
+    chords as merged runs (first, last) and the (segment, row) pairs left
     over, as `_segment_pairs` yields them.
 
     The segments are cut into chains of `chain` consecutive segments.  A
@@ -365,15 +360,15 @@ def _chain_pairs(shape, origin, h, j0, rows, z, a, u, r, slack, chain):
     cut = (q >= 0.0) & (radius > 0.0)
     lo = np.maximum(_cell_index(np.where(cut, c[cc, 0] - half, np.inf), ox, h, nx, np.ceil), 0)
     hi = np.minimum(_cell_index(np.where(cut, c[cc, 0] + half, -np.inf), ox, h, nx, np.floor), nx - 1)
+    line = j * (nx + 1)
     sure = lo[1] <= hi[1]
-    certain = (j[sure], lo[1][sure], hi[1][sure] + 1)
+    certain = m_first, m_last = merged_runs(shape, line[sure] + lo[1][sure], line[sure] + hi[1][sure] + 1)
     # a pair is done when its outer chord is empty or inside the merged run
     # of certain chords that holds its first cell
     done = lo[0] > hi[0]
-    m_rows, m_starts, m_stops = merged_runs(nx, ny, *certain)
-    if len(m_rows):
-        at = np.maximum(np.searchsorted(m_rows * (nx + 1) + m_starts, j * (nx + 1) + lo[0], side="right") - 1, 0)
-        done |= (m_rows[at] == j) & (m_starts[at] <= lo[0]) & (m_stops[at] > hi[0])
+    if len(m_first):
+        at = np.maximum(np.searchsorted(m_first, line + lo[0], side="right") - 1, 0)
+        done |= (m_first[at] <= line + lo[0]) & (m_last[at] > line + hi[0])
     cc, j = cc[~done], j[~done]
     return certain, _chain_segment_pairs(first[cc], size[cc], j, j0, rows)
 
@@ -408,51 +403,49 @@ def _chain_segment_pairs(first, size, rows_of, j0, rows):
         yield k[keep], j[keep]
 
 
-def merged_runs(nx: int, ny: int, rows, starts, stops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Disjoint runs (rows, starts, stops), sorted by row and start, covering
-    the same cells as the given non-empty runs, cells [start, stop) of row
-    `row` with 0 <= start < stop <= nx and 0 <= row < ny; touching runs merge.
+def merged_runs(shape, first, last) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint runs (first, last), sorted, covering the same cells as the
+    given non-empty runs, cells [first, last) of the packed line where cell
+    (i, j) of an (nx, ny) grid sits at j (nx + 1) + i; no run covers a
+    row's padding cell, column nx, so touching runs merge and no merged run
+    leaves its row.
 
-    The runs are sorted as one packed int64 key (row (nx+1) + start) (nx+1)
-    + stop.  On the line where cell (i, j) sits at j (nx+1) + i, a row's
-    runs end at most at its column nx, which no run covers, so a running
-    maximum of the stops along the sorted runs merges them row by row.
-    Shapes whose keys would not fit, (nx+1)^2 ny >= 2^63, raise ValueError
-    before anything is sorted.
+    The runs are sorted as one int64 key first (nx + 1) + (last - first),
+    the length being at most nx, and a running maximum of the ends along
+    the sorted runs merges them.  Shapes whose keys would not fit,
+    (nx + 1)^2 ny >= 2^63, raise ValueError before anything is sorted.
     """
+    nx, ny = shape
     width = int(nx) + 1
     if width * width * int(ny) >= 1 << 63:
         raise ValueError(f"a {nx} x {ny} grid is too large for packed int64 run keys")
-    key = np.sort((np.asarray(rows, np.int64) * width + starts) * width + stops)
-    first, stop = np.divmod(key, width)
-    row, start = np.divmod(first, width)
-    last = np.maximum.accumulate(first - start + stop)
-    # a run opens a merged run when it starts beyond every stop before it
-    opens = np.ones(len(key), dtype=bool)
+    first = np.asarray(first, np.int64)
+    first, length = np.divmod(np.sort(first * width + (last - first)), width)
+    last = np.maximum.accumulate(first + length)
+    # a run opens a merged run when it starts beyond every end before it
+    opens = np.ones(len(first), dtype=bool)
     opens[1:] = first[1:] > last[:-1]
-    closes = np.ones(len(key), dtype=bool)
+    closes = np.ones(len(first), dtype=bool)
     closes[:-1] = opens[1:]
-    row = row[opens]
-    return row, start[opens], last[closes] - row * width
+    return first[opens], last[closes]
 
 
-def union_runs(shape, *runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def union_runs(shape, *runs) -> tuple[np.ndarray, np.ndarray]:
     """The disjoint sorted runs of `merged_runs` covering the cells of every
-    set of runs (rows, starts, stops) given."""
-    return merged_runs(*shape, *(np.concatenate(x) for x in zip(*runs)))
+    set of runs (first, last) given."""
+    return merged_runs(shape, *(np.concatenate(x) for x in zip(*runs)))
 
 
 def run_cells(runs) -> int:
-    """The cell count of disjoint runs (rows, starts, stops)."""
-    _, starts, stops = runs
-    return int(np.sum(stops - starts))
+    """The cell count of disjoint runs (first, last)."""
+    first, last = runs
+    return int(np.sum(last - first))
 
 
 def line_sums(at, level, first, last) -> int:
-    """Exact sum over the cells [first[r], last[r]) of the packed line (cell
-    (i, j) at j (nx + 1) + i, as in `merged_runs`) of the integer function
-    that is level[m] on [at[m], at[m + 1]) and 0 before at[0] (at sorted,
-    repeats allowed).  The sum over [0, x) is the sum up to the last step at
+    """Exact sum over the cells of the runs (first, last) of `merged_runs` of
+    the integer function that is level[m] on [at[m], at[m + 1]) of the
+    packed line and 0 before at[0] (at sorted, repeats allowed).  The sum over [0, x) is the sum up to the last step at
     or before x, plus that step's level times the distance to it."""
     area = np.zeros(len(at) + 1, dtype=np.int64)
     np.cumsum(level[:-1] * np.diff(at), out=area[2:])
@@ -460,13 +453,6 @@ def line_sums(at, level, first, last) -> int:
     m = np.searchsorted(at, ends, side="right")
     below = area[m] + np.r_[0, level][m] * (ends - np.r_[0, at][m])
     return int(below[len(first):].sum() - below[:len(first)].sum())
-
-
-def accepted_runs(shape, runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cells of the runs `scanline_runs` returns, filled spans and
-    exact-test cells together, as the disjoint sorted runs of `merged_runs`."""
-    spans, (cell_rows, cell_cols) = runs
-    return union_runs(shape, spans, (cell_rows, cell_cols, cell_cols + 1))
 
 
 def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, chain: int | None = None):
@@ -480,12 +466,12 @@ def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, chain: int 
     if chain is None:
         arc = float(np.sqrt(np.einsum("kd,kd->k", u, u)).sum())
         chain = len(u) if 4.0 * arc <= tol else max(1, int(tol * len(u) / (4.0 * arc)))
-    return accepted_runs(grid.shape, _scanline(grid.shape, grid.origin, grid.h, j0, j1, 0.0, a, u, tol, chain))
+    return scanline_runs(grid.shape, grid.origin, grid.h, j0, j1, 0.0, a, u, tol, chain)
 
 
 def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float):
     """The grid cells whose center is within tol of the closed polyline, as
-    the disjoint sorted runs (rows, starts, stops) of `merged_runs`: the
+    the disjoint sorted runs (first, last) of `merged_runs`: the
     cells `scanline_runs` accepts for its segments in the plane z = 0, with
     the pairs pruned chain by chain (`_chain_pairs`)."""
     return _near_polyline(grid, vertices, tol)

@@ -108,11 +108,11 @@ class PositionMap:
             self._tables["ws"] = ws / np.linalg.norm(ws, axis=1, keepdims=True)
             self._tables["phs"] = rng.uniform(0.0, 2.0 * np.pi, size=terms)
             self._tables["amps"] = rng.uniform(0.3, 1.0, size=terms)
-            raw_sup = np.max(
-                np.linalg.norm(self._raw_bandlimited(_fibonacci_sphere(_DENSE_SPHERE_SAMPLES)), axis=1)
-            )
-            self._tables["scale"] = amplitude / raw_sup
+            raw = self._raw_bandlimited(_fibonacci_sphere(_DENSE_SPHERE_SAMPLES))
+            self._tables["scale"] = scale = amplitude / np.max(np.linalg.norm(raw, axis=1))
             self._tables["amplitude"] = amplitude
+            # sup_bound's dense sample is this one, and __call__ scales it the same way
+            self._tables["sup"] = float(np.max(np.linalg.norm(scale * raw, axis=1)))
         elif v == "grid_sampled":
             pts = np.asarray(p["points"], dtype=float)
             vals = np.asarray(p["values"], dtype=float)

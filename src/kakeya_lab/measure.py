@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridding import _cell_index, accepted_runs, run_cells, scanline_runs
+from .gridding import _cell_index, run_cells, scanline_runs
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
 # Parameter samples per axis (m + 1) that rasterize_image_measure may lay out;
@@ -262,10 +262,10 @@ def tube_union_volume(family: TubeFamily, h: float) -> MeasureEstimate:
     """Grid volume of the union of delta-tubes around the core segments: the
     count of cells whose center is within delta of a segment, times h^3.
     Each layer is counted as the total length of the merged runs of
-    `gridding.scanline_runs` (`accepted_runs`); no plane is built."""
+    `gridding.scanline_runs`; no plane is built."""
     hits = 0
     for args in _tube_layers(family, h):
-        hits += run_cells(accepted_runs(args[0], scanline_runs(*args)))
+        hits += run_cells(scanline_runs(*args))
     return MeasureEstimate(hits * h**3, float(h), hits, "tube_union")
 
 
@@ -358,23 +358,23 @@ def line_kakeya_cover(
         raise ValueError(
             f"|x| = {np.linalg.norm(x):.4f} does not exceed the map radius {radius:.4f}"
         )
-    v = _fibonacci_sphere(n_seeds)
-    best_v, best_res = v[0], np.inf
-    for _ in range(max_iter):
-        f, res = _cover_residuals(pmap, x, v)
-        i = int(np.argmin(res))
-        if res[i] < best_res:
-            best_res = float(res[i])
-            best_v = f[i]
-        if best_res < tol:
-            s = float(np.linalg.norm(pmap(best_v) - x))
-            return CoverResult(best_v, best_res, s, True, False)
-        v = f
-    # fallback: dense scan, then polish the leading candidates
-    scan = _fibonacci_sphere(scan_resolution)
-    _, res = _cover_residuals(pmap, x, scan)
-    order = np.argsort(res)[:16]
-    v = scan[order]
+    seeds = _fibonacci_sphere(n_seeds)
+    best_v, best_res = _iterate_cover(pmap, x, seeds, seeds[0], np.inf, tol, max_iter)
+    used_fallback = not best_res < tol
+    if used_fallback:
+        # dense scan, then polish the leading candidates
+        scan = _fibonacci_sphere(scan_resolution)
+        _, res = _cover_residuals(pmap, x, scan)
+        best_v, best_res = _iterate_cover(pmap, x, scan[np.argsort(res)[:16]], best_v, best_res, tol, max_iter)
+    s = float(np.linalg.norm(pmap(best_v) - x))
+    return CoverResult(best_v, best_res, s, bool(best_res < tol), used_fallback)
+
+
+def _iterate_cover(pmap, x, v, best_v, best_res, tol, max_iter):
+    """The normalized-pullback fixed-point iteration v <- (x - c(v)) / |x - c(v)|
+    from the directions v, for at most max_iter steps, keeping the best
+    iterate (best_v, best_res) seen so far; stops once the residual is
+    below tol."""
     for _ in range(max_iter):
         f, res = _cover_residuals(pmap, x, v)
         i = int(np.argmin(res))
@@ -384,8 +384,7 @@ def line_kakeya_cover(
         if best_res < tol:
             break
         v = f
-    s = float(np.linalg.norm(pmap(best_v) - x))
-    return CoverResult(best_v, best_res, s, bool(best_res < tol), True)
+    return best_v, best_res
 
 
 @dataclass(frozen=True)

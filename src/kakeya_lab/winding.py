@@ -14,7 +14,8 @@ once, run-length (signed crossing counts, Hormann and Agathos, "The point in
 polygon problem for arbitrary polygons", Comput. Geom. 2001): along a row
 of cell centers the winding changes only where the loop crosses the row, so
 a field is the sorted steps of `crossing_winding_rows` and the merged runs
-of its h/2 near-loop mask, on the packed line of `gridding.merged_runs`.
+(first, last) of its h/2 near-loop mask, both on the packed line of
+`gridding.merged_runs`.
 Cells in the mask are too close to the loop and carry no value.  The signed
 volume, isoperimetric and convergence harnesses sum the field over runs
 (`WindingField.unmasked_sum`); (nx, ny) planes are rendered only on access
@@ -191,7 +192,7 @@ def ray_crossing_oracle(
     raise ResidualError("degenerate ray crossings for both tie-avoidance slopes")
 
 
-_NO_RUNS = (np.zeros(0, dtype=np.int64),) * 3
+_NO_RUNS = (np.zeros(0, dtype=np.int64),) * 2
 
 
 @dataclass(frozen=True)
@@ -200,11 +201,11 @@ class WindingField:
     packed line of `gridding.line_sums` (cell (i, j) at j (nx + 1) + i): the
     winding as the sorted steps (at, level) of `crossing_winding_rows`, and
     the mask (near the loop, where the winding is undefined) as merged runs
-    (rows, starts, stops).  `values` and `mask` render (nx, ny) planes."""
+    (first, last).  `values` and `mask` render (nx, ny) planes."""
 
     grid: CellGrid
     steps: tuple[np.ndarray, np.ndarray]
-    runs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    runs: tuple[np.ndarray, np.ndarray]
 
     @property
     def values(self) -> np.ndarray:  # int64, 0 on masked cells
@@ -212,13 +213,8 @@ class WindingField:
 
     @property
     def mask(self) -> np.ndarray:
-        ends = np.stack(self._packed(self.runs), axis=1).ravel()
+        ends = np.stack(self.runs, axis=1).ravel()
         return self._render(ends, np.tile([1, 0], len(self.runs[0]))).astype(bool)
-
-    def _packed(self, runs):
-        rows, starts, stops = runs
-        row = rows * (self.grid.shape[0] + 1)
-        return row + starts, row + stops
 
     def _render(self, at, level) -> np.ndarray:
         nx, ny = self.grid.shape
@@ -232,8 +228,8 @@ class WindingField:
         at, level = self.steps[0], self.steps[1] ** power
         nx, ny = self.grid.shape
         whole = ([0], [ny * (nx + 1)])
-        cover = whole if within is None else self._packed(union_runs((nx, ny), within, self.runs))
-        return line_sums(at, level, *cover) - line_sums(at, level, *self._packed(self.runs))
+        cover = whole if within is None else union_runs((nx, ny), within, self.runs)
+        return line_sums(at, level, *cover) - line_sums(at, level, *self.runs)
 
     def differs(self, other: WindingField):
         """The cells where the two fields' windings differ, masks ignored, as
@@ -245,8 +241,7 @@ class WindingField:
         step = np.concatenate([np.diff(self.steps[1], prepend=0), -np.diff(other.steps[1], prepend=0)])
         level = np.cumsum(step[order])
         keep = (level[:-1] != 0) & (at[1:] > at[:-1])
-        rows, start = np.divmod(at[:-1][keep], self.grid.shape[0] + 1)
-        return rows, start, start + np.diff(at)[keep]
+        return at[:-1][keep], at[1:][keep]
 
 
 def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +289,7 @@ def winding_field(
     if grid is None:
         grid = field_grid(loop, h, pad)
     if loop.degenerate:
-        return WindingField(grid, _NO_RUNS[:2], _NO_RUNS)
+        return WindingField(grid, _NO_RUNS, _NO_RUNS)
     return WindingField(grid, crossing_winding_rows(loop.vertices, grid),
                         mark_near_polyline(grid, loop.vertices, grid.h / 2.0))
 

@@ -27,6 +27,8 @@ def test_traced_benchmark_steps_reach_the_winding_layers(tmp_path):
         ["convergence", "--params", json.dumps(params), "--out", str(tmp_path / "convergence.json")],
         ["cli", "sweep", "--map", "zero", "--method", "grid", "--grid-h", "0.02", "--mesh", "256",
          "--t-steps", "8", "--jobs", "1", "--out", str(tmp_path / "sv.csv")],
+        ["cli", "tubes", "--map", "lacunary:alpha=0.8,terms=6,seed=1", "--delta", "0.1",
+         "--out", str(tmp_path / "tubes.json")],
     ]
     for argv in steps:
         done = _child(span_dir, *argv, cwd=tmp_path)
@@ -38,3 +40,6 @@ def test_traced_benchmark_steps_reach_the_winding_layers(tmp_path):
     assert metrics["winding.winding_field.calls"] > 0
     assert metrics["gridding.mark_near_polyline.h2.calls"] > 0
     assert metrics["slices.signed_volume_grid.s"] > 0.0
+    # the tube counters read the union's result and the family's segments
+    assert metrics["measure.tube_union_volume.s"] > 0.0
+    assert metrics["measure.cells_hit"] > 0

@@ -227,6 +227,40 @@ def test_line_kakeya_x_inside_map_radius_names_flag(tmp_path, capsys, x):
     assert _flag_of_failure(code, capsys) == "--x"
 
 
+@pytest.mark.parametrize("flag, extra", [
+    ("--tol", ["--tol", "0"]),
+    ("--tol", ["--tol", "-1"]),
+    ("--tol", ["--tol", "nan"]),
+    ("--tol", ["--tol", "inf"]),
+    ("--cone-r", ["--cone-r", "0"]),
+    ("--cone-r", ["--cone-r", "0.6"]),
+    ("--cone-r", ["--cone-r", "nan"]),
+    ("--cone-samples", ["--cone-r", "0.3", "--cone-samples", "0"]),
+    ("--cone-samples", ["--cone-r", "0.3", "--cone-samples", "-5"]),
+    ("--cone-samples", ["--cone-r", "0.3", "--cone-samples", "100001"]),
+    ("--seed", ["--cone-r", "0.3", "--seed", "-1"]),
+])
+def test_line_kakeya_bad_flags_name_flag_before_any_solve(tmp_path, capsys, monkeypatch, flag, extra):
+    import kakeya_lab.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a ray was solved before the flags were checked")
+
+    monkeypatch.setattr(cli, "line_kakeya_cover", no_solve)
+    monkeypatch.setattr(cli, "cone_coverage_check", no_solve)
+    code = run_cli(["line-kakeya", "--map", "bandlimited:amplitude=0.5,terms=6,seed=1", "--x", "2,0,0",
+                    *extra, "--out", tmp_path / "lk.json"])
+    assert _flag_of_failure(code, capsys) == flag
+
+
+def test_line_kakeya_accepts_the_flag_range_ends(tmp_path):
+    out = tmp_path / "lk.json"
+    code = run_cli(["line-kakeya", "--map", "bandlimited:amplitude=0.5,terms=6,seed=1", "--x", "2,0,0",
+                    "--tol", "1e-9", "--cone-r", "0.5", "--cone-samples", "1", "--seed", "0", "--out", out])
+    assert code == 0
+    assert json.loads(out.read_text())["results"]["cone_coverage"]["samples"] == 1
+
+
 @pytest.mark.parametrize("n, t_steps", [(4, 6), (4, 7), (3, 5)])
 def test_sweep_too_few_heights_for_the_fit_names_flag(tmp_path, capsys, n, t_steps):
     # the degree-n fit needs 2n heights
@@ -427,6 +461,26 @@ def test_dense_s2_mollification_over_the_cap_names_mesh(tmp_path, capsys, monkey
     monkeypatch.setattr(smoothing, "_bump_pass", no_work)
     code = run_cli(argv + ["--n", "4", "--mesh", mesh, "--out", tmp_path / "out.json"])
     assert _flag_of_failure(code, capsys) == "--mesh"
+
+
+@pytest.mark.parametrize("n, mesh", [(4, 40962), (3, 4096)])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--epsilon", "0.5", "--t-steps", "16", "--jobs", "1"],
+    ["sweep", "--epsilon", "0", "--t-steps", "16", "--jobs", "1"],
+    ["slice", "--epsilon", "0.5"],
+    ["moll", "--alpha", "0.5", "--epsilon", "0.1,0.5"],
+    ["moll", "--alpha", "0.5", "--epsilon", "-0.1"],
+])
+def test_epsilon_out_of_range_is_refused_before_the_mesh_is_built(tmp_path, capsys, monkeypatch, argv, n, mesh):
+    # a refused --epsilon builds no mesh, even a 40,962-vertex icosphere
+    import kakeya_lab.cli as cli
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("the mesh was built before --epsilon was checked")
+
+    monkeypatch.setattr(cli, "sample_sphere", no_mesh)
+    code = run_cli(argv + ["--n", n, "--mesh", mesh, "--out", tmp_path / "out.json"])
+    assert _flag_of_failure(code, capsys) == "--epsilon"
 
 
 def test_dense_s2_cap_leaves_the_documented_meshes_alone():

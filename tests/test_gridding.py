@@ -48,15 +48,29 @@ def _reference_mark_near_polyline(grid, vertices, tol):
     return mask
 
 
-def _runs_plane(shape, rows, starts, stops):
-    """Boolean (nx, ny) plane of the runs, cell by cell."""
+def _rows(shape, first, last):
+    """Runs (first, last) on the packed line as (rows, starts, stops), cells
+    [start, stop) of row `row`."""
+    rows, starts = np.divmod(first, shape[0] + 1)
+    return rows, starts, starts + (last - first)
+
+
+def _packed(shape, rows, starts, stops):
+    """Runs (rows, starts, stops) as (first, last) on the packed line."""
+    line = np.asarray(rows, dtype=np.int64) * (shape[0] + 1)
+    return line + starts, line + stops
+
+
+def _runs_plane(shape, first, last):
+    """Boolean (nx, ny) plane of the runs (first, last), cell by cell."""
     plane = np.zeros(shape, dtype=bool)
-    for row, start, stop in zip(rows, starts, stops):
+    for row, start, stop in zip(*_rows(shape, first, last)):
         plane[start:stop, row] = True
     return plane
 
 
-def _assert_disjoint_sorted(nx, ny, rows, starts, stops):
+def _assert_disjoint_sorted(nx, ny, first, last):
+    rows, starts, stops = _rows((nx, ny), first, last)
     assert np.all((0 <= rows) & (rows < ny) & (0 <= starts) & (starts < stops) & (stops <= nx))
     # sorted by (row, start), and no two runs of a row overlap or touch
     same_row = rows[1:] == rows[:-1]
@@ -335,11 +349,13 @@ def test_planar_masks_never_take_the_shortcut(monkeypatch):
 
 
 def _assert_merges(nx, ny, rows, starts, stops):
-    runs = [np.asarray(x, dtype=np.int64) for x in (rows, starts, stops)]
-    merged = merged_runs(nx, ny, *runs)
+    """Merges the runs (rows, starts, stops) and checks the merged runs;
+    returns them as (rows, starts, stops)."""
+    runs = _packed((nx, ny), rows, np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64))
+    merged = merged_runs((nx, ny), *runs)
     _assert_disjoint_sorted(nx, ny, *merged)
     assert np.array_equal(_runs_plane((nx, ny), *merged), _runs_plane((nx, ny), *runs))
-    return merged
+    return _rows((nx, ny), *merged)
 
 
 def test_merged_runs_match_a_boolean_row():
@@ -379,10 +395,10 @@ def test_merged_runs_refuse_keys_past_int64(monkeypatch):
     # (nx + 1)^2 ny = 2^62 * 2 = 2^63 and beyond: refused, nothing sorted
     for nx, ny in ((2**31 - 1, 2), (2**32, 1), (10**6, 10**7)):
         with pytest.raises(ValueError):
-            merged_runs(nx, ny, none, none, none)
+            merged_runs((nx, ny), none, none)
     monkeypatch.undo()
     # just below the limit, 2^62 < 2^63
-    assert all(len(x) == 0 for x in merged_runs(2**31 - 1, 1, none, none, none))
+    assert all(len(x) == 0 for x in merged_runs((2**31 - 1, 1), none, none))
 
 
 def test_chunk_edges_match_the_unique_form():
@@ -455,9 +471,9 @@ def test_chains_cells_exactly_r_from_a_vertex():
 def _certain_cells(grid, vertices, tol, chain, slack):
     """Centers of the certain chords of `_chain_pairs`, every row allowed."""
     a, u, _, _ = _segments(vertices)
-    (rows, starts, stops), _ = _chain_pairs(grid.shape, grid.origin, grid.h, np.zeros(len(a), dtype=np.int64),
-                                            np.full(len(a), grid.shape[1]), 0.0, a, u, tol, slack, chain)
-    plane = _runs_plane(grid.shape, rows, starts, stops)
+    certain, _ = _chain_pairs(grid.shape, grid.origin, grid.h, np.zeros(len(a), dtype=np.int64),
+                              np.full(len(a), grid.shape[1]), 0.0, a, u, tol, slack, chain)
+    plane = _runs_plane(grid.shape, *certain)
     i, j = np.nonzero(plane)
     return np.stack([grid.origin[0] + (i + 0.5) * grid.h, grid.origin[1] + (j + 0.5) * grid.h], axis=1)
 

@@ -234,6 +234,27 @@ def test_sup_bound_is_sampled_once_per_map(monkeypatch):
     assert b.sup_bound() == first
 
 
+def test_bandlimited_sup_bound_reuses_the_scaling_sample(monkeypatch):
+    # the sample that sets the scale also gives sup_bound, to the bit of the
+    # evaluated map's maximum, and the raw map is evaluated once per map
+    calls = []
+    raw = maps.PositionMap._raw_bandlimited
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return raw(self, pts)
+
+    for seed, amplitude, terms in ((4, 0.5, 6), (1, 0.9, 6), (2, 0.4, 5), (11, 0.05, 3), (7, 2.0, 9)):
+        with monkeypatch.context() as mp:
+            mp.setattr(maps.PositionMap, "_raw_bandlimited", counted)
+            calls.clear()
+            m = make_map("bandlimited", n=3, domain_kind="sphere", amplitude=amplitude, terms=terms, seed=seed)
+            sup = m.sup_bound()
+            assert calls == [maps._DENSE_SPHERE_SAMPLES]
+        evaluated = float(np.max(np.linalg.norm(m(maps._fibonacci_sphere(maps._DENSE_SPHERE_SAMPLES)), axis=1)))
+        assert sup == evaluated
+
+
 def test_slobodeckij_constant_is_zero():
     mesh = sample_sphere(1, 128)
     val = slobodeckij_seminorm(make_map("constant", p=[1.0, 2.0]), 0.5, 2.0, mesh)

@@ -14,7 +14,7 @@ from kakeya_lab.measure import (
     tube_union_volume,
 )
 
-from test_gridding import _runs_plane
+from test_gridding import _assert_disjoint_sorted, _runs_plane
 
 
 def test_cone_measure_close_to_closed_form():
@@ -250,13 +250,12 @@ def _brute_tube_marks(family, h):
 
 
 def _tube_layer_masks(family, h):
-    """The boolean (nx, ny) plane of each tube layer: the filled spans and
-    exact-test cells of `scanline_runs`, painted cell by cell."""
+    """The boolean (nx, ny) plane of each tube layer: the merged runs of
+    `scanline_runs`, painted cell by cell."""
     for args in _tube_layers(family, h):
-        spans, (rows, cols) = scanline_runs(*args)
-        plane = _runs_plane(args[0], *spans)
-        plane[cols, rows] = True
-        yield plane
+        runs = scanline_runs(*args)
+        _assert_disjoint_sorted(*args[0], *runs)
+        yield _runs_plane(args[0], *runs)
 
 
 def _scanline_marks(family, h):
@@ -371,10 +370,9 @@ def test_tube_union_counts_runs_layer_by_layer(ratio, monkeypatch):
 
     def per_layer(*args):
         decided.clear()
-        runs = real_runs(*args)
-        _, starts, stops = gridding.accepted_runs(args[0], runs)
+        first, last = runs = real_runs(*args)
         # (height, the spans took the shortcut, cells)
-        counted.append((args[5], all(decided), int(np.sum(stops - starts))))
+        counted.append((args[5], all(decided), int(np.sum(last - first))))
         return runs
 
     monkeypatch.setattr(gridding, "_clear_of_ends", clear_of_ends)
