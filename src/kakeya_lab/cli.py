@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -54,12 +55,12 @@ from .winding import (
 
 
 class CLIError(Exception):
-    def __init__(self, flag: str, message: str):
+    def __init__(self, flag: str | None, message: str):
         super().__init__(message)
         self.flag = flag
 
 
-def _fail(flag: str, message: str) -> None:
+def _fail(flag: str | None, message: str) -> None:
     raise CLIError(flag, message)
 
 
@@ -125,11 +126,6 @@ def _map_from_args(args, domain_kind="ball"):
         _fail("--map", str(exc))
 
 
-def _mesh_for(args, n: int):
-    dim = 1 if n == 3 else 2
-    return sample_sphere(dim, args.mesh)
-
-
 def _mollification_mesh(args, epsilons: list[float]):
     """The sphere mesh of `sweep`, `slice` and `moll`, after every check that
     needs no mesh: the --mesh range, each --epsilon in (0, 0.3] and, when
@@ -141,7 +137,7 @@ def _mollification_mesh(args, epsilons: list[float]):
         _check_range("--epsilon", epsilon, 0.0, 0.3, lo_open=True)
     if epsilons:
         _check_dense_mollification(args)
-    mesh = _mesh_for(args, args.n)
+    mesh = sample_sphere(1 if args.n == 3 else 2, args.mesh)
     if epsilons and mesh.spacing > min(epsilons) / 4.0:
         _fail("--mesh", f"mesh spacing {mesh.spacing:.4g} too coarse for epsilon {min(epsilons)}; "
                         "need spacing <= epsilon/4")
@@ -203,18 +199,18 @@ def _cmd_sweep(args) -> list[Path]:
     sv = np.empty(args.t_steps)
     for k, part in enumerate(parts):
         sv[k::jobs] = part
-    profile = SVProfile(
-        t_grid, sv, args.method, mesh.n_vertices,
-        args.grid_h if args.method == "grid" else None,
-    )
+    profile = SVProfile(t_grid, sv)
     fit = fit_sv_polynomial(profile, n=args.n)
+    try:
+        check = sv_lower_bound_check(fit, profile)
+    except ValueError as exc:  # leading coefficient off the unit-ball volume; for grid, h too coarse
+        _fail("--grid-h" if args.method == "grid" else None, str(exc))
     out = Path(args.out)
     files = [rpt.write_sv_profile_csv(out, profile)]
     files.append(rpt.write_polyfit_json(out.with_suffix(".fit.json"), fit))
     files.append(
         rpt.write_gnuplot_script(out.with_suffix(".gp"), out, (1, 2), "signed volume by height")
     )
-    check = sv_lower_bound_check(fit, profile)
     files.append(
         rpt.write_json_report(
             out.with_suffix(".summary.json"),
@@ -311,7 +307,9 @@ def _cmd_tubes(args) -> list[Path]:
         for fam in [family] + [f for _, f in scaled]:
             tube_grid(fam, h)
     except ValueError as exc:
-        _fail("--h", str(exc))
+        # at h = delta/4, the largest h, only a larger delta shrinks the work
+        flag = "--h" if h < args.delta / 4.0 else "--delta"
+        _fail(flag, str(exc).replace("larger h", f"larger {flag[2:]}"))
     if scales:
         rows = tube_scaling_rows(scaled, h)
         results["scaling_experiment"] = rows
@@ -372,7 +370,7 @@ def _cmd_regularity(args) -> list[Path]:
     if pairs and args.mesh**2 > MAX_SEMINORM_PAIRS:
         _fail("--mesh", f"--mesh {args.mesh} needs {args.mesh**2} vertex pairs per seminorm, over "
                         f"{MAX_SEMINORM_PAIRS}; use a smaller mesh")
-    mesh = _mesh_for(args, args.n)
+    mesh = sample_sphere(1, args.mesh)
     rep = holder_estimate(pmap)
     results = {
         "holder_exponent": rep.holder_exponent_estimate,
@@ -398,6 +396,7 @@ MAX_CONE_SAMPLES = 100_000
 
 
 def _cmd_line_kakeya(args) -> list[Path]:
+    _require_n3(args, "line-kakeya")
     x = np.array(_float_list("--x", args.x, args.n))
     _check_range("--tol", args.tol, 0.0, np.inf, lo_open=True, hi_open=True)
     if args.cone_r is not None:
@@ -530,13 +529,11 @@ def _cmd_verify(args) -> list[Path]:
             Path(args.out), "verify", _params_dict(args, ["suite", "n"]), results
         )
     ]
-    if not results["all_passed"]:
-        _emit_manifest(files, Path(args.out).parent)
-        for name, ok, detail in checks:
-            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        sys.exit(1)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    if not results["all_passed"]:
+        rpt.write_manifest(Path(args.out).parent, files)
+        sys.exit(1)
     return files
 
 
@@ -544,12 +541,18 @@ def _params_dict(args, names: list[str]) -> dict:
     return {k: getattr(args, k, None) for k in names}
 
 
-def _emit_manifest(files: list[Path], out_dir: Path) -> Path:
-    return rpt.write_manifest(out_dir, files)
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 with the CLI's one JSON line on stderr, naming
+    the flag argparse names, or null (an unrecognized argument)."""
+
+    def error(self, message):
+        named = re.match(r"(?:argument |the following arguments are required: )(--[\w-]+)", message)
+        print(json.dumps({"error": message, "flag": named and named.group(1)}), file=sys.stderr)
+        self.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kakeya-lab",
         description="Numerical experiments on winding fields, mollification, and tube unions",
     )
@@ -626,7 +629,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _load_config_args(argv)
         args = parser.parse_args(argv)
         files = args.func(args)
-        _emit_manifest(files, Path(args.out).parent)
+        rpt.write_manifest(Path(args.out).parent, files)
         return 0
     except CLIError as exc:
         print(json.dumps({"error": str(exc), "flag": exc.flag}), file=sys.stderr)

@@ -60,23 +60,12 @@ def triangle_inequality_check(
     )
 
 
-def _collar_radius(
-    pmap: PositionMap,
-    epsilon: float,
-    delta_prime: float | None,
-    regularity: RegularityReport | None,
-) -> tuple[float, RegularityReport]:
-    if regularity is None:
-        regularity = holder_estimate(pmap)
+def _collar_radius(epsilon: float, delta_prime: float | None, regularity: RegularityReport) -> float:
     if regularity.degenerate:
-        return 0.0, regularity
-    exponent = (
-        float(delta_prime)
-        if delta_prime is not None
-        else float(regularity.holder_exponent_estimate)
-    )
+        return 0.0
+    exponent = float(regularity.holder_exponent_estimate if delta_prime is None else delta_prime)
     H = 2.0 * float(regularity.holder_constant_estimate)
-    return H * epsilon**exponent, regularity
+    return H * epsilon**exponent
 
 
 def _collar_runs(grid, loop, collar: float):
@@ -111,8 +100,6 @@ def winding_agreement(
     epsilon: float,
     mesh: SphereMesh,
     h: float,
-    delta_prime: float | None = None,
-    regularity: RegularityReport | None = None,
 ) -> AgreementStats:
     """Compare raw and mollified winding fields outside the deviation collar.
 
@@ -121,7 +108,7 @@ def winding_agreement(
     outside it the two loops are homotopic around every cell center and the
     fields must agree exactly.
     """
-    collar, _ = _collar_radius(pmap, epsilon, delta_prime, regularity)
+    collar = _collar_radius(epsilon, None, holder_estimate(pmap))
     raw = pmap(mesh.vertices)
     smooth = mollify_on_sphere(raw, epsilon, mesh)
     loop_raw = slice_loop(pmap, t, mesh, samples=raw)
@@ -186,7 +173,7 @@ def convergence_split(
     if cells > MAX_FIELD_SIDE**2:
         raise ValueError(f"grid spacing h = {h} needs winding fields of {cells} cells, over "
                          f"{MAX_FIELD_SIDE}^2; use a larger h")
-    collars = [_collar_radius(pmap, eps, delta_prime, regularity)[0] for eps in epsilons]
+    collars = [_collar_radius(eps, delta_prime, regularity) for eps in epsilons]
     smooths = [mollify_on_sphere(raw_samples, eps, mesh) for eps in epsilons]
     n_t = len(t_grid)
     collar_part = [np.zeros(n_t) for _ in epsilons]

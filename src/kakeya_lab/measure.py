@@ -34,6 +34,11 @@ MAX_DISK_SIDE = 4096
 # bounds no allocation; it is kept as part of the refusal contract of `tubes --h`.
 MAX_TUBE_PAIRS = 2e8
 MAX_TUBE_CELLS = 1e9
+# The ray solver's low-discrepancy seed directions, its fixed-point steps per
+# start, and the directions of its dense fallback scan
+COVER_SEEDS = 32
+COVER_MAX_ITER = 200
+COVER_SCAN_DIRECTIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,7 @@ class TubeFamily:
         return a, b
 
 
-def rasterize_image_measure(
-    pmap: PositionMap,
-    h: float,
-    modulus: tuple[float, float] | None = None,
-) -> MeasureEstimate:
+def rasterize_image_measure(pmap: PositionMap, h: float) -> MeasureEstimate:
     """Outer estimate of the measure of the map's graph-image in R^n.
 
     Parameter sampling is chosen from the modulus of continuity so that
@@ -82,9 +83,7 @@ def rasterize_image_measure(
         raise ValueError(f"grid spacing {h} outside (0, 0.1]")
     if pmap.domain_kind != "ball" or pmap.n != 3:
         raise ValueError("rasterize_image_measure supports ball-domain maps, n = 3")
-    if modulus is None:
-        modulus = pmap.modulus_of_continuity()
-    C, alpha = modulus
+    C, alpha = pmap.modulus_of_continuity()
     # adjacent-sample image steps: C dv^alpha + dv (direction part, t <= 1)
     # and sqrt(2) dt (height part); keep each strictly under h/2
     budget = 0.495 * h
@@ -181,8 +180,9 @@ def _greedy_net(delta: float) -> np.ndarray:
     return acc[:2, :n].T.copy()
 
 
-def build_tube_family(c_or_values, delta: float) -> TubeFamily:
-    """Greedy maximal separated net over a fine candidate grid in the disk.
+def build_tube_family(c, delta: float) -> TubeFamily:
+    """Greedy maximal separated net over a fine candidate grid in the disk,
+    with tube centers c(net) from the position map c.
 
     Candidates are visited in row-major order; a candidate is accepted when
     it keeps pairwise distances >= delta (the tie rule is `_greedy_net`'s).
@@ -191,10 +191,7 @@ def build_tube_family(c_or_values, delta: float) -> TubeFamily:
     if not 0.005 <= delta <= 0.1:
         raise ValueError(f"delta {delta} outside [0.005, 0.1]")
     net = _greedy_net(delta)
-    if callable(c_or_values):
-        centers = np.asarray(c_or_values(net), dtype=float)
-    else:
-        centers = np.asarray(c_or_values, dtype=float)
+    centers = np.asarray(c(net), dtype=float)
     if centers.shape != net.shape:
         raise ValueError(
             f"center array shape {centers.shape} does not match net {net.shape}"
@@ -336,14 +333,7 @@ def _cover_residuals(pmap: PositionMap, x: np.ndarray, v: np.ndarray) -> tuple[n
     return f, np.linalg.norm(f - v, axis=1)
 
 
-def line_kakeya_cover(
-    pmap: PositionMap,
-    x: np.ndarray,
-    tol: float = 1e-9,
-    n_seeds: int = 32,
-    max_iter: int = 200,
-    scan_resolution: int = 10_000,
-) -> CoverResult:
+def line_kakeya_cover(pmap: PositionMap, x: np.ndarray, tol: float = 1e-9) -> CoverResult:
     """Find a direction whose ray from the map position passes through x.
 
     Runs the normalized-pullback fixed-point iteration from a deterministic
@@ -358,24 +348,24 @@ def line_kakeya_cover(
         raise ValueError(
             f"|x| = {np.linalg.norm(x):.4f} does not exceed the map radius {radius:.4f}"
         )
-    seeds = _fibonacci_sphere(n_seeds)
-    best_v, best_res = _iterate_cover(pmap, x, seeds, seeds[0], np.inf, tol, max_iter)
+    seeds = _fibonacci_sphere(COVER_SEEDS)
+    best_v, best_res = _iterate_cover(pmap, x, seeds, seeds[0], np.inf, tol)
     used_fallback = not best_res < tol
     if used_fallback:
         # dense scan, then polish the leading candidates
-        scan = _fibonacci_sphere(scan_resolution)
+        scan = _fibonacci_sphere(COVER_SCAN_DIRECTIONS)
         _, res = _cover_residuals(pmap, x, scan)
-        best_v, best_res = _iterate_cover(pmap, x, scan[np.argsort(res)[:16]], best_v, best_res, tol, max_iter)
+        best_v, best_res = _iterate_cover(pmap, x, scan[np.argsort(res)[:16]], best_v, best_res, tol)
     s = float(np.linalg.norm(pmap(best_v) - x))
     return CoverResult(best_v, best_res, s, bool(best_res < tol), used_fallback)
 
 
-def _iterate_cover(pmap, x, v, best_v, best_res, tol, max_iter):
+def _iterate_cover(pmap, x, v, best_v, best_res, tol):
     """The normalized-pullback fixed-point iteration v <- (x - c(v)) / |x - c(v)|
-    from the directions v, for at most max_iter steps, keeping the best
+    from the directions v, for at most COVER_MAX_ITER steps, keeping the best
     iterate (best_v, best_res) seen so far; stops once the residual is
     below tol."""
-    for _ in range(max_iter):
+    for _ in range(COVER_MAX_ITER):
         f, res = _cover_residuals(pmap, x, v)
         i = int(np.argmin(res))
         if res[i] < best_res:

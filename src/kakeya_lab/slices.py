@@ -53,9 +53,7 @@ def slice_loop(
         if epsilon is not None:
             samples = mollify_on_sphere(samples, epsilon, mesh)
     vertices = samples + t * mesh.vertices
-    triangles = mesh.cells if mesh.dim == 2 else None
-    orientation = "ccw" if mesh.dim == 1 else "outward"
-    return make_slice_loop(t, vertices, triangles, orientation)
+    return make_slice_loop(t, vertices, mesh.cells if mesh.dim == 2 else None)
 
 
 def signed_volume_stokes(loop: SliceLoop) -> float:
@@ -99,9 +97,6 @@ class SVProfile:
 
     t_values: np.ndarray
     sv_values: np.ndarray
-    method: str
-    mesh_resolution: int
-    grid_spacing: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.t_values, dtype=float)
@@ -142,13 +137,7 @@ def sweep_signed_volume(
             sv[i] = signed_volume_stokes(loop)
         else:
             sv[i] = signed_volume_grid(loop, grid_h).value
-    return SVProfile(
-        t_grid,
-        sv,
-        method,
-        mesh.n_vertices,
-        grid_h if method == "grid" else None,
-    )
+    return SVProfile(t_grid, sv)
 
 
 @dataclass(frozen=True)

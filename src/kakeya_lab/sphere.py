@@ -84,23 +84,18 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split each triangle into four, projecting midpoints to the sphere."""
-    verts = list(map(tuple, verts))
-    index = {v: i for i, v in enumerate(verts)}
+    """Split each triangle into four, projecting midpoints to the sphere.
+    Each edge's midpoint is appended once, as a new vertex."""
+    verts = list(verts)
     cache: dict[tuple[int, int], int] = {}
 
     def midpoint(i: int, j: int) -> int:
         key = (min(i, j), max(i, j))
-        if key in cache:
-            return cache[key]
-        m = np.asarray(verts[i]) + np.asarray(verts[j])
-        m /= np.linalg.norm(m)
-        m = tuple(m)
-        idx = index.setdefault(m, len(verts))
-        if idx == len(verts):
-            verts.append(m)
-        cache[key] = idx
-        return idx
+        if key not in cache:
+            m = verts[i] + verts[j]
+            cache[key] = len(verts)
+            verts.append(m / np.linalg.norm(m))
+        return cache[key]
 
     out = []
     for a, b, c in faces:

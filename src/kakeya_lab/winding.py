@@ -62,7 +62,6 @@ class SliceLoop:
     ambient_dim: int
     vertices: np.ndarray
     triangles: np.ndarray | None = None
-    orientation: str = "ccw"
     degenerate: bool = False
 
     def __post_init__(self):
@@ -79,16 +78,10 @@ class SliceLoop:
         return float(np.max(np.ptp(self.vertices, axis=0)))
 
 
-def make_slice_loop(
-    t: float,
-    vertices: np.ndarray,
-    triangles: np.ndarray | None = None,
-    orientation: str = "ccw",
-) -> SliceLoop:
+def make_slice_loop(t: float, vertices: np.ndarray, triangles: np.ndarray | None = None) -> SliceLoop:
     vertices = np.asarray(vertices, dtype=float)
-    dim = vertices.shape[1]
     degenerate = bool(np.max(np.ptp(vertices, axis=0)) < 1e-12)
-    return SliceLoop(float(t), dim, vertices, triangles, orientation, degenerate)
+    return SliceLoop(float(t), vertices.shape[1], vertices, triangles, degenerate)
 
 
 def _as_points(points) -> tuple[np.ndarray, bool]:
@@ -270,24 +263,19 @@ def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> tuple[np.ndar
     return at[order], np.cumsum(np.where(b[:, 1] > a[:, 1], -1, 1)[order])
 
 
-def field_grid(loop: SliceLoop, h: float, pad: float | None = None) -> CellGrid:
+def field_grid(loop: SliceLoop, h: float) -> CellGrid:
     """The grid of the loop's winding field at spacing h: its bounding box
-    padded by `pad`, default max(2 h, 0.1)."""
-    pad = max(2.0 * h, 0.1) if pad is None else pad
-    return grid_over(loop.vertices, h, pad)
+    padded by max(2 h, 0.1)."""
+    return grid_over(loop.vertices, h, max(2.0 * h, 0.1))
 
 
-def winding_field(
-    loop: SliceLoop,
-    h: float,
-    pad: float | None = None,
-    grid: CellGrid | None = None,
-) -> WindingField:
-    """Winding number per grid cell; cells within h/2 of the loop are masked."""
+def winding_field(loop: SliceLoop, h: float, grid: CellGrid | None = None) -> WindingField:
+    """Winding number per grid cell (on `grid`, default `field_grid`); cells
+    within h/2 of the loop are masked."""
     if loop.ambient_dim != 2:
         raise ValueError("winding_field supports planar loops")
     if grid is None:
-        grid = field_grid(loop, h, pad)
+        grid = field_grid(loop, h)
     if loop.degenerate:
         return WindingField(grid, _NO_RUNS, _NO_RUNS)
     return WindingField(grid, crossing_winding_rows(loop.vertices, grid),

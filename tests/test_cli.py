@@ -393,6 +393,21 @@ def test_tubes_oversized_work_names_h(tmp_path, capsys, monkeypatch):
     assert _flag_of_failure(code, capsys) == "--h"
 
 
+def test_tubes_oversized_work_at_the_largest_h_names_delta(tmp_path, capsys, monkeypatch):
+    # about 1.14e9 triples at the default h = delta/4, which --h cannot raise
+    import kakeya_lab.measure as measure
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran before the work preflight")
+
+    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    code = run_cli(["tubes", "--map", "zero", "--delta", "0.005", "--out", tmp_path / "t.json"])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["flag"] == "--delta"
+    assert payload["error"].endswith("use a larger delta")
+
+
 @pytest.mark.parametrize("h, cap", [
     # the scale-8 family alone needs 1.5e8 plane cells against 1.06e8 for the base
     ("0.005", 1.3e8),
@@ -505,6 +520,7 @@ def test_dense_s2_cap_leaves_the_documented_meshes_alone():
     ["regularity"],
     ["measure"],
     ["tubes"],
+    ["line-kakeya", "--x", "2,0,0,0"],
 ])
 def test_n3_only_harness_rejects_n4(tmp_path, capsys, argv):
     code = run_cli(argv + ["--n", "4", "--out", tmp_path / "out.json"])
@@ -637,3 +653,44 @@ def test_unexpected_errors_exit_2_without_a_traceback(tmp_path, capsys, monkeypa
     assert code == 2 and "Traceback" not in captured.err + captured.out
     assert json.loads(captured.err.strip().splitlines()[-1]) == {"error": error, "flag": None}
     assert not (tmp_path / "MANIFEST.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--n", "5"], "--n"),
+    (["sweep", "--mesh", "abc"], "--mesh"),
+    (["sweep", "--bogus", "1"], None),
+])
+def test_argument_errors_give_one_json_line(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", tmp_path / "x.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["flag"] == flag
+
+
+def test_grid_sweep_failing_the_leading_coefficient_names_grid_h_and_writes_nothing(tmp_path, capsys):
+    # the leading coefficient comes out 10.5 % above pi at this spacing
+    out = tmp_path / "run"
+    out.mkdir()
+    code = run_cli(
+        ["sweep", "--map", "lacunary:alpha=0.8,terms=12,seed=7", "--method", "grid", "--grid-h", "0.01",
+         "--mesh", "768", "--t-steps", "16", "--out", out / "sv.csv"]
+    )
+    assert _flag_of_failure(code, capsys) == "--grid-h"
+    assert list(out.iterdir()) == []
+
+
+def test_readme_cli_examples_parse():
+    import shlex
+
+    from kakeya_lab.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("kakeya-lab ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func)

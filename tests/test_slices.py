@@ -141,14 +141,14 @@ def test_fit_radial_coefficients():
 
 
 def test_fit_rejects_short_profile():
-    prof = SVProfile(np.linspace(0, 1, 4), np.zeros(4), "stokes", 64)
+    prof = SVProfile(np.linspace(0, 1, 4), np.zeros(4))
     with pytest.raises(ValueError):
         fit_sv_polynomial(prof)
 
 
 def test_fit_rejects_clustered_grid():
     t = np.concatenate([np.full(8, 0.5) + np.arange(8) * 1e-13, [0.5 + 1e-10]])
-    prof = SVProfile(np.sort(t), np.ones(9), "stokes", 64)
+    prof = SVProfile(np.sort(t), np.ones(9))
     with pytest.raises(ValueError):
         fit_sv_polynomial(prof)
 
@@ -252,7 +252,7 @@ def test_convergence_sums_match_the_planes_on_the_benchmark_inputs(seed):
         raw = slice_loop(pmap, t, mesh, samples=raw_samples)
         grid = grid_over(raw.vertices, 0.02, pad=0.3)
         for eps, smooth in smooths.items():
-            collar = _collar_radius(pmap, eps, None, regularity)[0]
+            collar = _collar_radius(eps, None, regularity)
             assert collar > 0.0
             _assert_sums_match_plane(raw, slice_loop(pmap, t, mesh, samples=smooth), grid, collar)
 
@@ -340,7 +340,7 @@ def test_lower_bound_check_radial_map():
 
 
 def test_lower_bound_rejects_wrong_leading():
-    prof = SVProfile(np.linspace(0, 1, 16), np.linspace(0, 1, 16) ** 2, "stokes", 64)
+    prof = SVProfile(np.linspace(0, 1, 16), np.linspace(0, 1, 16) ** 2)
     fit = fit_sv_polynomial(prof)  # leading coefficient 1, far from pi
     with pytest.raises(ValueError):
         sv_lower_bound_check(fit, prof)

@@ -148,3 +148,42 @@ def test_refinement_is_cauchy():
 
     c1, c2, c3 = circle_value(8), circle_value(16), circle_value(32)
     assert abs(c3 - c2) < abs(c2 - c1)
+
+
+def _reference_subdivide(verts, faces):
+    """The former subdivision, which also looked each midpoint up among the
+    existing vertices before appending it."""
+    verts = list(map(tuple, verts))
+    index = {v: i for i, v in enumerate(verts)}
+    cache = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key in cache:
+            return cache[key]
+        m = np.asarray(verts[i]) + np.asarray(verts[j])
+        m /= np.linalg.norm(m)
+        m = tuple(m)
+        idx = index.setdefault(m, len(verts))
+        if idx == len(verts):
+            verts.append(m)
+        cache[key] = idx
+        return idx
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.asarray(verts, dtype=float), np.asarray(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("resolution", [8, 42, 162, 642, 2562, 10242])
+def test_icosphere_equals_the_vertex_lookup_reference(monkeypatch, resolution):
+    import kakeya_lab.sphere as sphere
+
+    mesh = sample_sphere(2, resolution)
+    monkeypatch.setattr(sphere, "_subdivide", _reference_subdivide)
+    ref = sample_sphere(2, resolution)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert np.array_equal(mesh.cells, ref.cells)
+    assert np.array_equal(mesh.weights, ref.weights)
