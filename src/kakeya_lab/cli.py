@@ -9,9 +9,16 @@ line whose flag is null.  Exit 1 means a failed `verify` check.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per CLI process, chosen before numpy loads: no kernel of the
+# lab gains from OpenBLAS's worker thread, which spins on another core.  A
+# thread count the user gave OpenBLAS is kept.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import argparse
 import json
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,12 +30,14 @@ from . import report as rpt
 from .convergence import triangle_inequality_check
 from .maps import holder_estimate, make_map, parse_map_spec, slobodeckij_seminorm
 from .measure import (
+    MAX_TUBE_PAIRS,
     build_tube_family,
     cone_coverage_check,
     line_kakeya_cover,
     rasterize_image_measure,
     scaled_tube_families,
     tube_grid,
+    tube_pairs_floor,
     tube_scaling_rows,
     tube_union_volume,
 )
@@ -295,6 +304,13 @@ def _cmd_tubes(args) -> list[Path]:
     files = []
     results: dict = {}
     scales = _float_list("--scales", args.scales, lo=0.5, hi=8.0) if args.scales else None
+    # at h = delta/4, the largest h, only a larger delta shrinks the work
+    work_flag = "--h" if h < args.delta / 4.0 else "--delta"
+    # a bound from delta and h alone refuses the largest requests before the net is built
+    floor = tube_pairs_floor(args.delta, h)
+    if floor > MAX_TUBE_PAIRS:
+        _fail(work_flag, f"grid spacing {h} needs at least {floor:.3g} (tube, layer, row) "
+                         f"triples, over {MAX_TUBE_PAIRS:.3g}; use a larger {work_flag[2:]}")
     family = build_tube_family(pmap, args.delta)
     scaled = []
     if scales:
@@ -307,9 +323,7 @@ def _cmd_tubes(args) -> list[Path]:
         for fam in [family] + [f for _, f in scaled]:
             tube_grid(fam, h)
     except ValueError as exc:
-        # at h = delta/4, the largest h, only a larger delta shrinks the work
-        flag = "--h" if h < args.delta / 4.0 else "--delta"
-        _fail(flag, str(exc).replace("larger h", f"larger {flag[2:]}"))
+        _fail(work_flag, str(exc).replace("larger h", f"larger {work_flag[2:]}"))
     if scales:
         rows = tube_scaling_rows(scaled, h)
         results["scaling_experiment"] = rows

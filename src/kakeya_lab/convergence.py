@@ -12,7 +12,7 @@ is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class TriangleCheck:
 
 
 def triangle_inequality_check(
-    n_samples: int = 10**6, dim: int = 2, seed: int = 0, tol: float = 1e-12
+    n_samples: int = 10**6, dim: int = 2, seed: int = 0
 ) -> TriangleCheck:
     """Fuzz the two-term normalized-difference inequality.
 
@@ -56,7 +56,7 @@ def triangle_inequality_check(
     rhs = np.linalg.norm(u - w, axis=1) * (1.0 / nu + 1.0 / nw)
     gap = lhs - rhs
     return TriangleCheck(
-        int(len(u)), int(np.sum(gap > tol)), float(max(gap.max(), 0.0))
+        int(len(u)), int(np.sum(gap > 1e-12)), float(max(gap.max(), 0.0))
     )
 
 
@@ -136,7 +136,6 @@ class ConvergenceReport:
     cauchy_gaps: list
     cauchy_ok: bool
     i1_ok: bool
-    diagnostics: dict = field(default_factory=dict)
 
     def gap_ratio(self) -> float:
         """Smallest shrink factor between successive total-integral gaps."""
@@ -231,5 +230,4 @@ def convergence_split(
         gaps,
         bool(cauchy_ok),
         bool(i1_ok),
-        diagnostics={"grid_h": h, "mesh": mesh.n_vertices, "t_steps": len(t_grid)},
     )

@@ -229,6 +229,23 @@ def tube_grid(family: TubeFamily, h: float) -> tuple[np.ndarray, np.ndarray, np.
     return lo, dims, reach
 
 
+def tube_pairs_floor(delta: float, h: float) -> float:
+    """A lower bound on `tube_grid`'s (tube, layer, row) triples for every
+    delta-family at spacing h, known before the net is built.
+
+    The net is maximal over the delta/4 candidate grid, so each point of the
+    disk of radius 1 - delta/4 lies within delta + delta/(4 sqrt 2) < 1.25
+    delta of the net: disks of radius 1.25 delta around the N net points
+    cover it, and N >= ((1 - delta/4) / (1.25 delta))^2.  Every tube spans
+    z in [0, 1], so the grid has at least floor((1 + 2 delta + 4h) / h)
+    layers, and its reach is at least delta, so it meets at least
+    floor(2 delta / h) + 3 rows of each.
+    """
+    net_points = ((1.0 - delta / 4.0) / (1.25 * delta)) ** 2
+    layers = np.floor((1.0 + 2.0 * delta + 4.0 * h) / h)
+    return float(layers * net_points * (np.floor(2.0 * delta / h) + 3.0))
+
+
 def _tube_layers(family: TubeFamily, h: float):
     """Yield, layer by layer in height, the arguments of the scanline kernel
     `gridding.scanline_runs` for the cells of the layer whose center is

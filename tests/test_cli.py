@@ -1,15 +1,94 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kakeya_lab
 from kakeya_lab.cli import main
 from kakeya_lab.sphere import sample_sphere
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def _run_python(code, **env):
+    """Run `code` in a fresh interpreter on this checkout's package, with none
+    of the BLAS thread variables set except those in `env`."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(kakeya_lab.__file__).parent.parent)
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(base, **env))
+    assert done.returncode == 0, done.stderr
+
+
+def test_package_namespace_is_lazy():
+    _run_python(
+        "import sys\n"
+        "import kakeya_lab\n"
+        "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('kakeya_lab.')]\n"
+        "assert not loaded, loaded\n"
+        "import importlib\n"
+        "for name in kakeya_lab.__all__:\n"
+        "    owner = importlib.import_module('kakeya_lab.' + kakeya_lab._OWNER[name])\n"
+        "    assert getattr(kakeya_lab, name) is getattr(owner, name), name\n"
+        "assert set(kakeya_lab.__all__) <= set(dir(kakeya_lab))\n"
+        "ns = {}\n"
+        "exec('from kakeya_lab import *', ns)\n"
+        "assert all(ns[name] is getattr(kakeya_lab, name) for name in kakeya_lab.__all__)\n"
+        "try:\n"
+        "    kakeya_lab.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('an unknown name did not raise AttributeError')\n"
+        "from kakeya_lab import convergence, gridding\n"
+        "assert convergence.convergence_split is kakeya_lab.convergence_split\n"
+    )
+
+
+def test_library_import_loads_only_what_it_uses():
+    # the benchmark's library workload imports these three names
+    _run_python(
+        "import sys\n"
+        "from kakeya_lab import convergence_split, make_map, sample_sphere\n"
+        "assert 'kakeya_lab.measure' not in sys.modules\n"
+        "assert 'kakeya_lab.report' not in sys.modules\n"
+        "import os\n"
+        "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n"
+    )
+
+
+# records OPENBLAS_NUM_THREADS when numpy is first looked for, then imports the CLI
+IMPORT_CLI_WATCHING_NUMPY = (
+    "import os, sys\n"
+    "seen = []\n"
+    "class Spy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not seen:\n"
+    "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "sys.meta_path.insert(0, Spy())\n"
+    "import kakeya_lab.cli\n"
+    "assert 'numpy' in sys.modules\n"
+)
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({}, "1"),  # set before numpy loads
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),  # the user's count is kept
+    ({"GOTO_NUM_THREADS": "2"}, None),
+    ({"OMP_NUM_THREADS": "2"}, None),  # OpenBLAS reads it; nothing is added
+])
+def test_cli_runs_blas_with_one_thread_unless_the_user_chose(env, expected):
+    now = "os.environ.get('OPENBLAS_NUM_THREADS')"
+    _run_python(IMPORT_CLI_WATCHING_NUMPY + f"assert seen == [{now}] == [{expected!r}], (seen, {now})\n", **env)
 
 
 def test_sweep_zero_map(tmp_path):
@@ -400,7 +479,12 @@ def test_tubes_oversized_work_at_the_largest_h_names_delta(tmp_path, capsys, mon
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran before the work preflight")
 
+    def no_net(*args, **kwargs):
+        raise AssertionError("the net was built before the work preflight")
+
     monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    # the bound from delta and h alone, 2.28e8 triples, refuses before the net
+    monkeypatch.setattr(measure, "_greedy_net", no_net)
     code = run_cli(["tubes", "--map", "zero", "--delta", "0.005", "--out", tmp_path / "t.json"])
     assert code == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

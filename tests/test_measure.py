@@ -11,6 +11,8 @@ from kakeya_lab.measure import (
     line_kakeya_cover,
     lipschitz_tube_experiment,
     rasterize_image_measure,
+    tube_grid,
+    tube_pairs_floor,
     tube_union_volume,
 )
 
@@ -510,3 +512,20 @@ def test_rasterize_refuses_oversized_sampling(monkeypatch):
     lac = make_map("lacunary_fourier", alpha=0.8, terms=12, seed=7)
     with pytest.raises(ValueError, match="larger h"):
         rasterize_image_measure(lac, 0.05)
+
+
+def test_tube_pairs_floor_never_exceeds_the_preflight_count(monkeypatch):
+    # the early refusal of `tubes` is sound only if the bound from delta and h
+    # is at most the (tube, layer, row) count of every family it stands for:
+    # with the cap just below the bound, tube_grid must refuse
+    import kakeya_lab.measure as measure
+
+    monkeypatch.setattr(measure, "MAX_TUBE_CELLS", np.inf)
+    for delta in (0.006, 0.013, 0.03, 0.1):
+        family = build_tube_family(make_map("zero"), delta)
+        for h in (delta / 4.0, delta / 10.0):
+            floor = tube_pairs_floor(delta, h)
+            assert floor > 0.0
+            monkeypatch.setattr(measure, "MAX_TUBE_PAIRS", np.nextafter(floor, 0.0))
+            with pytest.raises(ValueError, match="triples"):
+                tube_grid(family, h)
