@@ -27,41 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import report as rpt
-from .convergence import triangle_inequality_check
 from .maps import holder_estimate, make_map, parse_map_spec, slobodeckij_seminorm
-from .measure import (
-    MAX_TUBE_PAIRS,
-    build_tube_family,
-    cone_coverage_check,
-    line_kakeya_cover,
-    rasterize_image_measure,
-    scaled_tube_families,
-    tube_grid,
-    tube_pairs_floor,
-    tube_scaling_rows,
-    tube_union_volume,
-)
-from .slices import (
-    SVProfile,
-    fit_sv_polynomial,
-    isoperimetric_check,
-    loop_area,
-    signed_volume_grid,
-    signed_volume_stokes,
-    slice_loop,
-    sv_lower_bound_check,
-    sweep_signed_volume,
-)
-from .smoothing import mollification_bounds, mollifier_kernel, mollify_on_sphere
 from .sphere import icosphere_vertex_count, integrate_over_sphere, sample_sphere
-from .winding import (
-    MAX_FIELD_SIDE,
-    field_grid,
-    ray_crossing_oracle,
-    winding_field,
-    winding_number_2d,
-)
 
+# Every subcommand needs the modules above.  Each command imports the names
+# it uses of `measure`, `slices`, `smoothing`, `winding` and `convergence`
+# itself, so a run loads only the modules of its own command.  The sweep's
+# `ProcessPoolExecutor` and `_sv_worker` stay module-level names, which the
+# benchmark's tracer (bench/spans.py) rebinds.
 
 class CLIError(Exception):
     def __init__(self, flag: str | None, message: str):
@@ -179,6 +152,8 @@ def _require_n3(args, what: str) -> None:
 
 def _sv_worker(payload):
     """SV at one subset of the heights; the pool maps it over a partition."""
+    from .slices import sweep_signed_volume
+
     pmap, mesh, t_subset, epsilon, method, grid_h = payload
     return sweep_signed_volume(
         pmap, t_subset, mesh, epsilon=epsilon, method=method, grid_h=grid_h
@@ -186,6 +161,8 @@ def _sv_worker(payload):
 
 
 def _cmd_sweep(args) -> list[Path]:
+    from .slices import SVProfile, fit_sv_polynomial, sv_lower_bound_check
+
     # the degree-n fit needs 2n heights
     _check_range("--t-steps", args.t_steps, 2 * args.n, 100000)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
@@ -238,6 +215,9 @@ def _cmd_sweep(args) -> list[Path]:
 
 
 def _cmd_slice(args) -> list[Path]:
+    from .slices import isoperimetric_check, loop_area, signed_volume_grid, signed_volume_stokes, slice_loop
+    from .winding import MAX_FIELD_SIDE, field_grid, winding_field
+
     _check_range("--t", args.t, 0.0, 1.0)
     _check_range("--grid-h", args.grid_h, 1e-5, 0.5)
     mesh = _mollification_mesh(args, [] if args.epsilon is None else [args.epsilon])
@@ -278,6 +258,8 @@ def _cmd_slice(args) -> list[Path]:
 
 
 def _cmd_measure(args) -> list[Path]:
+    from .measure import rasterize_image_measure
+
     _check_range("--h", args.h, 0.0, 0.1, lo_open=True)
     _require_n3(args, "measure")
     pmap = _map_from_args(args)
@@ -294,6 +276,16 @@ def _cmd_measure(args) -> list[Path]:
 
 
 def _cmd_tubes(args) -> list[Path]:
+    from .measure import (
+        MAX_TUBE_PAIRS,
+        build_tube_family,
+        scaled_tube_families,
+        tube_grid,
+        tube_pairs_floor,
+        tube_scaling_rows,
+        tube_union_volume,
+    )
+
     _check_range("--delta", args.delta, 0.005, 0.1)
     h = args.delta / 4.0
     if args.h is not None:
@@ -343,6 +335,8 @@ def _cmd_tubes(args) -> list[Path]:
 
 
 def _cmd_moll(args) -> list[Path]:
+    from .smoothing import mollification_bounds
+
     epsilons = _float_list("--epsilon", args.epsilon)
     _check_range("--alpha", args.alpha, 0.0, 1.0, lo_open=True)
     mesh = _mollification_mesh(args, epsilons)
@@ -410,6 +404,8 @@ MAX_CONE_SAMPLES = 100_000
 
 
 def _cmd_line_kakeya(args) -> list[Path]:
+    from .measure import cone_coverage_check, line_kakeya_cover
+
     _require_n3(args, "line-kakeya")
     x = np.array(_float_list("--x", args.x, args.n))
     _check_range("--tol", args.tol, 0.0, np.inf, lo_open=True, hi_open=True)
@@ -447,6 +443,20 @@ def _cmd_line_kakeya(args) -> list[Path]:
 
 
 def _verify_checks_core(n: int) -> list[tuple[str, bool, str]]:
+    from .convergence import triangle_inequality_check
+    from .measure import build_tube_family, line_kakeya_cover, tube_union_volume
+    from .slices import (
+        fit_sv_polynomial,
+        isoperimetric_check,
+        loop_area,
+        signed_volume_grid,
+        signed_volume_stokes,
+        slice_loop,
+        sweep_signed_volume,
+    )
+    from .smoothing import mollifier_kernel, mollify_on_sphere
+    from .winding import ray_crossing_oracle, winding_field, winding_number_2d
+
     checks: list[tuple[str, bool, str]] = []
 
     def record(name: str, ok: bool, detail: str) -> None:

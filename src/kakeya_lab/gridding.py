@@ -17,6 +17,12 @@ after Barill et al., "Fast winding numbers for soups and clouds", SIGGRAPH
 2018), and solves exact segment spans only where a chain reaches past the
 cells already certain, at the mask's edge.
 
+Every caller takes its rows by one rule, `_rows_within`: the rows whose
+center lies within the reach of a y-interval (a segment's y-range and r
+for a mask, a chain's ball for a collar, a tube's section for a tube
+layer), widened far above rounding.  No other row holds a cell that the
+exact test can accept.
+
 Runs have one format, (first, last): cells [first, last) of one packed line
 where cell (i, j) sits at j (nx + 1) + i, with column nx of each row a
 padding cell that no run covers.  `merged_runs` makes them disjoint and
@@ -245,6 +251,25 @@ def _cell_index(x: np.ndarray, origin: float, h: float, n: int, rounding) -> np.
     return np.clip(t, -2, n + 1, out=t).astype(np.int64)
 
 
+def _rows_within(lo, hi, reach, origin: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last row (j0, j1) whose center origin + (j + 1/2) h lies
+    within `reach` of the y-interval [lo, hi], widened far above rounding:
+    each end y moves out by reach + 1e-9 (reach + |y|).  An empty range has
+    j0 > j1; both are clipped just outside [0, n - 1] as `_cell_index` clips.
+
+    It is exact for every caller.  A cell that `_near` accepts at radius r
+    has its center within r of a point of the segment, whose y lies in the
+    segment's y-range, so the center's y is within r of that range: no row
+    outside the widened interval holds such a cell.  The same holds for a
+    chain's ball (`_chain_pairs`) and a tube's section (`_tube_layers`)
+    with their own reach; the widening covers the rounding of the centers,
+    of the distance test and of `_cell_index`.
+    """
+    j0 = _cell_index(lo - (reach + 1e-9 * (reach + np.abs(lo))), origin, h, n, np.ceil)
+    j1 = _cell_index(hi + (reach + 1e-9 * (reach + np.abs(hi))), origin, h, n, np.floor)
+    return j0, j1
+
+
 def scanline_runs(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
     """The cells of the plane at height z whose center P = (x, y, z) passes
     the exact test `_near` against any of the segments a[k] -> a[k] + u[k]
@@ -345,14 +370,18 @@ def _chain_pairs(shape, origin, h, j0, rows, z, a, u, r, slack, chain):
     lies in one merged run of certain chords adds nothing and is dropped;
     the others expand into their segments' (segment, row) pairs.  The mask
     is the same as from all the (segment, row) pairs.
+
+    A chain gets the rows of `_rows_within` for its centre's y and the outer
+    radius: a row beyond them misses the outer ball, so its outer chord
+    would be empty and the pair dropped.
     """
     nx, ny = shape
     ox, oy = origin
     first, size, c, rho = _chain_disks(a, u, chain)
     radii = r + np.array([[1.0], [-1.0]]) * rho + np.array([[slack], [-2.0 * slack]])
-    cj0 = np.maximum(_cell_index(c[:, 1] - radii[0], oy, h, ny, np.floor), 0)
-    cj1 = np.minimum(_cell_index(c[:, 1] + radii[0], oy, h, ny, np.ceil), ny - 1)
-    cc, j = _ranges(cj0, np.maximum(cj1 - cj0 + 1, 0))
+    cj0, cj1 = _rows_within(c[:, 1], c[:, 1], radii[0], oy, h, ny)
+    cj0 = np.maximum(cj0, 0)
+    cc, j = _ranges(cj0, np.maximum(np.minimum(cj1, ny - 1) - cj0 + 1, 0))
     # outer (row 0) and certain (row 1) chords of each (chain, row) pair
     radius = radii[:, cc]
     q = radius * radius - (oy + (j + 0.5) * h - c[cc, 1]) ** 2 - (z - c[cc, 2]) ** 2
@@ -458,11 +487,11 @@ def line_sums(at, level, first, last) -> int:
 def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, chain: int | None = None):
     """`mark_near_polyline` with the pairs pruned in chains of `chain`
     segments.  By default a chain has arc length about tol/4, so below a few
-    segment lengths every chain is one segment and nothing is pruned."""
+    segment lengths every chain is one segment and nothing is pruned.  Each
+    segment gets the rows of `_rows_within` for its y-range and tol."""
     a, u, y0, y1 = _segments(vertices)
     oy, ny = grid.origin[1], grid.shape[1]
-    j0 = _cell_index(y0 - tol, oy, grid.h, ny, np.floor)
-    j1 = _cell_index(y1 + tol, oy, grid.h, ny, np.ceil)
+    j0, j1 = _rows_within(y0, y1, tol, oy, grid.h, ny)
     if chain is None:
         arc = float(np.sqrt(np.einsum("kd,kd->k", u, u)).sum())
         chain = len(u) if 4.0 * arc <= tol else max(1, int(tol * len(u) / (4.0 * arc)))

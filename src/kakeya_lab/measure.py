@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridding import _cell_index, run_cells, scanline_runs
+from .gridding import _rows_within, run_cells, scanline_runs
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
 # Parameter samples per axis (m + 1) that rasterize_image_measure may lay out;
@@ -252,10 +252,11 @@ def _tube_layers(family: TubeFamily, h: float):
     within delta of a core segment.  Raises before the first layer as
     `tube_grid` does.
 
-    Each tube gets the rows whose center lies within its reach of
-    yc = c_y + clip(z, 0, 1) v_y, widened far above rounding.  No other row
-    holds a cell within delta of the segment: for its point (c + t v, t),
-    t in [0, 1], write y - c_y - t v_y = p and z - t = q, p^2 + q^2 <= delta^2;
+    Each tube gets the rows of `gridding._rows_within`: those whose center
+    lies within its reach of yc = c_y + clip(z, 0, 1) v_y, widened far above
+    rounding.  No other row holds a cell within delta of the segment: for
+    its point (c + t v, t), t in [0, 1], write y - c_y - t v_y = p and
+    z - t = q, p^2 + q^2 <= delta^2;
     then |t - clip(z, 0, 1)| <= |q|, so |y - yc| <= |p| + |q| |v_y| <=
     delta sqrt(1 + v_y^2), the reach.
     """
@@ -266,9 +267,7 @@ def _tube_layers(family: TubeFamily, h: float):
     for iz in range(dims[2]):
         z = lo[2] + (iz + 0.5) * h
         yc = cy + min(max(z, 0.0), 1.0) * vy
-        pad = reach + 1e-9 * (reach + np.abs(yc))
-        j0 = _cell_index(yc - pad, lo[1], h, dims[1], np.ceil)
-        j1 = _cell_index(yc + pad, lo[1], h, dims[1], np.floor)
+        j0, j1 = _rows_within(yc, yc, reach, lo[1], h, dims[1])
         yield tuple(dims[:2]), lo[:2], h, j0, j1, z, a3, u3, family.delta
 
 

@@ -66,6 +66,23 @@ def test_library_import_loads_only_what_it_uses():
     )
 
 
+def test_cli_loads_only_the_modules_of_its_command(tmp_path):
+    # importing the CLI loads the modules every command needs, and a `tubes`
+    # run adds those of the tube union alone
+    _run_python(
+        "import sys\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.startswith('kakeya_lab')}\n"
+        "from kakeya_lab.cli import main\n"
+        "assert loaded() == {'kakeya_lab', 'kakeya_lab.cli', 'kakeya_lab.maps', 'kakeya_lab.pairs',\n"
+        "                    'kakeya_lab.report', 'kakeya_lab.sphere'}, sorted(loaded())\n"
+        f"assert main(['tubes', '--map', 'zero', '--delta', '0.1', '--out', {str(tmp_path / 't.json')!r}]) == 0\n"
+        "assert loaded() == {'kakeya_lab', 'kakeya_lab.cli', 'kakeya_lab.maps', 'kakeya_lab.pairs',\n"
+        "                    'kakeya_lab.report', 'kakeya_lab.sphere', 'kakeya_lab.gridding',\n"
+        "                    'kakeya_lab.measure'}, sorted(loaded())\n"
+    )
+
+
 # records OPENBLAS_NUM_THREADS when numpy is first looked for, then imports the CLI
 IMPORT_CLI_WATCHING_NUMPY = (
     "import os, sys\n"
@@ -132,17 +149,17 @@ def test_slice_command_writes_field(tmp_path):
 
 
 def test_slice_builds_one_winding_field(tmp_path, monkeypatch):
-    import kakeya_lab.cli as cli
     import kakeya_lab.slices as slices
+    import kakeya_lab.winding as winding
 
     calls = []
-    real = cli.winding_field
+    real = winding.winding_field
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "winding_field", counting)
+    monkeypatch.setattr(winding, "winding_field", counting)
     monkeypatch.setattr(slices, "winding_field", counting)
     code = run_cli(
         ["slice", "--map", "lacunary:alpha=0.8,terms=10,seed=2", "--mesh", "512",
@@ -320,13 +337,13 @@ def test_line_kakeya_x_inside_map_radius_names_flag(tmp_path, capsys, x):
     ("--seed", ["--cone-r", "0.3", "--seed", "-1"]),
 ])
 def test_line_kakeya_bad_flags_name_flag_before_any_solve(tmp_path, capsys, monkeypatch, flag, extra):
-    import kakeya_lab.cli as cli
+    import kakeya_lab.measure as measure
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a ray was solved before the flags were checked")
 
-    monkeypatch.setattr(cli, "line_kakeya_cover", no_solve)
-    monkeypatch.setattr(cli, "cone_coverage_check", no_solve)
+    monkeypatch.setattr(measure, "line_kakeya_cover", no_solve)
+    monkeypatch.setattr(measure, "cone_coverage_check", no_solve)
     code = run_cli(["line-kakeya", "--map", "bandlimited:amplitude=0.5,terms=6,seed=1", "--x", "2,0,0",
                     *extra, "--out", tmp_path / "lk.json"])
     assert _flag_of_failure(code, capsys) == flag
@@ -366,12 +383,12 @@ def test_sweep_grid_h_out_of_range_names_flag(tmp_path, capsys, grid_h):
 
 def test_slice_oversized_field_names_grid_h(tmp_path, capsys, monkeypatch):
     # about 1.2e5 x 1.2e5 cells, far over 4096^2: refused before any plane
-    import kakeya_lab.cli as cli
+    import kakeya_lab.winding as winding
 
     def no_field(*args, **kwargs):
         raise AssertionError("the winding field was built before the plane preflight")
 
-    monkeypatch.setattr(cli, "winding_field", no_field)
+    monkeypatch.setattr(winding, "winding_field", no_field)
     code = run_cli(["slice", "--map", "zero", "--grid-h", "1e-5", "--out", tmp_path / "s.csv"])
     assert _flag_of_failure(code, capsys) == "--grid-h"
     assert not (tmp_path / "MANIFEST.json").exists()

@@ -9,11 +9,12 @@ import pytest
 import kakeya_lab
 from kakeya_lab.gridding import (
     _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _clear_of_ends, _near, _near_polyline,
-    _segment_row_spans, _segments, grid_over, mark_near_polyline, merged_runs,
+    _rows_within, _segment_row_spans, _segments, grid_over, mark_near_polyline, merged_runs,
 )
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
 from kakeya_lab.sphere import sample_sphere
+from kakeya_lab.winding import field_grid
 
 
 def _reference_mark_near_polyline(grid, vertices, tol):
@@ -102,6 +103,13 @@ def _center(k):
     return (k + 0.5) * 0.25
 
 
+def _clipped_rows(lo, hi, reach, origin, h, n):
+    """`_rows_within` of the given ends, clipped to the grid's rows."""
+    j0, j1 = _rows_within(np.asarray(lo, float), np.asarray(hi, float), reach, origin, h, n)
+    assert np.all((-2 <= j0) & (j0 <= n + 1) & (-2 <= j1) & (j1 <= n + 1))
+    return np.maximum(j0, 0), np.minimum(j1, n - 1)
+
+
 @pytest.mark.parametrize("seed", [0, 3, 6])
 @pytest.mark.parametrize("scale", ["half", "3h", "wider-than-grid"])
 def test_lacunary_loops_match_reference(seed, scale):
@@ -133,11 +141,15 @@ def test_tol_on_cell_centers_pins_less_or_equal():
     assert not mask[10:21, 12].any()
     assert mask[23, 8] and not mask[24, 8]
     assert mask[7, 8] and not mask[6, 8]
-    # the same along a column
+    # the same along a column, whose rows reach exactly the centers 3h past its ends
     seg = np.array([[_center(8), _center(10)], [_center(8), _center(20)]])
     mask = _assert_same(EXACT_GRID, seg, 0.75)
     assert mask[11, 10:21].all()
     assert not mask[12, 10:21].any()
+    _, _, y0, y1 = _segments(seg)
+    j0, j1 = _clipped_rows(y0, y1, 0.75, 0.0, 0.25, 36)
+    assert np.array_equal(j0, [7, 7]) and np.array_equal(j1, [23, 23])
+    assert mask[8, 7] and mask[8, 23] and not mask[:, 6].any() and not mask[:, 24].any()
 
 
 def test_repeated_vertices_give_zero_length_segments():
@@ -178,6 +190,96 @@ def test_random_polylines_match_reference():
         pts = rng.uniform(-1.0, 11.0, size=(int(rng.integers(2, 12)), 2))
         grid = CellGrid(rng.uniform(-0.5, 0.5, size=2), float(rng.uniform(0.1, 0.4)), (45, 38))
         _assert_same(grid, pts, float(rng.uniform(0.05, 3.0)))
+
+
+def test_rows_within_matches_brute_force():
+    # the rows j0..j1 are exactly those whose center is within reach of [lo, hi]
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        origin, h, n = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.01, 0.5)), int(rng.integers(1, 80))
+        ends = np.sort(rng.uniform(origin - 2.0, origin + n * h + 2.0, size=(2, 40)), axis=0)
+        reach = rng.uniform(0.0, 3.0, size=40) * float(rng.choice([h, 1.0]))
+        j0, j1 = _clipped_rows(ends[0], ends[1], reach, origin, h, n)
+        centers = origin + (np.arange(n) + 0.5) * h
+        inside = (centers >= ends[0][:, None] - reach[:, None]) & (centers <= ends[1][:, None] + reach[:, None])
+        got = (np.arange(n) >= j0[:, None]) & (np.arange(n) <= j1[:, None])
+        assert np.array_equal(got, inside)
+
+
+def test_rows_within_keeps_rows_exactly_reach_from_the_ends():
+    # [c6, c18] ends exactly 0.5 from the centers of rows 4 and 20; both are in
+    assert _clipped_rows([_center(6)], [_center(18)], 0.5, 0.0, 0.25, 36) == ([4], [20])
+    assert _clipped_rows([_center(6)], [_center(18)], 0.5 - 1e-6, 0.0, 0.25, 36) == ([5], [19])
+    # a point interval, and an interval whose reach ends halfway between centers
+    assert _clipped_rows([_center(9)], [_center(9)], 0.25, 0.0, 0.25, 36) == ([8], [10])
+    assert _clipped_rows([_center(9)], [_center(9)], 0.125, 0.0, 0.25, 36) == ([9], [9])
+    # reaching past the grid, or missing it
+    assert _clipped_rows([_center(1)], [_center(34)], 1.0, 0.0, 0.25, 36) == ([0], [35])
+    j0, j1 = _clipped_rows([-5.0, 20.0], [-3.0, 30.0], 1.0, 0.0, 0.25, 36)
+    assert np.all(j0 > j1)
+
+
+def test_tangent_row_of_a_horizontal_segment():
+    # the capsule edge of a segment below the grid lies on the centers of row
+    # 2: y + tol rounds below them while `_near` accepts them, so only the
+    # widening of the row rule keeps that row
+    y = -0.9
+    tol = _center(2) - y
+    assert y + tol < _center(2)
+    seg = np.array([[_center(5), y], [_center(20), y]])
+    assert _clipped_rows([y], [y], tol, 0.0, 0.25, 36)[1] == [2]
+    mask = _assert_same(EXACT_GRID, seg, tol, chains=(1, 2, None))
+    assert mask[5:21, 2].all() and not mask[:5, 2].any() and not mask[21:, 2].any()
+    assert not mask[:, 3:].any()
+
+
+@pytest.mark.parametrize("cells", [0.5, 3, 10])
+def test_loops_partly_off_the_grid_in_chains(cells):
+    v, grid = _collar_loop(mesh=256, h=0.05)
+    tol = cells * grid.h
+    for corner in (0.4, -0.3):
+        small = CellGrid(grid.origin + corner * np.array(grid.shape) * grid.h, grid.h, (30, 25))
+        _assert_same(small, v, tol, chains=(1, 2, len(v)))
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        pts = rng.uniform(-3.0, 13.0, size=(int(rng.integers(3, 12)), 2))
+        _assert_same(EXACT_GRID, pts, cells * EXACT_GRID.h, chains=(1, 2, len(pts)))
+
+
+def test_h2_masks_hand_only_the_rows_in_reach_to_the_spans(monkeypatch):
+    # the `sweep-grid` benchmark inputs: map seed 7, 2,048 vertices, h = 0.005,
+    # 16 heights; every (segment, row) pair whose row center is within h/2 of
+    # the segment's y-range, up to the rule's widening, and no other, reaches
+    # `_segment_row_spans`.  The grid is anchored to the lowest vertex, which
+    # lies on a cell edge h/2 from the centers of the row below it: the 10
+    # pairs that the widening adds are such rows, beyond h/2 by a rounding
+    # error
+    import kakeya_lab.gridding as gridding
+
+    handed = []
+    real = gridding._segment_row_spans
+
+    def counting(r, py, *rest):
+        handed.append(len(py))
+        return real(r, py, *rest)
+
+    monkeypatch.setattr(gridding, "_segment_row_spans", counting)
+    m = make_map("lacunary_fourier", alpha=0.8, terms=12, seed=7)
+    mesh = sample_sphere(1, 2048)
+    h = 0.005
+    in_reach = widened = 0
+    for t in np.linspace(0.0, 1.0, 16):
+        loop = slice_loop(m, t, mesh)
+        grid = field_grid(loop, h)
+        mark_near_polyline(grid, loop.vertices, h / 2.0)
+        _, _, y0, y1 = _segments(loop.vertices)
+        py = grid.axis_centers(1)
+        # distance in y from each row center to each segment's y-range
+        d = np.maximum(np.maximum(y0[:, None] - py, py - y1[:, None]), 0.0)
+        in_reach += int(np.sum(d <= h / 2.0))
+        widened += int(np.sum(d <= h / 2.0 + 1e-12))
+    assert sum(handed) == widened == 107_184
+    assert in_reach == 107_174
 
 
 def _check_row_spans(a, u, r, z, py):

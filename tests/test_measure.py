@@ -394,6 +394,16 @@ def test_tube_union_counts_runs_layer_by_layer(ratio, monkeypatch):
         assert planes[k] > 0 and planes[k + 1] > 0
 
 
+def test_tube_layers_rows_on_the_benchmark_inputs():
+    # the `tube-union` benchmark inputs (map seed 21, delta = 0.06, h = delta/4):
+    # the (tube, layer, row) triples the layers hand to the scanline kernel
+    fam = build_tube_family(make_map("lacunary_fourier", alpha=0.8, terms=10, seed=21), 0.06)
+    triples = 0
+    for shape, _, _, j0, j1, *_ in _tube_layers(fam, 0.015):
+        triples += int(np.sum(np.maximum(np.minimum(j1, shape[1] - 1) - np.maximum(j0, 0) + 1, 0)))
+    assert triples == 595_379
+
+
 def test_tube_union_refuses_oversized_work(monkeypatch):
     import kakeya_lab.measure as measure
 
