@@ -21,7 +21,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +31,20 @@ from .sphere import icosphere_vertex_count, integrate_over_sphere, sample_sphere
 
 # Every subcommand needs the modules above.  Each command imports the names
 # it uses of `measure`, `slices`, `smoothing`, `winding` and `convergence`
-# itself, so a run loads only the modules of its own command.  The sweep's
-# `ProcessPoolExecutor` and `_sv_worker` stay module-level names, which the
-# benchmark's tracer (bench/spans.py) rebinds.
+# itself, so a run loads only the modules of its own command.
+
+
+def __getattr__(name: str):
+    # `ProcessPoolExecutor` resolves on access only: the benchmark's tracer
+    # (bench/spans.py) still subclasses and rebinds it, so `concurrent.futures`
+    # loads in a traced run alone.  The hook goes once the tracer stops
+    # binding it.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor
+
 
 class CLIError(Exception):
     def __init__(self, flag: str | None, message: str):
@@ -61,18 +71,6 @@ def _float_list(name: str, text: str, count=None, lo=-np.inf, hi=np.inf, lo_open
     if values is None or count not in (None, len(values)):
         _fail(name, f"need {count or 'a list of'} comma-separated numbers, got {text!r}")
     return [_check_range(name, v, lo, hi, lo_open) for v in values]
-
-
-def _resolve_jobs(args) -> int:
-    env = os.environ.get("KAKEYA_LAB_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            _fail("KAKEYA_LAB_JOBS", f"not an integer: {env!r}")
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return os.cpu_count() or 1
 
 
 def _load_config_args(argv: list[str]) -> list[str]:
@@ -151,12 +149,15 @@ def _require_n3(args, what: str) -> None:
 
 
 def _sv_worker(payload):
-    """SV at one subset of the heights; the pool maps it over a partition."""
+    """SV at every height of the sweep, from one mollification.  The name and
+    the one-tuple argument are what the benchmark's tracer (bench/spans.py)
+    wraps, as `cli._sv_worker(payload)`; `_cmd_sweep` calls it through the
+    module global so that the wrapper sees the call."""
     from .slices import sweep_signed_volume
 
-    pmap, mesh, t_subset, epsilon, method, grid_h = payload
+    pmap, mesh, t_grid, epsilon, method, grid_h = payload
     return sweep_signed_volume(
-        pmap, t_subset, mesh, epsilon=epsilon, method=method, grid_h=grid_h
+        pmap, t_grid, mesh, epsilon=epsilon, method=method, grid_h=grid_h
     ).sv_values
 
 
@@ -171,20 +172,7 @@ def _cmd_sweep(args) -> list[Path]:
     mesh = _mollification_mesh(args, [] if args.epsilon is None else [args.epsilon])
     pmap = _map_from_args(args)
     t_grid = np.linspace(0.0, 1.0, args.t_steps)
-    # each worker gets interleaved heights, at least the n a sweep needs
-    jobs = min(_resolve_jobs(args), os.cpu_count() or 1, args.t_steps // args.n)
-    payloads = [
-        (pmap, mesh, t_grid[k::jobs], args.epsilon, args.method, args.grid_h)
-        for k in range(jobs)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_sv_worker, payloads))
-    else:
-        parts = [_sv_worker(payloads[0])]
-    sv = np.empty(args.t_steps)
-    for k, part in enumerate(parts):
-        sv[k::jobs] = part
+    sv = _sv_worker((pmap, mesh, t_grid, args.epsilon, args.method, args.grid_h))
     profile = SVProfile(t_grid, sv)
     fit = fit_sv_polynomial(profile, n=args.n)
     try:
@@ -586,6 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--map", default="zero", help="catalog map spec, e.g. lacunary:alpha=0.8,terms=12,seed=7")
         p.add_argument("--n", type=int, default=3, choices=(3, 4))
         p.add_argument("--out", required=True)
+        # accepted for old command lines and config files; every sweep runs in one process
         p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="key=value file mirroring flags")

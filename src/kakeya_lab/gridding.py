@@ -265,9 +265,14 @@ def _rows_within(lo, hi, reach, origin: float, h: float, n: int) -> tuple[np.nda
     with their own reach; the widening covers the rounding of the centers,
     of the distance test and of `_cell_index`.
     """
-    j0 = _cell_index(lo - (reach + 1e-9 * (reach + np.abs(lo))), origin, h, n, np.ceil)
-    j1 = _cell_index(hi + (reach + 1e-9 * (reach + np.abs(hi))), origin, h, n, np.floor)
+    j0 = _cell_index(lo - _widened(reach, lo), origin, h, n, np.ceil)
+    j1 = _cell_index(hi + _widened(reach, hi), origin, h, n, np.floor)
     return j0, j1
+
+
+def _widened(reach, y):
+    """`reach` about y, widened far above rounding: reach + 1e-9 (reach + |y|)."""
+    return reach + 1e-9 * (reach + np.abs(y))
 
 
 def scanline_runs(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
@@ -509,13 +514,15 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float):
 def points_near_polyline(points: np.ndarray, vertices: np.ndarray, tol: float) -> bool:
     """Whether any point lies within tol of the closed polyline (the exact
     test `_near`).  Points are sorted by y, and each segment is tested only
-    against the points whose y is within tol of its y-range."""
+    against the points whose y is within tol of its y-range, widened as
+    `_rows_within` widens it: a point on the tol boundary is tested even
+    where y1 + tol rounds below its y."""
     pts = np.asarray(points, dtype=float)
     P = np.zeros((len(pts), 3))
     P[:, :2] = pts[np.argsort(pts[:, 1])]
     a, u, y0, y1 = _segments(vertices)
-    first = np.searchsorted(P[:, 1], y0 - tol, side="left")
-    counts = np.searchsorted(P[:, 1], y1 + tol, side="right") - first
+    first = np.searchsorted(P[:, 1], y0 - _widened(tol, y0), side="left")
+    counts = np.searchsorted(P[:, 1], y1 + _widened(tol, y1), side="right") - first
     for s, e in _chunks(counts):
         seg, rank = _ranges(first[s:e], counts[s:e])
         seg += s

@@ -68,18 +68,35 @@ def test_library_import_loads_only_what_it_uses():
 
 def test_cli_loads_only_the_modules_of_its_command(tmp_path):
     # importing the CLI loads the modules every command needs, and a `tubes`
-    # run adds those of the tube union alone
+    # run adds those of the tube union alone; no process pool is loaded, by
+    # the import or by a sweep, --jobs 2 included, until someone asks the CLI
+    # for `ProcessPoolExecutor`
     _run_python(
         "import sys\n"
         "def loaded():\n"
         "    return {m for m in sys.modules if m.startswith('kakeya_lab')}\n"
+        "pools = {'concurrent.futures', 'multiprocessing'}\n"
         "from kakeya_lab.cli import main\n"
         "assert loaded() == {'kakeya_lab', 'kakeya_lab.cli', 'kakeya_lab.maps', 'kakeya_lab.pairs',\n"
         "                    'kakeya_lab.report', 'kakeya_lab.sphere'}, sorted(loaded())\n"
+        "assert not pools & set(sys.modules), sorted(pools & set(sys.modules))\n"
         f"assert main(['tubes', '--map', 'zero', '--delta', '0.1', '--out', {str(tmp_path / 't.json')!r}]) == 0\n"
         "assert loaded() == {'kakeya_lab', 'kakeya_lab.cli', 'kakeya_lab.maps', 'kakeya_lab.pairs',\n"
         "                    'kakeya_lab.report', 'kakeya_lab.sphere', 'kakeya_lab.gridding',\n"
         "                    'kakeya_lab.measure'}, sorted(loaded())\n"
+        f"argv = {SWEEPS['grid']!r} + ['--jobs', '2', '--out', {str(tmp_path / 'sv.csv')!r}]\n"
+        "assert main(['sweep', *argv]) == 0\n"
+        "assert not pools & set(sys.modules), sorted(pools & set(sys.modules))\n"
+        "import kakeya_lab.cli as cli\n"
+        "pool = cli.ProcessPoolExecutor\n"
+        "import concurrent.futures\n"
+        "assert pool is concurrent.futures.ProcessPoolExecutor\n"
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('an unknown name did not raise AttributeError')\n"
     )
 
 
@@ -654,60 +671,30 @@ def _sweep_files(tmp_path, name, argv):
 
 @pytest.mark.parametrize("kind", sorted(SWEEPS))
 def test_sweep_pool_byte_equal_to_serial(tmp_path, monkeypatch, kind):
-    import kakeya_lab.cli as cli
-
-    workers = []
-
-    class RecordingPool(cli.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
+    # every sweep runs in one process: --jobs and KAKEYA_LAB_JOBS are
+    # accepted and change no byte, a non-integer variable included
     monkeypatch.delenv("KAKEYA_LAB_JOBS", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     serial = _sweep_files(tmp_path, "serial", SWEEPS[kind] + ["--jobs", "1"])
-    pooled = _sweep_files(tmp_path, "pooled", SWEEPS[kind] + ["--jobs", "2"])
-    assert workers == [2]
-    assert pooled == serial
+    for jobs in ("2", "4"):
+        assert _sweep_files(tmp_path, f"jobs{jobs}", SWEEPS[kind] + ["--jobs", jobs]) == serial
+    for env in ("4", "many"):
+        monkeypatch.setenv("KAKEYA_LAB_JOBS", env)
+        assert _sweep_files(tmp_path, f"env-{env}", SWEEPS[kind] + ["--jobs", "1"]) == serial
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: maps in this process, starts none."""
-
-    created: list = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
-        return map(fn, payloads)
-
-
-@pytest.mark.parametrize("jobs, cpus, t_steps, workers", [
-    (1, 64, 16, 1),  # serial: no pool
-    (2, 64, 16, 2),
-    (8, 64, 16, 5),  # each worker needs n = 3 heights: 16 // 3
-    (8, 3, 16, 3),  # no more workers than cores
-    (64, 64, 8, 2),
-])
-def test_sweep_pool_partitions_heights(tmp_path, monkeypatch, jobs, cpus, t_steps, workers):
+def test_sweep_mollifies_once(tmp_path, monkeypatch):
+    # --jobs 2 starts no pool: one worker call gets every height, and the map
+    # is mollified once
     import kakeya_lab.cli as cli
     import kakeya_lab.slices as slices
 
-    subsets = []
+    heights = []
     mollified = []
     real_worker = cli._sv_worker
     real_mollify = slices.mollify_on_sphere
 
     def worker(payload):
-        subsets.append(payload[2])
+        heights.append(payload[2])
         return real_worker(payload)
 
     def mollify(*args, **kwargs):
@@ -715,24 +702,11 @@ def test_sweep_pool_partitions_heights(tmp_path, monkeypatch, jobs, cpus, t_step
         return real_mollify(*args, **kwargs)
 
     monkeypatch.delenv("KAKEYA_LAB_JOBS", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(InlinePool, "created", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli, "_sv_worker", worker)
     monkeypatch.setattr(slices, "mollify_on_sphere", mollify)
-    argv = ["--map", "lacunary:alpha=0.8,terms=12,seed=7", "--epsilon", "0.05",
-            "--mesh", "512", "--t-steps", str(t_steps)]
-    pooled = _sweep_files(tmp_path, "pooled", argv + ["--jobs", str(jobs)])
-
-    assert InlinePool.created == ([] if workers == 1 else [workers])
-    t_grid = np.linspace(0.0, 1.0, t_steps)
-    assert len(subsets) == workers
-    for k, subset in enumerate(subsets):
-        assert np.array_equal(subset, t_grid[k::workers])
-    assert len(mollified) == workers
-    # the scatter puts every height's SV back in its row
-    monkeypatch.setattr(cli, "_sv_worker", real_worker)
-    assert pooled == _sweep_files(tmp_path, "serial", argv + ["--jobs", "1"])
+    _sweep_files(tmp_path, "sweep", SWEEPS["mollified"] + ["--jobs", "2"])
+    assert len(heights) == 1 and np.array_equal(heights[0], np.linspace(0.0, 1.0, 8))
+    assert mollified == [1]
 
 
 @pytest.mark.parametrize("exc, error", [

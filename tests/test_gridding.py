@@ -10,6 +10,7 @@ import kakeya_lab
 from kakeya_lab.gridding import (
     _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _clear_of_ends, _near, _near_polyline,
     _rows_within, _segment_row_spans, _segments, grid_over, mark_near_polyline, merged_runs,
+    points_near_polyline,
 )
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
@@ -231,6 +232,38 @@ def test_tangent_row_of_a_horizontal_segment():
     mask = _assert_same(EXACT_GRID, seg, tol, chains=(1, 2, None))
     assert mask[5:21, 2].all() and not mask[:5, 2].any() and not mask[21:, 2].any()
     assert not mask[:, 3:].any()
+
+
+def test_points_near_polyline_keeps_the_tangent_point():
+    # the tangent-row segment: y + tol rounds below the point at row 2's
+    # center, which `_near` accepts, so only a widened window tests it
+    y = -0.9
+    tol = _center(2) - y
+    seg = np.array([[_center(5), y], [_center(20), y]])
+    point = np.array([[_center(10), _center(2)]])
+    assert y + tol < point[0, 1]
+    a, u, _, _ = _segments(seg)
+    assert _near(np.array([[*point[0], 0.0]]), a[:1], u[:1], tol)[0]
+    assert points_near_polyline(point, seg, tol)
+
+
+def test_points_near_polyline_matches_brute_force_near():
+    # polylines whose vertices share a few non-binary heights, points on
+    # binary-exact centers, and tol the gap from a point to a vertex height:
+    # many segments are tangent to a point, and every answer is `_near` over
+    # all (point, segment) pairs
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        k = int(rng.integers(2, 7))
+        verts = np.stack([_center(rng.integers(-8, 40, size=k)),
+                          rng.choice([-0.9, -0.3, 0.1, 0.7], size=k)], axis=1)
+        pts = _center(rng.integers(-8, 40, size=(int(rng.integers(1, 30)), 2)))
+        tol = abs(pts[rng.integers(len(pts)), 1] - verts[rng.integers(k), 1])
+        a, u, _, _ = _segments(verts)
+        P = np.zeros((len(pts) * k, 3))
+        P[:, :2] = np.repeat(pts, k, axis=0)
+        want = bool(_near(P, np.tile(a, (len(pts), 1)), np.tile(u, (len(pts), 1)), tol).any())
+        assert points_near_polyline(pts, verts, tol) == want
 
 
 @pytest.mark.parametrize("cells", [0.5, 3, 10])

@@ -335,6 +335,22 @@ def test_tube_union_tangent_rows():
     _assert_tube_marks_equal(fam, h, _reference_tube_marks)
 
 
+def test_tube_layers_keep_the_row_their_reach_rounds_past():
+    # binary-exact delta, h and corner (fixed by a tube at the origin); a
+    # vertical tube 3 ulps above row 2's centers plus delta: cy - delta rounds
+    # above those centers while the exact test accepts the one in its column,
+    # so only the widening of the row rule keeps row 2
+    delta, h = 0.0625, 0.015625
+    corner = -delta - 2.0 * h
+    row2 = corner + 2.5 * h
+    cy = row2 + delta + 3 * np.spacing(row2 + delta)
+    assert cy - delta > row2 and (row2 - cy) ** 2 <= delta**2
+    fam = TubeFamily(delta, np.zeros((2, 2)), np.array([[0.0, 0.0], [corner + 20.5 * h, cy]]), 3)
+    want = _brute_tube_marks(fam, h)
+    assert want[20, 2].sum() == 64  # every layer with z in [0, 1]
+    _assert_tube_marks_equal(fam, h, _brute_tube_marks)
+
+
 @pytest.mark.parametrize("ratio", [4, 8])
 def test_tube_union_matches_brute_force_tilted(ratio):
     # tilted tubes, |v| near 1: below delta/4 the ellipse of the section reaches

@@ -53,6 +53,23 @@ def test_default_boundary_tolerance_guards_loop_points():
         winding_number_2d(loop, np.array([1.0 - 1e-10, 0.0]))
 
 
+def test_boundary_check_catches_a_point_tangent_to_a_flat_edge():
+    # the loop's top edge runs at y = -0.9 from x = 1.375 to 5.125; the point
+    # lies exactly tol above it, where y + tol rounds below the point's y, and
+    # every other edge is farther: both paths must refuse it
+    top = np.stack([1.375 + 0.3125 * np.arange(13), np.full(13, -0.9)], axis=1)
+    loop = make_slice_loop(0.5, np.vstack([top, [[5.125, -5.0], [5.125, -10.0],
+                                                 [1.375, -10.0], [1.375, -5.0]]]))
+    point = np.array([2.625, 0.625])
+    tol = 0.625 + 0.9
+    assert -0.9 + tol < point[1]
+    assert winding_number_2d(loop, point, check_boundary=False) == 0
+    with pytest.raises(BoundaryError):
+        winding_number_2d(loop, point, tol_boundary=tol)
+    with pytest.raises(BoundaryError):
+        ray_crossing_oracle(loop, point, tol_boundary=tol)
+
+
 def test_ray_crossing_matches_examples():
     loop = circle_loop()
     assert ray_crossing_oracle(loop, np.array([0.0, 0.0])) == 1
