@@ -437,6 +437,14 @@ def _chain_segment_pairs(first, size, rows_of, j0, rows):
         yield k[keep], j[keep]
 
 
+def run_keys_fit(shape) -> bool:
+    """Whether the runs of an (nx, ny) grid pack into `merged_runs`' int64
+    keys: (nx + 1)^2 ny < 2^63.  A float shape past int64, or not finite,
+    does not fit."""
+    nx, ny = shape
+    return nx < 2**63 and ny < 2**63 and (int(nx) + 1) ** 2 * int(ny) < 1 << 63
+
+
 def merged_runs(shape, first, last) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint runs (first, last), sorted, covering the same cells as the
     given non-empty runs, cells [first, last) of the packed line where cell
@@ -446,13 +454,13 @@ def merged_runs(shape, first, last) -> tuple[np.ndarray, np.ndarray]:
 
     The runs are sorted as one int64 key first (nx + 1) + (last - first),
     the length being at most nx, and a running maximum of the ends along
-    the sorted runs merges them.  Shapes whose keys would not fit,
-    (nx + 1)^2 ny >= 2^63, raise ValueError before anything is sorted.
+    the sorted runs merges them.  Shapes whose keys would not fit
+    (`run_keys_fit`) raise ValueError before anything is sorted.
     """
     nx, ny = shape
-    width = int(nx) + 1
-    if width * width * int(ny) >= 1 << 63:
+    if not run_keys_fit(shape):
         raise ValueError(f"a {nx} x {ny} grid is too large for packed int64 run keys")
+    width = int(nx) + 1
     first = np.asarray(first, np.int64)
     first, length = np.divmod(np.sort(first * width + (last - first)), width)
     last = np.maximum.accumulate(first + length)

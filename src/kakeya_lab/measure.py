@@ -11,8 +11,8 @@ argument is stated there: each layer adds the total length of its merged
 runs, and no plane is built.  On a layer clear of every tube's end balls
 the row spans are the cylinder's chords alone.  The cost follows the
 (tube, layer, row) triples, which `tube_grid` bounds in closed form and
-refuses above MAX_TUBE_PAIRS, with the layers' plane cells above
-MAX_TUBE_CELLS, before the first layer.
+refuses above MAX_TUBE_PAIRS before the first layer, as it refuses a layer
+grid too wide for the packed run keys of `gridding.merged_runs`.
 """
 
 from __future__ import annotations
@@ -21,19 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridding import _rows_within, run_cells, scanline_runs
+from .gridding import _rows_within, run_cells, run_keys_fit, scanline_runs
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
 # Parameter samples per axis (m + 1) that rasterize_image_measure may lay out;
 # its square grid then holds at most 4096^2 = 2^24 points before the disk cut.
 MAX_DISK_SIDE = 4096
-# (tube, layer, row) triples tube_union_volume may visit, and cells of the
-# layers' planes it may span; each union of acceptance criterion 9 (7,502
-# tubes, delta = 0.02, h = 0.005) needs 1.84e7 triples and at most 2.84e7
-# cells.  The union builds no plane since it counts runs, so the cell cap
-# bounds no allocation; it is kept as part of the refusal contract of `tubes --h`.
+# (tube, layer, row) triples tube_union_volume may visit; each union of
+# acceptance criterion 9 (7,502 tubes, delta = 0.02, h = 0.005) needs 1.84e7
 MAX_TUBE_PAIRS = 2e8
-MAX_TUBE_CELLS = 1e9
 # The ray solver's low-discrepancy seed directions, its fixed-point steps per
 # start, and the directions of its dense fallback scan
 COVER_SEEDS = 32
@@ -203,10 +199,9 @@ def tube_grid(family: TubeFamily, h: float) -> tuple[np.ndarray, np.ndarray, np.
     """Corner and (nx, ny, layers) shape of the tube union's cell grid, and
     each tube's reach in y within a layer, after the work preflight.
 
-    Raises before anything is allocated if h > delta/4, or if the union may
-    visit more than MAX_TUBE_PAIRS (tube, layer, row) triples or span more
-    than MAX_TUBE_CELLS cells of the layers' planes (no plane is built; the
-    cap is kept as a bound on the grid).
+    Raises before anything is allocated if h > delta/4, if the union may
+    visit more than MAX_TUBE_PAIRS (tube, layer, row) triples, or if a
+    layer's runs would not fit `gridding.merged_runs`' packed int64 keys.
     """
     if h > family.delta / 4.0:
         raise ValueError(f"grid spacing {h} too coarse; need h <= delta/4")
@@ -214,19 +209,23 @@ def tube_grid(family: TubeFamily, h: float) -> tuple[np.ndarray, np.ndarray, np.
     a3, b3 = family.segment_endpoints()
     lo = np.minimum(a3, b3).min(axis=0) - delta - 2.0 * h
     hi = np.maximum(a3, b3).max(axis=0) + delta + 2.0 * h
-    dims = np.ceil((hi - lo) / h).astype(int)
+    # floats until the width is checked: a wide map's grid may not fit int64
+    dims = np.ceil((hi - lo) / h)
     # the section at height z lies within delta sqrt(1 + vy^2) in y of
     # c + clip(z, 0, 1) v, so a tube meets at most floor(2 reach / h) + 3 rows of a layer
     reach = delta * np.sqrt(1.0 + family.net[:, 1] ** 2)
     pairs = float(dims[2]) * float(np.sum(np.floor(2.0 * reach / h) + 3.0))
-    cells = float(np.prod(dims.astype(float)))
-    if pairs > MAX_TUBE_PAIRS or cells > MAX_TUBE_CELLS:
+    if pairs > MAX_TUBE_PAIRS:
         raise ValueError(
-            f"grid spacing {h} needs up to {pairs:.3g} (tube, layer, row) triples and "
-            f"{cells:.3g} plane cells, over {MAX_TUBE_PAIRS:.3g} or {MAX_TUBE_CELLS:.3g}; "
-            "use a larger h"
+            f"grid spacing {h} needs up to {pairs:.3g} (tube, layer, row) triples, "
+            f"over {MAX_TUBE_PAIRS:.3g}; use a larger h"
         )
-    return lo, dims, reach
+    if not run_keys_fit(dims[:2]):
+        raise ValueError(
+            f"grid spacing {h} needs a {dims[0]:.3g} x {dims[1]:.3g} layer grid, too large "
+            "for packed int64 run keys; use a larger h"
+        )
+    return lo, dims.astype(int), reach
 
 
 def tube_pairs_floor(delta: float, h: float) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gridding import grid_over, mark_near_polyline, run_cells
 from .maps import PositionMap
-from .smoothing import Kernel, mollify_on_sphere
+from .smoothing import mollify_on_sphere
 from .sphere import SphereMesh
 from .winding import SliceLoop, WindingField, make_slice_loop, winding_field
 
@@ -38,7 +38,7 @@ def slice_loop(
     pmap: PositionMap,
     t: float,
     mesh: SphereMesh,
-    epsilon: float | Kernel | None = None,
+    epsilon: float | None = None,
     samples: np.ndarray | None = None,
 ) -> SliceLoop:
     """Image of the boundary sphere at height t, optionally mollified.

@@ -40,7 +40,6 @@ class Kernel:
     epsilon: float
     d_epsilon: float
     raw_masses: np.ndarray  # per-vertex quadrature of the unscaled bump
-    mesh_resolution: int
 
 
 def _check_scale(epsilon: float, mesh: SphereMesh) -> None:
@@ -89,23 +88,17 @@ def mollifier_kernel(epsilon: float, mesh: SphereMesh) -> Kernel:
     # ambient codimension: the surface is (dim)-dimensional, the bump scale
     # normalizer is epsilon^dim
     d_eps = float(epsilon**mesh.dim / np.mean(masses))
-    return Kernel(float(epsilon), d_eps, masses, mesh.n_vertices)
+    return Kernel(float(epsilon), d_eps, masses)
 
 
 def mollify_on_sphere(
     samples_or_map,
-    epsilon_or_kernel,
+    epsilon: float,
     mesh: SphereMesh,
 ) -> np.ndarray:
-    """Componentwise spherical convolution at every mesh vertex; a Kernel
-    argument must be resolved on `mesh` and supplies only its scale."""
-    if isinstance(epsilon_or_kernel, Kernel):
-        if epsilon_or_kernel.mesh_resolution != mesh.n_vertices:
-            raise ValueError("kernel was resolved on a different mesh")
-        epsilon = epsilon_or_kernel.epsilon
-    else:
-        epsilon = float(epsilon_or_kernel)
-        _check_scale(epsilon, mesh)
+    """Componentwise spherical convolution at every mesh vertex."""
+    epsilon = float(epsilon)
+    _check_scale(epsilon, mesh)
     if isinstance(samples_or_map, PositionMap):
         f = samples_or_map(mesh.vertices)
     else:

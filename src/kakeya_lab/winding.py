@@ -91,6 +91,18 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
     return pts, False
 
 
+def _whole_turns(turns: np.ndarray, single: bool, name: str):
+    """`turns` rounded to whole turns: an int for a single point, else an
+    int64 array.  Raises ResidualError, naming the `name` residual, if any
+    misses its integer by RESIDUAL_LIMIT or more."""
+    wind = np.rint(turns)
+    residual = np.max(np.abs(turns - wind))
+    if residual >= RESIDUAL_LIMIT:
+        raise ResidualError(f"{name} residual {residual:.3f} >= {RESIDUAL_LIMIT}")
+    out = wind.astype(np.int64)
+    return int(out[0]) if single else out
+
+
 def winding_number_2d(
     loop: SliceLoop, points, tol_boundary: float = 1e-9, check_boundary: bool = True
 ):
@@ -116,13 +128,7 @@ def winding_number_2d(
         b = wc[None, :] - pc[s:e, None]
         prod = b * np.conj(a)
         total[s:e] = np.arctan2(prod.imag, prod.real).sum(axis=1)
-    turns = total / (2.0 * np.pi)
-    wind = np.rint(turns)
-    residual = np.max(np.abs(turns - wind))
-    if residual >= RESIDUAL_LIMIT:
-        raise ResidualError(f"angle-sum residual {residual:.3f} >= {RESIDUAL_LIMIT}")
-    out = wind.astype(np.int64)
-    return int(out[0]) if single else out
+    return _whole_turns(total / (2.0 * np.pi), single, "angle-sum")
 
 
 def ray_crossing_oracle(
@@ -309,13 +315,7 @@ def generalized_winding_3d(loop: SliceLoop, points, tol_boundary: float = 1e-9):
             + np.einsum("pnd,pnd->pn", c, a) * lb
         )
         totals[s:e] = (2.0 * np.arctan2(num, den)).sum(axis=1)
-    turns = totals / (4.0 * np.pi)
-    wind = np.rint(turns)
-    residual = np.max(np.abs(turns - wind))
-    if residual >= RESIDUAL_LIMIT:
-        raise ResidualError(f"solid-angle residual {residual:.3f} >= {RESIDUAL_LIMIT}")
-    out = wind.astype(np.int64)
-    return int(out[0]) if single else out
+    return _whole_turns(totals / (4.0 * np.pi), single, "solid-angle")
 
 
 def degree_circle_map(samples: np.ndarray) -> int:
@@ -329,11 +329,7 @@ def degree_circle_map(samples: np.ndarray) -> int:
     inc = np.arctan2(cross, dot)
     if np.max(np.abs(inc)) >= np.pi / 2.0:
         raise ResidualError("angular gap >= pi/2 between consecutive samples")
-    turns = inc.sum() / (2.0 * np.pi)
-    deg = round(float(turns))
-    if abs(turns - deg) >= RESIDUAL_LIMIT:
-        raise ResidualError(f"lift residual {abs(turns - deg):.3f}")
-    return deg
+    return _whole_turns(np.array([inc.sum() / (2.0 * np.pi)]), True, "lift")
 
 
 def degree_integral_bound(

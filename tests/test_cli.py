@@ -526,24 +526,38 @@ def test_tubes_oversized_work_at_the_largest_h_names_delta(tmp_path, capsys, mon
     assert payload["error"].endswith("use a larger delta")
 
 
-@pytest.mark.parametrize("h, cap", [
-    # the scale-8 family alone needs 1.5e8 plane cells against 1.06e8 for the base
-    ("0.005", 1.3e8),
-    # every family needs about 2.5e10 to 3.6e10 plane cells at the real cap
-    ("0.0008", None),
-])
-def test_tubes_oversized_planes_name_h(tmp_path, capsys, monkeypatch, h, cap):
-    # the plane preflight of every family runs before the first union
+@pytest.mark.parametrize("argv, flag", [
+    # the base family's layer grid, about 7.9e7 x 7.8e7 cells at h = delta/4,
+    # is too wide for packed int64 run keys; so is the grid at h = 0.01, while
+    # the scale-2 family spans at most about 4 and fits
+    ([], "--delta"),
+    (["--h", "0.01", "--scales", "2"], "--h"),
+], ids=["delta", "h"])
+def test_tubes_too_wide_for_run_keys_names_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
     import kakeya_lab.measure as measure
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("a union ran before every family's work preflight")
 
     monkeypatch.setattr(measure, "scanline_runs", no_kernel)
-    if cap is not None:
-        monkeypatch.setattr(measure, "MAX_TUBE_CELLS", cap)
+    code = run_cli(["tubes", "--map", "poly:coeffs=0;1e6", "--delta", "0.1", *argv,
+                    "--out", tmp_path / "t.json"])
+    assert _flag_of_failure(code, capsys) == flag
+
+
+def test_tubes_checks_every_family_before_the_first_union(tmp_path, capsys, monkeypatch):
+    # the work preflight of every family runs before the first union: only
+    # the scale-8 family, preflighted last, is refused
+    import kakeya_lab.measure as measure
+    from test_measure import refuse_the_scale_8_family
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a union ran before every family's work preflight")
+
+    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    refuse_the_scale_8_family(monkeypatch)
     code = run_cli(
-        ["tubes", "--map", "lacunary:alpha=0.8,terms=10,seed=21", "--delta", "0.1", "--h", h,
+        ["tubes", "--map", "lacunary:alpha=0.8,terms=10,seed=21", "--delta", "0.1", "--h", "0.005",
          "--scales", "8", "--out", tmp_path / "t.json"]
     )
     assert _flag_of_failure(code, capsys) == "--h"

@@ -10,7 +10,7 @@ import kakeya_lab
 from kakeya_lab.gridding import (
     _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _clear_of_ends, _near, _near_polyline,
     _rows_within, _segment_row_spans, _segments, grid_over, mark_near_polyline, merged_runs,
-    points_near_polyline,
+    points_near_polyline, run_keys_fit,
 )
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
@@ -534,6 +534,26 @@ def test_merged_runs_refuse_keys_past_int64(monkeypatch):
     monkeypatch.undo()
     # just below the limit, 2^62 < 2^63
     assert all(len(x) == 0 for x in merged_runs((2**31 - 1, 1), none, none))
+
+
+def test_run_keys_fit_up_to_int64():
+    # 2^63 - 1 = 7^2 (2^63 - 1) / 49: an (nx + 1)^2 ny of exactly 2^63 - 1 fits
+    last = (2**63 - 1) // 49
+    assert 49 * last == 2**63 - 1
+    assert run_keys_fit((6, last))
+    assert not run_keys_fit((6, last + 1))
+    assert not run_keys_fit((2**31 - 1, 2))  # 2^63
+    # float shapes past int64, or not finite, do not fit
+    for shape in ((7.9e31, 7.8e31), (2.0**63, 1.0), (np.inf, 1.0), (1.0, np.nan)):
+        assert not run_keys_fit(shape)
+    assert run_keys_fit((100.0, 100.0))
+    none = np.zeros(0, dtype=np.int64)
+    for shape in ((6, last), (6, last + 1), (2**31 - 1, 1), (2**31 - 1, 2), (2**31, 1), (10**6, 10**7)):
+        if run_keys_fit(shape):
+            merged_runs(shape, none, none)
+        else:
+            with pytest.raises(ValueError, match="packed int64 run keys"):
+                merged_runs(shape, none, none)
 
 
 def test_chunk_edges_match_the_unique_form():

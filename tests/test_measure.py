@@ -433,29 +433,45 @@ def test_tube_union_refuses_oversized_work(monkeypatch):
 
 
 def test_tube_union_refuses_oversized_planes(monkeypatch):
-    # few (tube, layer, row) triples, but each layer's plane is walked whole
+    # few (tube, layer, row) triples, but two tubes 1e7 apart need an
+    # 8e8 x 8e8 layer grid, whose runs would not fit the packed int64 keys
     import kakeya_lab.measure as measure
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran before the work preflight")
 
     monkeypatch.setattr(measure, "scanline_runs", no_kernel)
-    monkeypatch.setattr(measure, "MAX_TUBE_CELLS", 1e4)
-    fam = TubeFamily(0.05, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), 3)
-    with pytest.raises(ValueError, match="larger h"):
+    fam = TubeFamily(0.05, np.zeros((2, 2)), np.array([[0.0, 0.0], [1e7, 1e7]]), 3)
+    with pytest.raises(ValueError, match="run keys; use a larger h"):
         tube_union_volume(fam, 0.0125)
 
 
+def refuse_the_scale_8_family(monkeypatch):
+    """Make `measure.tube_grid` refuse only a family with net Lipschitz
+    constant 8 (every scaled family has the same triple count, so no cap
+    refuses one family alone); the base lacunary family of these tests has
+    5.75, the scale-1 family 1."""
+    import kakeya_lab.measure as measure
+
+    real = measure.tube_grid
+
+    def tube_grid(family, h):
+        if lipschitz_constant_on_net(family.net, family.centers) > 7.0:
+            raise ValueError("the scale-8 family is refused; use a larger h")
+        return real(family, h)
+
+    monkeypatch.setattr(measure, "tube_grid", tube_grid)
+
+
 def test_lipschitz_experiment_checks_every_family_first(monkeypatch):
-    # the scale-8 family needs 1.5e8 plane cells, the scale-1 family far
-    # fewer: the refusal comes before the scale-1 union
+    # the scale-8 family is refused: the refusal comes before the scale-1 union
     import kakeya_lab.measure as measure
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("a union ran before every family's work preflight")
 
     monkeypatch.setattr(measure, "scanline_runs", no_kernel)
-    monkeypatch.setattr(measure, "MAX_TUBE_CELLS", 1.3e8)
+    refuse_the_scale_8_family(monkeypatch)
     m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=21)
     with pytest.raises(ValueError, match="larger h"):
         lipschitz_tube_experiment(m, [1.0, 8.0], 0.1, h=0.005)
@@ -546,7 +562,6 @@ def test_tube_pairs_floor_never_exceeds_the_preflight_count(monkeypatch):
     # with the cap just below the bound, tube_grid must refuse
     import kakeya_lab.measure as measure
 
-    monkeypatch.setattr(measure, "MAX_TUBE_CELLS", np.inf)
     for delta in (0.006, 0.013, 0.03, 0.1):
         family = build_tube_family(make_map("zero"), delta)
         for h in (delta / 4.0, delta / 10.0):

@@ -204,7 +204,7 @@ def test_mollify_matches_two_pass_on_circle(circle):
     kernel = mollifier_kernel(epsilon, circle)
     np.testing.assert_allclose(kernel.raw_masses, ref_raw_masses(epsilon, circle), rtol=CIRCLE_TOL, atol=0)
     assert kernel.d_epsilon == float(epsilon**circle.dim / np.mean(kernel.raw_masses))
-    assert np.array_equal(mollify_on_sphere(f, kernel, circle), out)
+    assert np.array_equal(mollify_on_sphere(f, kernel.epsilon, circle), out)
 
 
 @pytest.mark.parametrize("n", [768, 1000, 1024, 4096])

@@ -28,7 +28,7 @@ def test_kernel_mass_is_one_everywhere(circle_1024):
     # per-vertex normalization makes the quadrature mass exactly one
     kernel = mollifier_kernel(0.1, circle_1024)
     ones = np.ones(circle_1024.n_vertices)
-    out = mollify_on_sphere(ones, kernel, circle_1024)
+    out = mollify_on_sphere(ones, kernel.epsilon, circle_1024)
     assert np.max(np.abs(out - 1.0)) < 1e-8
 
 
