@@ -5,17 +5,16 @@ whole number of cells, so that rigidly translated data produces identically
 translated cell centers.
 
 Every "which points lie within r of a segment" question of the package is
-asked here, of segments a -> a + u in R^3 (planar data in z = 0), with one
-exact test, `_near`: the scanline runs of `scanline_runs` (near-loop masks,
-and `measure`'s tube layers) and the boundary checks of
-`points_near_polyline`.  No (nx, ny) array is built.  Where every plane of
-a call is clear of its segments' end balls (tube layers away from the tube
-ends), a row's span is the cylinder's chord alone (`_clear_of_ends`).  A
-near-loop mask wider than a few segment lengths (a collar) first tests
-chains of consecutive segments against two disks each (`_chain_pairs`,
-after Barill et al., "Fast winding numbers for soups and clouds", SIGGRAPH
-2018), and solves exact segment spans only where a chain reaches past the
-cells already certain, at the mask's edge.
+answered with one exact test, `_near`, of segments a -> a + u in R^3: the
+scanline runs of `scanline_runs` (near-loop masks, planar data in z = 0),
+the boundary checks of `points_near_polyline`, and the cells at the span
+ends of `measure`'s tube layers, whose kernel (`measure.tube_layer_runs`)
+takes its row rule, slack and exactness argument from here.  No (nx, ny)
+array is built.  A near-loop mask wider than a few segment lengths (a
+collar) first tests chains of consecutive segments against two disks each
+(`_chain_pairs`, after Barill et al., "Fast winding numbers for soups and
+clouds", SIGGRAPH 2018), and solves exact segment spans only where a chain
+reaches past the cells already certain, at the mask's edge.
 
 Every caller takes its rows by one rule, `_rows_within`: the rows whose
 center lies within the reach of a y-interval (a segment's y-range and r
@@ -137,26 +136,6 @@ def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarr
     return x_lo, x_hi
 
 
-def _clear_of_ends(r, dz, uz) -> bool:
-    """Whether every plane z = a_z + dz of a call lies strictly between the
-    end balls of its segment, at every radius of r, by a margin far above
-    rounding: r_out < dz sgn(u_z) < |u_z| - r_out, with r_out the largest
-    radius plus the margin, 1e-9 of that radius and of the largest |u_z|.
-
-    Write P - a = t u + w with w perpendicular to u; a point of the cylinder
-    has |w| <= r, so at height z, |t u_z - dz| <= r.  Under the test every
-    such point has 0 < t < 1, and |dz| and |dz - u_z| exceed r: neither end
-    ball meets the plane and the strip clip cannot bind.  A planar segment
-    (u_z = 0) never passes.
-    """
-    if not len(uz):
-        return False
-    top = np.abs(uz)
-    edge = float(np.max(r)) * (1.0 + 1e-9) + 1e-9 * float(top.max())
-    s = dz * np.sign(uz)
-    return bool(s.min() > edge) and bool(np.all(s < top - edge))
-
-
 def _segment_row_spans(r, py, z, a, u) -> tuple[np.ndarray, np.ndarray]:
     """x-extent of each row (the line y = py in the plane at height z) within
     r of its segment a -> a + u; a and u are given as their three columns
@@ -172,10 +151,6 @@ def _segment_row_spans(r, py, z, a, u) -> tuple[np.ndarray, np.ndarray]:
     L = |u|, with no cancellation under the root.  For A = 0 (u along the
     rows) the cylinder holds the whole row or none of it; a zero-length
     segment has no cylinder.  An empty span is (inf, -inf).
-
-    When every plane of the call is clear of its segment's ends
-    (`_clear_of_ends`), the span is the cylinder's chord alone, computed in
-    the same order, so the result is the same to the bit.
     """
     ax, ay, az = a
     ux, uy, uz = u
@@ -205,24 +180,20 @@ def _segment_row_spans(r, py, z, a, u) -> tuple[np.ndarray, np.ndarray]:
         x_hi = np.add(mid, root, out=root)
         x_hi /= area
     inside = e >= 0.0
-    clear = _clear_of_ends(r, dz, uz)
-    if not clear:
-        flat = area == 0.0
-        if flat.any():
-            x_lo = np.where(flat, -np.inf, x_lo)
-            x_hi = np.where(flat, np.inf, x_hi)
-            inside = np.where(flat, dy * dy + dz * dz <= rr, inside)
-        t_lo, t_hi = _solve_span(-m, l2 - m, ux)
-        np.maximum(x_lo, t_lo, out=x_lo)
-        np.minimum(x_hi, t_hi, out=x_hi)
+    flat = area == 0.0
+    if flat.any():
+        x_lo = np.where(flat, -np.inf, x_lo)
+        x_hi = np.where(flat, np.inf, x_hi)
+        inside = np.where(flat, dy * dy + dz * dz <= rr, inside)
+    t_lo, t_hi = _solve_span(-m, l2 - m, ux)
+    np.maximum(x_lo, t_lo, out=x_lo)
+    np.minimum(x_hi, t_hi, out=x_hi)
     x_lo += ax
     x_hi += ax
     # the cylinder's chord, empty where the row misses it
-    out = ~inside if clear else ~(inside & (l2 > 0.0) & (x_lo <= x_hi))
+    out = ~(inside & (l2 > 0.0) & (x_lo <= x_hi))
     x_lo[out] = np.inf
     x_hi[out] = -np.inf
-    if clear:
-        return x_lo, x_hi
     lo = np.full(e.shape, np.inf)
     hi = np.full(e.shape, -np.inf)
     for cx, ey, ez in ((ax, dy, dz), (ax + ux, dy - uy, dz - uz)):
@@ -261,9 +232,9 @@ def _rows_within(lo, hi, reach, origin: float, h: float, n: int) -> tuple[np.nda
     has its center within r of a point of the segment, whose y lies in the
     segment's y-range, so the center's y is within r of that range: no row
     outside the widened interval holds such a cell.  The same holds for a
-    chain's ball (`_chain_pairs`) and a tube's section (`_tube_layers`)
-    with their own reach; the widening covers the rounding of the centers,
-    of the distance test and of `_cell_index`.
+    chain's ball (`_chain_pairs`) and a tube's section
+    (`measure.tube_layer_runs`) with their own reach; the widening covers
+    the rounding of the centers, of the distance test and of `_cell_index`.
     """
     j0 = _cell_index(lo - _widened(reach, lo), origin, h, n, np.ceil)
     j1 = _cell_index(hi + _widened(reach, hi), origin, h, n, np.floor)
@@ -325,17 +296,11 @@ def scanline_runs(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
         fill = f_lo <= f_hi
         line = j[fill] * width
         runs.append((line + f_lo[fill], line + f_hi[fill] + 1))
-        # exact test on the outer span minus the filled one, [o_lo, left] and
-        # [right, o_hi]; a pair whose spans agree has no such cell
+        # exact test on the outer span minus the filled one; a pair whose
+        # spans agree has no such cell
         band = np.flatnonzero((o_lo != f_lo) | (o_hi != f_hi))
-        o_lo, o_hi, f_lo, f_hi = o_lo[band], o_hi[band], f_lo[band], f_hi[band]
-        fill = fill[band]
-        left = np.where(fill, np.minimum(f_lo - 1, o_hi), o_hi)
-        right = np.where(fill, np.maximum(f_hi + 1, o_lo), o_hi + 1)
-        starts = np.concatenate([o_lo, right])
-        counts = np.maximum(np.concatenate([left - o_lo, o_hi - right]) + 1, 0)
-        pair, i = _ranges(starts, counts)
-        pair = band[pair % max(len(band), 1)]  # left and right ranges of the same pair
+        pair, i = _band_cells(o_lo[band], o_hi[band], f_lo[band], f_hi[band])
+        pair = band[pair]
         P = np.empty((len(i), 3))
         P[:, 0] = ox + (i + 0.5) * h
         P[:, 1] = py[pair]
@@ -345,6 +310,19 @@ def scanline_runs(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
         cell = j[pair[hit]] * width + i[hit]
         runs.append((cell, cell + 1))
     return union_runs(shape, *runs)
+
+
+def _band_cells(o_lo, o_hi, f_lo, f_hi):
+    """The cells of each outer span [o_lo, o_hi] outside its filled span
+    [f_lo, f_hi] (none filled where f_lo > f_hi or either is NaN), as
+    (span, cell) pairs: the ranges [o_lo, left] and [right, o_hi]."""
+    fill = f_lo <= f_hi
+    left = np.where(fill, np.minimum(f_lo - 1, o_hi), o_hi)
+    right = np.where(fill, np.maximum(f_hi + 1, o_lo), o_hi + 1)
+    starts = np.concatenate([o_lo, right]).astype(np.int64, copy=False)
+    counts = np.maximum(np.concatenate([left - o_lo, o_hi - right]) + 1, 0).astype(np.int64, copy=False)
+    span, i = _ranges(starts, counts)
+    return span % max(len(o_lo), 1), i  # left and right ranges of the same span
 
 
 def _segment_pairs(j0, rows):

@@ -41,6 +41,15 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     )
 
 
+def _finite(what: str, values) -> np.ndarray:
+    """`values` as a float array, refused with ValueError unless every entry
+    is finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
 class PositionMap:
     """Deterministic evaluable map from the ball B^{n-1} or sphere S^{n-1}."""
 
@@ -67,14 +76,14 @@ class PositionMap:
     def _validate(self) -> None:
         v, p = self.variant, self.params
         if v == "constant":
-            vec = np.asarray(p["p"], dtype=float)
+            vec = _finite("constant vector", p["p"])
             if vec.shape != (self.out_dim,):
                 raise ValueError(f"constant vector must have length {self.out_dim}")
             self._tables["p"] = vec
         elif v == "radial_scale":
-            self._tables["r"] = float(p["r"])
+            self._tables["r"] = float(_finite("radial scale r", p["r"]))
         elif v == "polynomial":
-            coeffs = np.asarray(p["coeffs"], dtype=float)
+            coeffs = _finite("polynomial coeffs", p["coeffs"])
             if coeffs.ndim != 1 or len(coeffs) == 0:
                 raise ValueError("polynomial coeffs must be a nonempty 1-d sequence")
             self._tables["coeffs"] = coeffs
@@ -97,7 +106,7 @@ class PositionMap:
                 raise ValueError("bandlimited maps live on the sphere domain, n = 3")
             terms = int(p.get("terms", 6))
             seed = int(p.get("seed", 0))
-            amplitude = float(p.get("amplitude", 0.5))
+            amplitude = float(_finite("bandlimited amplitude", p.get("amplitude", 0.5)))
             if amplitude <= 0:
                 raise ValueError("bandlimited amplitude must be positive")
             rng = np.random.default_rng(seed)
@@ -114,8 +123,8 @@ class PositionMap:
             # sup_bound's dense sample is this one, and __call__ scales it the same way
             self._tables["sup"] = float(np.max(np.linalg.norm(scale * raw, axis=1)))
         elif v == "grid_sampled":
-            pts = np.asarray(p["points"], dtype=float)
-            vals = np.asarray(p["values"], dtype=float)
+            pts = _finite("grid_sampled points", p["points"])
+            vals = _finite("grid_sampled values", p["values"])
             if pts.ndim != 2 or len(pts) == 0:
                 raise ValueError("grid_sampled needs a nonempty net")
             if vals.shape != (len(pts), self.out_dim):
@@ -123,7 +132,7 @@ class PositionMap:
             self._tables["points"] = pts
             self._tables["values"] = vals
             self._tables["extended"] = bool(p.get("extended", False))
-            self._tables["lip"] = float(p["lip"]) if "lip" in p else None
+            self._tables["lip"] = float(_finite("grid_sampled lip", p["lip"])) if "lip" in p else None
         else:
             raise ValueError(f"unknown map variant {v!r}")
 

@@ -5,14 +5,19 @@ All grids are anchored to the data's bounding box so rigid translations of
 the input reproduce the same cell pattern, making translation invariance of
 the estimates exact up to floating-point rounding.
 
-The tube union is counted layer by layer in height with the scanline kernel
-of `gridding.scanline_runs` over the tubes' core segments, whose exactness
-argument is stated there: each layer adds the total length of its merged
-runs, and no plane is built.  On a layer clear of every tube's end balls
-the row spans are the cylinder's chords alone.  The cost follows the
-(tube, layer, row) triples, which `tube_grid` bounds in closed form and
-refuses above MAX_TUBE_PAIRS before the first layer, as it refuses a layer
-grid too wide for the packed run keys of `gridding.merged_runs`.
+The tube union is counted layer by layer in height by its own kernel,
+`tube_layer_runs`: every tube shares a_z = 0, u_z = 1 and delta, so a layer
+is one dense (row x tube) block of closed-form spans in cell units, with
+the per-tube constants computed once per union.  Spans are taken at delta
+plus and minus the slack of `gridding.scanline_runs`, whose exactness
+argument carries over: inner spans are filled, and the cells between the
+two spans get the exact test `gridding._near`.  Each layer adds the total
+length of its merged runs, and no plane is built.  On a layer clear of
+every tube's end balls the spans are the cylinder's chords alone.  The
+cost follows the (tube, layer, row) triples, which `tube_grid` bounds in
+closed form and refuses above MAX_TUBE_PAIRS before the first layer, as it
+refuses a layer grid too wide for the packed run keys of
+`gridding.merged_runs`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridding import _rows_within, run_cells, run_keys_fit, scanline_runs
+from .gridding import (
+    _PAIR_CHUNK, _band_cells, _near, _rows_within, _solve_span, run_cells, run_keys_fit, union_runs,
+)
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
 # Parameter samples per axis (m + 1) that rasterize_image_measure may lay out;
@@ -245,39 +252,220 @@ def tube_pairs_floor(delta: float, h: float) -> float:
     return float(layers * net_points * (np.floor(2.0 * delta / h) + 3.0))
 
 
-def _tube_layers(family: TubeFamily, h: float):
-    """Yield, layer by layer in height, the arguments of the scanline kernel
-    `gridding.scanline_runs` for the cells of the layer whose center is
-    within delta of a core segment.  Raises before the first layer as
-    `tube_grid` does.
+class _Tubes:
+    """A tube family's grid and the per-tube constants of `tube_layer_runs`,
+    computed once per union after `tube_grid`'s preflight.
 
-    Each tube gets the rows of `gridding._rows_within`: those whose center
-    lies within its reach of yc = c_y + clip(z, 0, 1) v_y, widened far above
+    Tube k is the segment a -> a + u, a = (c_x, c_y, 0), u = b - a with
+    b = (c_x + v_x, c_y + v_y, 1), as `TubeFamily.segment_endpoints` gives
+    them (so u_z = 1 exactly).  Positions along a row are in cell units,
+    X = (x - o_x)/h - 1/2, so that the cells of an interval [X_lo, X_hi]
+    are ceil(X_lo)..floor(X_hi).
+    """
+
+    def __init__(self, family: TubeFamily, h: float):
+        lo, dims, reach = tube_grid(family, h)
+        self.shape = int(dims[0]), int(dims[1])
+        self.origin, self.h, self.layers = lo, h, int(dims[2])
+        a, b = family.segment_endpoints()
+        u = b - a
+        self.a, self.u = a, u
+        self.r = r = family.delta
+        # the slack of `gridding.scanline_runs`; the outer and inner radius
+        self.slack = slack = 1e-9 * (max(float(np.abs(a).max()), float(np.abs(a + u).max())) + r + h)
+        self.radii = (r + slack, r - slack) if r > slack else (r + slack,)
+        # the reach of the end balls, r_out, with a margin (`clear`)
+        self.edge = (r + slack) * (1.0 + 1e-9) + 1e-9
+        ax, ay = a[:, 0], a[:, 1]
+        ux, uy = u[:, 0], u[:, 1]
+        self.ay, self.ux, self.uy = ay, ux, uy
+        # the row rule's v_y and reach
+        self.vy, self.reach = family.net[:, 1], reach
+        # area = u_y^2 + u_z^2, l2 = |u|^2; the chord's slope and half-width
+        # factors in cell units; each tube's start and end in x, in cells
+        self.area = area = uy * uy + 1.0
+        self.l2 = l2 = area + ux * ux
+        self.slope = ux * uy / (area * h)
+        self.width = np.sqrt(l2) / (area * h)
+        self.x0 = (ax - lo[0]) / h - 0.5
+        self.dx = ux / h
+        self._work = np.empty((7, 0))
+
+    def clear(self, z: float) -> bool:
+        """Whether the layer at height z is clear of every tube's end balls,
+        by a margin far above rounding: edge < z < 1 - edge, with edge =
+        r_out (1 + 1e-9) + 1e-9, 1e-9 of r_out = delta + slack and of u_z = 1.
+
+        Write P - a = t u + w with w perpendicular to u; a point within r_out
+        of the tube's axis has |w| <= r_out, so |t - z| <= r_out (u_z = 1).
+        On a clear layer every such point has 0 < t < 1: neither end ball
+        meets the layer and the strip 0 <= (P - a).u <= |u|^2 cannot bind.
+        """
+        return bool(self.edge < z < 1.0 - self.edge)
+
+    def buffers(self, rows: int, tubes: int):
+        """Seven (rows x tubes) float work arrays, kept from block to block."""
+        n = rows * tubes
+        if self._work.shape[1] < n:
+            self._work = np.empty((7, n))
+        return [w[:n].reshape(rows, tubes) for w in self._work]
+
+
+def _tube_layers(family: TubeFamily, h: float):
+    """Yield, layer by layer in height, the arguments (tubes, z, clear) of
+    `tube_layer_runs`: the family's `_Tubes`, the layer's height z and
+    whether the layer is clear of every tube's end balls (`_Tubes.clear`).
+    Raises before the first layer as `tube_grid` does."""
+    tubes = _Tubes(family, h)
+    for iz in range(tubes.layers):
+        z = tubes.origin[2] + (iz + 0.5) * h
+        yield tubes, z, tubes.clear(z)
+
+
+def tube_layer_runs(tubes: _Tubes, z: float, clear: bool):
+    """The cells of the layer at height z whose center is within delta of a
+    tube's core segment (the exact test `gridding._near`), as the disjoint
+    sorted runs (first, last) of `gridding.merged_runs`.
+
+    Tube k gets the rows of `gridding._rows_within`: those whose center lies
+    within its reach of yc = c_y + clip(z, 0, 1) v_y, widened far above
     rounding.  No other row holds a cell within delta of the segment: for
     its point (c + t v, t), t in [0, 1], write y - c_y - t v_y = p and
-    z - t = q, p^2 + q^2 <= delta^2;
-    then |t - clip(z, 0, 1)| <= |q|, so |y - yc| <= |p| + |q| |v_y| <=
-    delta sqrt(1 + v_y^2), the reach.
+    z - t = q, p^2 + q^2 <= delta^2; then |t - clip(z, 0, 1)| <= |q|, so
+    |y - yc| <= |p| + |q| |v_y| <= delta sqrt(1 + v_y^2), the reach.
+
+    The layer is one dense (row x tube) block: tube k's rows j0_k + 0..R-1,
+    R the most rows of any tube, with the rows past its own masked; the
+    block is cut by tube into pieces of at most _PAIR_CHUNK slots.  It needs
+    no range expansion and no gathers: every per-tube constant is a
+    `_Tubes` column.  A row y meets the r-neighbourhood of the segment in
+    one interval (it is convex), the hull of the end balls' chords and of
+    the cylinder's chord clipped to the strip 0 <= (P - a).u <= |u|^2.
+    With s = y - (a_y + z u_y), A = u_y^2 + 1 and L = |u|, the cylinder's
+    chord is, in cell units,
+    X = x0 + z dx + (u_x u_y / (A h)) s +- (L / (A h)) sqrt(A r^2 - s^2)
+    (the Lagrange identity, as in `gridding._segment_row_spans`).  On a
+    clear layer (`_Tubes.clear`) the chord is the whole interval; on the
+    others the strip clips it and the end balls that the layer can meet
+    (|z| <= edge, |z - 1| <= edge) join it.
+
+    Exactness is `gridding.scanline_runs`' argument: each interval is taken
+    at r + slack (outer) and r - slack (inner), with the same slack.  The
+    cells of the inner span are accepted whole, and the other cells of the
+    outer span get the exact test.  The slack is 1e-9 of the largest
+    coordinate plus r + h (about 1e-7 cells at delta = 0.06, h = 0.015),
+    while the closed forms round to a few ulps of X and of sqrt(A) r / h
+    (about 1e-13 cells there): a cell the test accepts lies inside the outer
+    span, and a cell of the inner span lies within r - slack of the segment
+    up to rounding, so the test accepts it.  The cells are the same whatever the order of the
+    arithmetic.  Every span lies within r + slack of its segment, so inside
+    the grid, which pads the segments by delta + 2h; no index is clipped.
     """
-    lo, dims, reach = tube_grid(family, h)
-    a3, b3 = family.segment_endpoints()
-    u3 = b3 - a3
-    cy, vy = family.centers[:, 1], family.net[:, 1]
-    for iz in range(dims[2]):
-        z = lo[2] + (iz + 0.5) * h
-        yc = cy + min(max(z, 0.0), 1.0) * vy
-        j0, j1 = _rows_within(yc, yc, reach, lo[1], h, dims[1])
-        yield tuple(dims[:2]), lo[:2], h, j0, j1, z, a3, u3, family.delta
+    ny = tubes.shape[1]
+    h = tubes.h
+    yc = tubes.ay + min(max(z, 0.0), 1.0) * tubes.vy
+    j0, j1 = _rows_within(yc, yc, tubes.reach, tubes.origin[1], h, ny)
+    j0 = np.maximum(j0, 0)
+    rows = np.minimum(j1, ny - 1) - j0 + 1
+    R = max(int(rows.max()), 1)
+    # each tube's first row as the offset s from its axis, and the axis' X
+    s0 = tubes.origin[1] + (j0 + 0.5) * h
+    s0 -= tubes.ay + z * tubes.uy
+    xc = tubes.x0 + z * tubes.dx
+    ends = None if clear else [e for e in (0.0, 1.0) if abs(z - e) <= tubes.edge]
+    runs = []
+    step = max(_PAIR_CHUNK // R, 1)
+    for k in range(0, len(j0), step):
+        block = slice(k, k + step)
+        runs += _tube_block(tubes, block, z, ends, j0[block], rows[block], s0[block], xc[block])
+    return union_runs(tubes.shape, *runs)
+
+
+def _tube_block(tubes, block, z, ends, j0, rows, s0, xc):
+    """The runs of the tubes `block` of `tube_layer_runs`, as one (row x
+    tube) block (row r of tube k is grid row j0[k] + r): the filled inner
+    spans, and the cells of the outer spans that pass the exact test.
+    Spans are in cell units; NaN marks a slot whose row misses the tube, so
+    the rows past a tube's own are NaN from the start.  `ends` is None on a
+    clear layer, else the end balls (0 or 1) that the layer can meet."""
+    nx = tubes.shape[0]
+    h = tubes.h
+    R = max(int(rows.max()), 1)
+    S, S2, MID, LO, HI, F_LO, F_HI = tubes.buffers(R, len(j0))
+    col = np.arange(R)[:, None]
+    np.add(s0, h * col, out=S)
+    np.copyto(S, np.nan, where=col >= rows)
+    np.multiply(S, S, out=S2)
+    np.multiply(S, tubes.slope[block], out=MID)
+    MID += xc
+    if ends is not None:
+        # the strip 0 <= (P - a).u <= |u|^2 as x' u_x in [-m, |u|^2 - m],
+        # m = dy u_y + z, dy = y - a_y, x' = x - a_x; in cells from x0
+        uy = tubes.uy[block]
+        dy = S + z * uy
+        m = dy * uy
+        m += z
+        t_lo, t_hi = _solve_span(-m, tubes.l2[block] - m, tubes.ux[block])
+        x0 = tubes.x0[block]
+        strip = x0 + t_lo / h, x0 + t_hi / h
+    spans = (LO, HI), (F_LO, F_HI)
+    with np.errstate(invalid="ignore"):
+        for r, (lo, hi) in zip(tubes.radii, spans):
+            # the cylinder's chord MID -+ width sqrt(A r^2 - s^2)
+            np.subtract(tubes.area[block] * (r * r), S2, out=hi)
+            np.sqrt(hi, out=hi)
+            hi *= tubes.width[block]
+            np.subtract(MID, hi, out=lo)
+            hi += MID
+            if ends is not None:
+                np.maximum(lo, strip[0], out=lo)
+                np.minimum(hi, strip[1], out=hi)
+                empty = lo > hi
+                np.copyto(lo, np.nan, where=empty)
+                np.copyto(hi, np.nan, where=empty)
+                for end in ends:
+                    # the chord of the end ball at (a_x + end u_x, a_y + end u_y, end)
+                    ball = r * r - (z - end) ** 2 - (dy - end * uy) ** 2
+                    np.sqrt(ball, out=ball)
+                    ball /= h
+                    cx = x0 + end * tubes.dx[block]
+                    np.fmin(lo, cx - ball, out=lo)
+                    np.fmax(hi, cx + ball, out=hi)
+            np.ceil(lo, out=lo)
+            np.floor(hi, out=hi)
+        if len(tubes.radii) == 1:  # no inner span: the exact test takes every cell
+            F_LO.fill(np.nan)
+            F_HI.fill(np.nan)
+        fill = F_LO <= F_HI
+        # the cells of the outer span beyond the filled one get the exact test
+        band = (LO != F_LO) | (HI != F_HI)
+        band &= LO <= HI
+    width = nx + 1
+    line = (j0 + col) * width
+    out = [(line[fill] + F_LO[fill].astype(np.int64), line[fill] + F_HI[fill].astype(np.int64) + 1)]
+    if band.any():
+        slot, i = _band_cells(LO[band], HI[band], F_LO[band], F_HI[band])
+        slot_row, slot_tube = np.nonzero(band)
+        row = j0[slot_tube[slot]] + slot_row[slot]
+        tube = block.start + slot_tube[slot]
+        P = np.empty((len(i), 3))
+        P[:, 0] = tubes.origin[0] + (i + 0.5) * h
+        P[:, 1] = tubes.origin[1] + (row + 0.5) * h
+        P[:, 2] = z
+        hit = _near(P, tubes.a[tube], tubes.u[tube], tubes.r)
+        cell = row[hit] * width + i[hit]
+        out.append((cell, cell + 1))
+    return out
 
 
 def tube_union_volume(family: TubeFamily, h: float) -> MeasureEstimate:
     """Grid volume of the union of delta-tubes around the core segments: the
     count of cells whose center is within delta of a segment, times h^3.
     Each layer is counted as the total length of the merged runs of
-    `gridding.scanline_runs`; no plane is built."""
+    `tube_layer_runs`; no plane is built."""
     hits = 0
     for args in _tube_layers(family, h):
-        hits += run_cells(scanline_runs(*args))
+        hits += run_cells(tube_layer_runs(*args))
     return MeasureEstimate(hits * h**3, float(h), hits, "tube_union")
 
 

@@ -95,13 +95,15 @@ def write_winding_field_csv(path: Path, field) -> Path:
 
 
 def write_tube_family(csv_path: Path, family) -> tuple[Path, Path]:
+    """write_csv's rows (v1.., c1..), one per tube, joined in one pass."""
     csv_path = Path(csv_path)
-    rows = [
-        tuple(family.net[k]) + tuple(family.centers[k]) for k in range(family.count)
-    ]
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     d = family.net.shape[1]
     header = [f"v{i+1}" for i in range(d)] + [f"c{i+1}" for i in range(d)]
-    write_csv(csv_path, header, rows)
+    rows = np.hstack([family.net, family.centers]).tolist()
+    with csv_path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")  # csv.writer's line ends
+        fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
     sidecar = csv_path.with_suffix(".json")
     sidecar.write_text(
         json.dumps(

@@ -499,7 +499,7 @@ def test_tubes_oversized_work_names_h(tmp_path, capsys, monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran before the work preflight")
 
-    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    monkeypatch.setattr(measure, "tube_layer_runs", no_kernel)
     code = run_cli(
         ["tubes", "--map", "zero", "--delta", "0.05", "--h", "0.00001", "--out", tmp_path / "t.json"]
     )
@@ -516,7 +516,7 @@ def test_tubes_oversized_work_at_the_largest_h_names_delta(tmp_path, capsys, mon
     def no_net(*args, **kwargs):
         raise AssertionError("the net was built before the work preflight")
 
-    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    monkeypatch.setattr(measure, "tube_layer_runs", no_kernel)
     # the bound from delta and h alone, 2.28e8 triples, refuses before the net
     monkeypatch.setattr(measure, "_greedy_net", no_net)
     code = run_cli(["tubes", "--map", "zero", "--delta", "0.005", "--out", tmp_path / "t.json"])
@@ -539,7 +539,7 @@ def test_tubes_too_wide_for_run_keys_names_the_flag(tmp_path, capsys, monkeypatc
     def no_kernel(*args, **kwargs):
         raise AssertionError("a union ran before every family's work preflight")
 
-    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    monkeypatch.setattr(measure, "tube_layer_runs", no_kernel)
     code = run_cli(["tubes", "--map", "poly:coeffs=0;1e6", "--delta", "0.1", *argv,
                     "--out", tmp_path / "t.json"])
     assert _flag_of_failure(code, capsys) == flag
@@ -554,7 +554,7 @@ def test_tubes_checks_every_family_before_the_first_union(tmp_path, capsys, monk
     def no_kernel(*args, **kwargs):
         raise AssertionError("a union ran before every family's work preflight")
 
-    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    monkeypatch.setattr(measure, "tube_layer_runs", no_kernel)
     refuse_the_scale_8_family(monkeypatch)
     code = run_cli(
         ["tubes", "--map", "lacunary:alpha=0.8,terms=10,seed=21", "--delta", "0.1", "--h", "0.005",
@@ -783,3 +783,43 @@ def test_readme_cli_examples_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # each once failed in its own way: naming --delta with a nan x nan layer
+    # grid, naming --h with a float NaN, or exiting 0 (line-kakeya, and
+    # regularity with "degenerate": true)
+    ["tubes", "--map", "poly:coeffs=0;inf", "--delta", "0.1"],
+    ["measure", "--map", "constant:p=inf;0", "--h", "0.05"],
+    ["line-kakeya", "--map", "bandlimited:amplitude=nan", "--x", "3,0,0"],
+    ["regularity", "--map", "poly:coeffs=0;inf"],
+    ["regularity", "--map", "radial:r=nan"],
+], ids=["tubes", "measure", "line-kakeya", "regularity-poly", "regularity-radial"])
+def test_non_finite_map_parameters_name_map(tmp_path, capsys, argv):
+    code = run_cli([*argv, "--out", tmp_path / "out.json"])
+    assert _flag_of_failure(code, capsys) == "--map"
+
+
+def test_grid_map_with_a_non_finite_value_names_map(tmp_path, capsys):
+    net = tmp_path / "net.csv"
+    net.write_text("0.0,0.0,0.1,0.2\n0.5,0.0,inf,0.2\n")
+    code = run_cli(["measure", "--map", f"grid:path={net}", "--h", "0.05", "--out", tmp_path / "m.json"])
+    assert _flag_of_failure(code, capsys) == "--map"
+
+
+def test_tube_family_csv_is_the_csv_writer_bytes(tmp_path):
+    # awkward floats: signed zero, a tiny value, a sum off its decimal, a
+    # large one and a negative; byte-equal to the csv module's rows
+    from kakeya_lab.measure import TubeFamily
+    from kakeya_lab.report import write_csv, write_tube_family
+
+    net = np.array([[-0.0, 1e-17], [0.1 + 0.2, -0.3], [0.5, 0.0]])
+    centers = np.array([[1e300, -2.5e-8], [0.0, -0.0], [np.float64(1) / 3, 7.0]])
+    fam = TubeFamily(0.1, net, centers, 3)
+    got, sidecar = write_tube_family(tmp_path / "net.csv", fam)
+    rows = [tuple(net[k]) + tuple(centers[k]) for k in range(len(net))]
+    want = write_csv(tmp_path / "want.csv", ["v1", "v2", "c1", "c2"], rows)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"-0.0,1e-17,1e+300" in got.read_bytes()
+    assert sidecar.read_text() == '{\n  "count": 3,\n  "delta": 0.1,\n  "n": 3\n}\n'

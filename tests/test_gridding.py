@@ -8,7 +8,7 @@ import pytest
 
 import kakeya_lab
 from kakeya_lab.gridding import (
-    _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _clear_of_ends, _near, _near_polyline,
+    _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _near, _near_polyline,
     _rows_within, _segment_row_spans, _segments, grid_over, mark_near_polyline, merged_runs,
     points_near_polyline, run_keys_fit,
 )
@@ -417,12 +417,11 @@ def _full_row_spans(r, py, z, a, u):
 
 @pytest.mark.parametrize("kind", ["rising", "falling", "planar", "mixed"])
 def test_segment_row_spans_equal_the_full_formula(kind):
-    # u_z > 0, u_z < 0 (planes clear of the ends, so the cylinder-only
-    # shortcut, and planes through the end balls), u_z = 0, and calls that
-    # mix the signs: bit-equal to every term of the closed form
+    # u_z > 0, u_z < 0 (planes clear of the ends and planes through the end
+    # balls), u_z = 0, and calls that mix the signs: bit-equal to every term
+    # of the closed form
     rng = np.random.default_rng(["rising", "falling", "planar", "mixed"].index(kind))
     slack = 1e-9
-    shortcuts = 0
     for trial in range(200):
         n = int(rng.integers(2, 80))
         a = rng.uniform(-1.0, 1.0, size=(n, 3))
@@ -443,44 +442,6 @@ def test_segment_row_spans_equal_the_full_formula(kind):
         got = _segment_row_spans(radii, py, z, a.T.copy(), u.T.copy())
         want = _full_row_spans(radii, py, z, a, u)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (kind, trial)
-        clear = _clear_of_ends(radii, z - a[:, 2], u[:, 2])
-        assert not (clear and kind in ("planar", "mixed"))
-        shortcuts += clear
-    if kind in ("rising", "falling"):
-        assert shortcuts >= 50
-
-
-def test_clear_of_ends_keeps_a_margin():
-    # planes within rounding of an end ball's reach take every term
-    r = np.array([[0.06 + 1e-9], [0.06 - 1e-9]])
-    r_out = float(r.max())
-    uz = np.full(4, 1.0)
-    for dz in (r_out, np.nextafter(r_out, 1.0), 1.0 - r_out, np.nextafter(1.0 - r_out, 0.0)):
-        for sign in (1.0, -1.0):
-            assert not _clear_of_ends(r, np.full(4, sign * dz), sign * uz)
-    assert _clear_of_ends(r, np.full(4, 0.5), uz)
-    assert _clear_of_ends(r, np.full(4, -0.5), -uz)
-    assert not _clear_of_ends(r, np.full(4, 0.5), np.zeros(4))
-    assert not _clear_of_ends(r, np.zeros(0), np.zeros(0))
-
-
-def test_planar_masks_never_take_the_shortcut(monkeypatch):
-    import kakeya_lab.gridding as gridding
-
-    seen = []
-    real = gridding._clear_of_ends
-
-    def spy(r, dz, uz):
-        seen.append(real(r, dz, uz))
-        return seen[-1]
-
-    monkeypatch.setattr(gridding, "_clear_of_ends", spy)
-    m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=1)
-    loop = slice_loop(m, 0.5, sample_sphere(1, 512))
-    grid = grid_over(loop.vertices, 0.02, pad=0.3)
-    for tol in (0.01, 0.06, 0.3):
-        mark_near_polyline(grid, loop.vertices, tol)
-    assert seen and not any(seen)
 
 
 def _assert_merges(nx, ny, rows, starts, stops):

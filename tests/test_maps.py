@@ -362,3 +362,20 @@ def test_raw_grid_map_rejects_off_net_evaluation():
     m = make_map("grid_sampled", points=pts, values=0.5 * pts)
     with pytest.raises(ValueError):
         m(np.array([[0.123, 0.456]]))
+
+
+@pytest.mark.parametrize("variant, params", [
+    ("constant", {"p": [np.inf, 0.0]}),
+    ("radial_scale", {"r": np.nan}),
+    ("polynomial", {"coeffs": [0.0, np.inf]}),
+    ("bandlimited", {"amplitude": np.nan}),
+    ("bandlimited", {"amplitude": np.inf}),
+    ("grid_sampled", {"points": unit_ring(4), "values": np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0], [0.0, 0.0]])}),
+    ("grid_sampled", {"points": np.array([[0.0, 0.0], [np.inf, 0.0]]), "values": np.zeros((2, 2))}),
+    ("grid_sampled", {"points": unit_ring(4), "values": np.zeros((4, 2)), "lip": np.inf}),
+], ids=["constant", "radial", "polynomial", "bandlimited-nan", "bandlimited-inf", "grid-values", "grid-points",
+        "grid-lip"])
+def test_maps_refuse_non_finite_parameters(variant, params):
+    kind = "sphere" if variant == "bandlimited" else "ball"
+    with pytest.raises(ValueError, match="must be finite"):
+        make_map(variant, domain_kind=kind, **params)

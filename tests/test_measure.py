@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kakeya_lab.gridding import scanline_runs
+from kakeya_lab.gridding import _rows_within, scanline_runs
 from kakeya_lab.maps import lipschitz_constant_on_net, make_map
 from kakeya_lab.measure import (
     TubeFamily,
@@ -12,6 +12,7 @@ from kakeya_lab.measure import (
     lipschitz_tube_experiment,
     rasterize_image_measure,
     tube_grid,
+    tube_layer_runs,
     tube_pairs_floor,
     tube_union_volume,
 )
@@ -253,11 +254,11 @@ def _brute_tube_marks(family, h):
 
 def _tube_layer_masks(family, h):
     """The boolean (nx, ny) plane of each tube layer: the merged runs of
-    `scanline_runs`, painted cell by cell."""
-    for args in _tube_layers(family, h):
-        runs = scanline_runs(*args)
-        _assert_disjoint_sorted(*args[0], *runs)
-        yield _runs_plane(args[0], *runs)
+    `tube_layer_runs`, painted cell by cell."""
+    for tubes, z, clear in _tube_layers(family, h):
+        runs = tube_layer_runs(tubes, z, clear)
+        _assert_disjoint_sorted(*tubes.shape, *runs)
+        yield _runs_plane(tubes.shape, *runs)
 
 
 def _scanline_marks(family, h):
@@ -365,9 +366,8 @@ def test_tube_union_matches_brute_force_tilted(ratio):
 def test_tube_union_counts_runs_layer_by_layer(ratio, monkeypatch):
     # each layer's merged run length equals its plane count, on the layers
     # clear of the tube ends and on those next to them (z near delta and
-    # 1 - delta, where the spans switch between the cylinder-only shortcut
-    # and every term)
-    import kakeya_lab.gridding as gridding
+    # 1 - delta, where the kernel switches between the cylinder's chord
+    # alone and the strip clip with the end balls)
     import kakeya_lab.measure as measure
 
     if ratio == 4:
@@ -379,29 +379,21 @@ def test_tube_union_counts_runs_layer_by_layer(ratio, monkeypatch):
     h = fam.delta / ratio
     planes = [int(np.count_nonzero(mask)) for mask in _tube_layer_masks(fam, h)]
     counted = []
-    decided = []
-    real_runs, real_clear = measure.scanline_runs, gridding._clear_of_ends
+    real_runs = measure.tube_layer_runs
 
-    def clear_of_ends(*args):
-        decided.append(real_clear(*args))
-        return decided[-1]
-
-    def per_layer(*args):
-        decided.clear()
-        first, last = runs = real_runs(*args)
-        # (height, the spans took the shortcut, cells)
-        counted.append((args[5], all(decided), int(np.sum(last - first))))
+    def per_layer(tubes, z, clear):
+        first, last = runs = real_runs(tubes, z, clear)
+        counted.append((z, clear, int(np.sum(last - first))))
         return runs
 
-    monkeypatch.setattr(gridding, "_clear_of_ends", clear_of_ends)
-    monkeypatch.setattr(measure, "scanline_runs", per_layer)
+    monkeypatch.setattr(measure, "tube_layer_runs", per_layer)
     total = tube_union_volume(fam, h).cells_hit
     assert [c for _, _, c in counted] == planes
     assert total == sum(planes)
     z = np.array([z for z, _, _ in counted])
     clear = np.array([c for _, c, _ in counted])
     assert clear.any() and not clear.all()
-    # the shortcut switches on near delta and off near 1 - delta; the two
+    # the clear layers start near delta and end near 1 - delta; the two
     # layers on either side of each switch lie within h of it and hold cells
     edges = np.flatnonzero(clear[1:] != clear[:-1])
     assert len(edges) == 2
@@ -410,13 +402,98 @@ def test_tube_union_counts_runs_layer_by_layer(ratio, monkeypatch):
         assert planes[k] > 0 and planes[k + 1] > 0
 
 
+def test_tube_layers_clear_rule_keeps_a_margin():
+    # layers within rounding of an end ball's reach, r_out = delta + slack,
+    # take the strip clip and the end balls; a layer well inside does not
+    fam = TubeFamily(0.06, np.array([[0.3, -0.2], [0.0, 0.5]]), np.array([[0.1, 0.0], [-0.2, 0.3]]), 3)
+    tubes = next(_tube_layers(fam, 0.015))[0]
+    r_out = tubes.radii[0]
+    assert r_out > fam.delta
+    for z in (r_out, np.nextafter(r_out, 1.0), 1.0 - r_out, np.nextafter(1.0 - r_out, 0.0)):
+        assert not tubes.clear(z)
+    assert tubes.clear(0.5)
+    assert not tubes.clear(-0.5) and not tubes.clear(1.5)
+
+
+def _scanline_layer_runs(tubes, z):
+    """The layer's runs from the general segment kernel
+    `gridding.scanline_runs`, over the same segments and rows."""
+    yc = tubes.ay + min(max(z, 0.0), 1.0) * tubes.vy
+    j0, j1 = _rows_within(yc, yc, tubes.reach, tubes.origin[1], tubes.h, tubes.shape[1])
+    return scanline_runs(tubes.shape, tubes.origin[:2], tubes.h, j0, j1, z, tubes.a, tubes.u, tubes.r)
+
+
+def test_tube_layers_band_cells_get_the_exact_test(monkeypatch):
+    # map seed 5, delta = 0.04, h = delta/4: a few cell centers fall between
+    # a layer's inner and outer spans, so the exact test decides them; every
+    # layer equals the general segment kernel's
+    import kakeya_lab.measure as measure
+
+    band = []
+    real = measure._near
+
+    def near(P, a, u, r):
+        band.append(len(P))
+        return real(P, a, u, r)
+
+    monkeypatch.setattr(measure, "_near", near)
+    fam = build_tube_family(make_map("lacunary_fourier", alpha=0.8, terms=10, seed=5), 0.04)
+    for tubes, z, clear in _tube_layers(fam, 0.01):
+        got, want = tube_layer_runs(tubes, z, clear), _scanline_layer_runs(tubes, z)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), z
+    assert sum(band) > 0
+
+
+def test_tube_layers_split_into_blocks(monkeypatch):
+    # a layer cut into many (row x tube) blocks gives the same runs
+    import kakeya_lab.measure as measure
+
+    fam = build_tube_family(make_map("lacunary_fourier", alpha=0.8, terms=10, seed=2), 0.1)
+    whole = [tube_layer_runs(*args) for args in _tube_layers(fam, 0.025)]
+    blocks = []
+    real = measure._tube_block
+
+    def counting(tubes, block, *rest):
+        blocks.append(block)
+        return real(tubes, block, *rest)
+
+    monkeypatch.setattr(measure, "_PAIR_CHUNK", 64)
+    monkeypatch.setattr(measure, "_tube_block", counting)
+    split = [tube_layer_runs(*args) for args in _tube_layers(fam, 0.025)]
+    assert len(blocks) >= 5 * len(split)
+    for w, s in zip(whole, split):
+        assert np.array_equal(w[0], s[0]) and np.array_equal(w[1], s[1])
+    assert tube_union_volume(fam, 0.025).cells_hit == sum(int(np.sum(b - a)) for a, b in whole)
+
+
+@pytest.mark.parametrize("ratio", [4, 8])
+def test_tube_union_vx_zero_tubes_through_the_ends(ratio):
+    # v_x = 0: each row lies in the strip 0 <= (P - a).u <= |u|^2 whole or
+    # not at all, so an end layer is the end ball plus the rows kept whole
+    net = np.array([[0.0, -0.9], [0.0, -0.3], [0.0, 0.0], [0.0, 0.4], [0.0, 0.8]])
+    centers = np.array([[0.0, 0.0], [0.3, 0.1], [-0.3, -0.2], [0.1, -0.4], [-0.2, 0.3]])
+    fam = TubeFamily(0.06, net, centers, 3)
+    h = fam.delta / ratio
+    marks = _brute_tube_marks(fam, h)
+    _assert_tube_marks_equal(fam, h, lambda *_: marks)
+    layers = list(_tube_layers(fam, h))
+    ends = [iz for iz, (_, _, clear) in enumerate(layers) if not clear]
+    assert marks[:, :, ends].any(axis=(0, 1)).sum() >= 8
+
+
 def test_tube_layers_rows_on_the_benchmark_inputs():
     # the `tube-union` benchmark inputs (map seed 21, delta = 0.06, h = delta/4):
-    # the (tube, layer, row) triples the layers hand to the scanline kernel
+    # the (tube, layer, row) triples of the row rule, which the layer blocks
+    # hold with the rows past each tube's own masked
     fam = build_tube_family(make_map("lacunary_fourier", alpha=0.8, terms=10, seed=21), 0.06)
+    h = 0.015
+    lo, dims, reach = tube_grid(fam, h)
     triples = 0
-    for shape, _, _, j0, j1, *_ in _tube_layers(fam, 0.015):
-        triples += int(np.sum(np.maximum(np.minimum(j1, shape[1] - 1) - np.maximum(j0, 0) + 1, 0)))
+    for iz in range(dims[2]):
+        z = lo[2] + (iz + 0.5) * h
+        yc = fam.centers[:, 1] + min(max(z, 0.0), 1.0) * fam.net[:, 1]
+        j0, j1 = _rows_within(yc, yc, reach, lo[1], h, dims[1])
+        triples += int(np.sum(np.maximum(np.minimum(j1, dims[1] - 1) - np.maximum(j0, 0) + 1, 0)))
     assert triples == 595_379
 
 
@@ -426,7 +503,7 @@ def test_tube_union_refuses_oversized_work(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran before the work preflight")
 
-    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    monkeypatch.setattr(measure, "tube_layer_runs", no_kernel)
     fam = build_tube_family(make_map("zero"), 0.05)
     with pytest.raises(ValueError, match="larger h"):
         tube_union_volume(fam, 0.00001)
@@ -440,7 +517,7 @@ def test_tube_union_refuses_oversized_planes(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran before the work preflight")
 
-    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    monkeypatch.setattr(measure, "tube_layer_runs", no_kernel)
     fam = TubeFamily(0.05, np.zeros((2, 2)), np.array([[0.0, 0.0], [1e7, 1e7]]), 3)
     with pytest.raises(ValueError, match="run keys; use a larger h"):
         tube_union_volume(fam, 0.0125)
@@ -470,7 +547,7 @@ def test_lipschitz_experiment_checks_every_family_first(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("a union ran before every family's work preflight")
 
-    monkeypatch.setattr(measure, "scanline_runs", no_kernel)
+    monkeypatch.setattr(measure, "tube_layer_runs", no_kernel)
     refuse_the_scale_8_family(monkeypatch)
     m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=21)
     with pytest.raises(ValueError, match="larger h"):
