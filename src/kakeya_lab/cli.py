@@ -246,7 +246,7 @@ def _cmd_slice(args) -> list[Path]:
 
 
 def _cmd_measure(args) -> list[Path]:
-    from .measure import rasterize_image_measure
+    from .measure import NO_SPACING_FITS, rasterize_image_measure
 
     _check_range("--h", args.h, 0.0, 0.1, lo_open=True)
     _require_n3(args, "measure")
@@ -254,7 +254,8 @@ def _cmd_measure(args) -> list[Path]:
     try:
         est = rasterize_image_measure(pmap, args.h)
     except ValueError as exc:  # the sample-count preflight
-        _fail("--h", str(exc))
+        # where no --h fits, the map is what has to change
+        _fail("--map" if NO_SPACING_FITS in str(exc) else "--h", str(exc))
     out = Path(args.out)
     return [
         rpt.write_json_report(

@@ -5,16 +5,20 @@ whole number of cells, so that rigidly translated data produces identically
 translated cell centers.
 
 Every "which points lie within r of a segment" question of the package is
-answered with one exact test, `_near`, of segments a -> a + u in R^3: the
-scanline runs of `scanline_runs` (near-loop masks, planar data in z = 0),
-the boundary checks of `points_near_polyline`, and the cells at the span
-ends of `measure`'s tube layers, whose kernel (`measure.tube_layer_runs`)
-takes its row rule, slack and exactness argument from here.  No (nx, ny)
-array is built.  A near-loop mask wider than a few segment lengths (a
-collar) first tests chains of consecutive segments against two disks each
-(`_chain_pairs`, after Barill et al., "Fast winding numbers for soups and
-clouds", SIGGRAPH 2018), and solves exact segment spans only where a chain
-reaches past the cells already certain, at the mask's edge.
+answered with one exact test, `_near`, of segments a -> a + u in the plane
+or in R^3: the scanline runs of `scanline_runs` (near-loop masks of planar
+loops), the boundary checks of `points_near_polyline`, and the cells at the
+span ends of `measure`'s tube layers, whose kernel
+(`measure.tube_layer_runs`) takes its row rule, slack (`_span_slack`) and
+exactness argument from here.  No (nx, ny) array is built.  A mask's spans
+are closed forms in cell units from one table of per-segment constants
+made once per mask (`_SpanTable`), with no z term.  A near-loop mask wider
+than a few segment lengths (a collar) first tests chains of consecutive
+segments against two disks each, coarse chains over every row in reach and
+their sub-chains only where a coarse chain reaches past the cells already
+certain (`_chain_pairs`, after the hierarchy of Barill et al., "Fast
+winding numbers for soups and clouds", SIGGRAPH 2018), and solves exact
+segment spans only where a sub-chain still does, at the mask's edge.
 
 Every caller takes its rows by one rule, `_rows_within`: the rows whose
 center lies within the reach of a y-interval (a segment's y-range and r
@@ -99,17 +103,16 @@ def _chunks(counts: np.ndarray):
 
 
 def _segments(vertices: np.ndarray):
-    """Starts a and steps u of a closed planar polyline's segments, in z = 0,
-    and each segment's y-range (y0, y1)."""
-    v = np.asarray(vertices, dtype=float)
-    a = np.zeros((len(v), 3))
-    a[:, :2] = v
+    """Starts a and steps u ((n, 2) arrays) of a closed planar polyline's
+    segments, and each segment's y-range (y0, y1)."""
+    a = np.asarray(vertices, dtype=float)
     u = np.roll(a, -1, axis=0) - a
-    return a, u, np.minimum(a[:, 1], a[:, 1] + u[:, 1]), np.maximum(a[:, 1], a[:, 1] + u[:, 1])
+    end = a[:, 1] + u[:, 1]
+    return a, u, np.minimum(a[:, 1], end), np.maximum(a[:, 1], end)
 
 
 def _near(P: np.ndarray, a: np.ndarray, u: np.ndarray, r: float) -> np.ndarray:
-    """The exact point-segment test, row by row over (m, 3) arrays:
+    """The exact point-segment test, row by row over (m, d) arrays:
     |P - a - t u|^2 <= r^2 with t = (P - a).u / |u|^2 clipped to [0, 1]
     (t = 0 for a zero-length segment)."""
     rel = P - a
@@ -119,97 +122,135 @@ def _near(P: np.ndarray, a: np.ndarray, u: np.ndarray, r: float) -> np.ndarray:
     return np.einsum("kd,kd->k", rel, rel) <= r * r
 
 
-def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interval of x with lo <= x*c <= hi, for lo <= hi; an empty one is
-    (inf, -inf).  Where c != 0 the ends are lo/c and hi/c, in the order of
-    c's sign, which the rounding keeps."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = lo / c
-        b = hi / c
-    x_lo = np.minimum(a, b)
-    x_hi = np.maximum(a, b)
-    flat = c == 0.0
-    if flat.any():
-        whole = (lo <= 0.0) & (hi >= 0.0)
-        x_lo = np.where(flat, np.where(whole, -np.inf, np.inf), x_lo)
-        x_hi = np.where(flat, np.where(whole, np.inf, -np.inf), x_hi)
-    return x_lo, x_hi
+def _span_slack(a: np.ndarray, u: np.ndarray, r: float, h: float) -> float:
+    """The slack of the closed-form spans around segments a -> a + u at
+    radius r on a grid of spacing h: 1e-9 of the largest absolute
+    coordinate plus r + h, far above their rounding and far below a cell."""
+    return 1e-9 * (max(float(np.abs(a).max()), float(np.abs(a + u).max())) + r + h)
 
 
-def _segment_row_spans(r, py, z, a, u) -> tuple[np.ndarray, np.ndarray]:
-    """x-extent of each row (the line y = py in the plane at height z) within
-    r of its segment a -> a + u; a and u are given as their three columns
-    (x, y, z), each of one value per row, and r may be a column of radii,
-    one output row each.
+# a segment with |u_y| <= _TILT |u_x| is taken as lying along the rows, and
+# one with |u_x| <= _TILT |u_y| as lying along a column (`_SpanTable`)
+_TILT = 1e-100
 
-    The r-neighbourhood is convex, so the extent is one interval: the union
-    of the chords of the two end balls and of the cylinder
-    |(P - a) x u| <= r |u|, clipped to the strip 0 <= (P - a).u <= |u|^2.
-    With P - a = (x', dy, dz), A = u_y^2 + u_z^2, m = dy u_y + dz u_z and
-    c = dy u_z - dz u_y, the Lagrange identity |d|^2 |u|^2 - (d.u)^2 =
-    |d x u|^2 puts the cylinder's edges at x' = (u_x m +- L sqrt(A r^2 - c^2)) / A,
-    L = |u|, with no cancellation under the root.  For A = 0 (u along the
-    rows) the cylinder holds the whole row or none of it; a zero-length
-    segment has no cylinder.  An empty span is (inf, -inf).
+
+class _SpanTable:
+    """The per-segment constants of a near-loop mask's (segment, row) spans,
+    made once per mask, and the spans of any (segment, row) pairs (`chords`).
+
+    Segment k runs a -> a + u in the plane, L = |u|.  Positions are in cell
+    units: X = (x - o_x)/h - 1/2 along a row, so that the cells of an
+    interval [X_lo, X_hi] are ceil(X_lo)..floor(X_hi), and row j lies
+    t = j - T rows from the segment's start, T = (a_y - o_y)/h - 1/2.  The
+    rho-neighbourhood of the segment is convex, so a row meets it in one
+    interval: the hull of
+    - the chord of the slab |(P - a) x u| <= rho L, whose edges are the
+      lines at distance rho from the segment's axis:
+      x0 + (u_x/u_y) t -+ rho L/(|u_y| h), with x0 = X(a_x);
+    - clipped to the strip 0 <= (P - a).u <= L^2, whose chord is
+      s + [min(0, l), max(0, l)] with s = x0 - (u_y/u_x) t, l = L^2/(u_x h);
+    - and the chords of the two end balls, x0 -+ sqrt((rho/h)^2 - t^2) and
+      xe -+ sqrt((rho/h)^2 - (t - u_y/h)^2), with xe = X(a_x + u_x).
+    The pieces lie in the neighbourhood and together cover it, so the hull
+    of their chords is the row's interval.  There is no z term: every
+    segment lies in the plane of the cells.
+
+    Three cases have no slope to take:
+    - u_y = 0 (|u_y| <= _TILT |u_x|, a zero-length segment included): the
+      slab is the band of rows within rho of the segment, and on each of
+      them every point between the end balls' chords is within rho (its
+      distance is |y - a_y| or that to the nearer end), so the hull of the
+      two balls' chords is the whole interval and the slab is left out.
+      For 0 < |u_y| <= _TILT |u_x| the segment lies within |u_y| of one
+      with u_y = 0, far below the slack.
+    - u_x = 0 (|u_x| <= _TILT |u_y|): the strip is the rows from the start
+      to the end, 0 <= t u_y/h <= (u_y/h)^2, whole; the slab's chord is
+      x0 -+ rho/h.  For 0 < |u_x| <= _TILT |u_y| the strip's edges tilt by
+      at most _TILT rho across the slab, far below the slack.
+    - a zero-length segment: both balls are the same ball.
+
+    The slab's half-width factor L/(|u_y| h) and slope u_x/u_y are large
+    for a segment close to the rows, but the chord's rounding scales with
+    them as its change with rho does (rho L/(|u_y| h)): in distance the
+    rounding stays a few ulps of the segment's coordinates, far below the
+    slack of `_span_slack`, as it does for the strip and the balls.
     """
-    ax, ay, az = a
-    ux, uy, uz = u
-    dy = py - ay
-    dz = z - az
-    rr = r * r
-    # in place, term by term: area = u_y^2 + u_z^2, l2 = area + u_x^2,
-    # m = dy u_y + dz u_z, c = dy u_z - dz u_y, e = area r^2 - c^2 and
-    # root = sqrt(l2 max(e, 0))
-    area = uy * uy
-    area += uz * uz
-    l2 = ux * ux
-    l2 += area
-    m = dy * uy
-    m += dz * uz
-    c = dy * uz
-    c -= dz * uy
-    e = area * rr
-    e -= c * c
-    root = np.maximum(e, 0.0)
-    root *= l2
-    np.sqrt(root, out=root)
-    mid = ux * m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_lo = mid - root
-        x_lo /= area
-        x_hi = np.add(mid, root, out=root)
-        x_hi /= area
-    inside = e >= 0.0
-    flat = area == 0.0
-    if flat.any():
-        x_lo = np.where(flat, -np.inf, x_lo)
-        x_hi = np.where(flat, np.inf, x_hi)
-        inside = np.where(flat, dy * dy + dz * dz <= rr, inside)
-    t_lo, t_hi = _solve_span(-m, l2 - m, ux)
-    np.maximum(x_lo, t_lo, out=x_lo)
-    np.minimum(x_hi, t_hi, out=x_hi)
-    x_lo += ax
-    x_hi += ax
-    # the cylinder's chord, empty where the row misses it
-    out = ~(inside & (l2 > 0.0) & (x_lo <= x_hi))
-    x_lo[out] = np.inf
-    x_hi[out] = -np.inf
-    lo = np.full(e.shape, np.inf)
-    hi = np.full(e.shape, -np.inf)
-    for cx, ey, ez in ((ax, dy, dz), (ax + ux, dy - uy, dz - uz)):
-        # the end ball's chord cx -+ sqrt(r^2 - ey^2 - ez^2), where the root is real
-        q = rr - ey * ey
-        q -= ez * ez
-        miss = q < 0.0
-        half = np.maximum(q, 0.0, out=q)
-        np.sqrt(half, out=half)
-        end = cx - half
-        end[miss] = np.inf
-        np.minimum(lo, end, out=lo)
-        np.add(cx, half, out=end)
-        end[miss] = -np.inf
-        np.maximum(hi, end, out=hi)
-    return np.minimum(lo, x_lo, out=lo), np.maximum(hi, x_hi, out=hi)
+
+    def __init__(self, origin, h, a, u, r):
+        ox, oy = origin
+        self.slack = slack = _span_slack(a, u, r, h)
+        # the outer and the inner radius, this one only where it is positive
+        radii = np.array([r + slack, r - slack] if r > slack else [r + slack])
+        self.balls = ((radii / h) ** 2)[:, None]
+        ax, ay = a.T
+        ux, uy = u.T
+        l2 = ux * ux + uy * uy
+        flat = np.abs(uy) <= _TILT * np.abs(ux)
+        steep = np.abs(ux) <= _TILT * np.abs(uy)
+        # the segments along a column whose slab the row rule cuts
+        self.steep = steep & ~flat
+        self.any_steep = bool(self.steep.any())
+        # rows: x0, T, xe, u_y/h, slope, strip slope, strip start and end
+        # offsets, and one slab half-width per radius (NaN: no slab)
+        table = np.zeros((8 + len(radii), len(a)))
+        table[0] = (ax - ox) / h - 0.5
+        table[1] = (ay - oy) / h - 0.5
+        table[2] = (ax + ux - ox) / h - 0.5
+        table[3] = uy / h
+        np.divide(ux, uy, out=table[4], where=~flat)
+        np.divide(uy, ux, out=table[5], where=~steep)
+        length = np.divide(l2, ux * h, out=np.zeros(len(a)), where=~steep)
+        table[6] = np.where(steep, -np.inf, np.minimum(length, 0.0))
+        table[7] = np.where(steep, np.inf, np.maximum(length, 0.0))
+        width = np.full(len(a), np.nan)
+        np.divide(np.sqrt(l2), np.abs(uy) * h, out=width, where=~flat)
+        np.multiply(radii[:, None], width, out=table[8:])
+        self.table = table
+
+    def chords(self, k, j):
+        """The spans (lo, hi), in cell units, of rows j against segments k:
+        row 0 at the outer radius, row 1 (where r > slack) at the inner
+        one; NaN where a row misses the neighbourhood."""
+        cols = np.take(self.table, k, axis=1)
+        x0, T, xe, dj, slope, tilt, s_lo, s_hi = cols[:8]
+        t = j - T
+        xc = slope * t
+        xc += x0
+        hi = cols[8:]
+        lo = xc - hi
+        hi += xc
+        s = tilt * t
+        np.subtract(x0, s, out=s)
+        s_lo += s
+        s_hi += s
+        np.maximum(lo, s_lo, out=lo)
+        np.minimum(hi, s_hi, out=hi)
+        if self.any_steep:
+            # a segment along a column has its slab on the rows it spans
+            off = self.steep[k] & ((t < np.minimum(dj, 0.0)) | (t > np.maximum(dj, 0.0)))
+            lo[:, off] = np.nan
+        with np.errstate(invalid="ignore"):
+            empty = ~(lo <= hi)
+            lo[empty] = np.nan
+            hi[empty] = np.nan
+            for cx, d in ((x0, t), (xe, t - dj)):
+                # the end ball's chord cx -+ sqrt((rho/h)^2 - d^2), NaN where it misses
+                q = self.balls - d * d
+                np.sqrt(q, out=q)
+                np.fmin(lo, cx - q, out=lo)
+                q += cx
+                np.fmax(hi, q, out=hi)
+        return lo, hi
+
+
+def _cells(lo, hi, nx):
+    """Spans (lo, hi) in cell units as their first and last cell, ceil(lo)
+    and floor(hi), clipped to the row's cells 0..nx - 1; in place, as
+    floats, with NaN (no cell) kept."""
+    np.ceil(lo, out=lo)
+    np.maximum(lo, 0.0, out=lo)
+    np.floor(hi, out=hi)
+    return lo, np.minimum(hi, nx - 1, out=hi)
 
 
 def _cell_index(x: np.ndarray, origin: float, h: float, n: int, rounding) -> np.ndarray:
@@ -246,65 +287,54 @@ def _widened(reach, y):
     return reach + 1e-9 * (reach + np.abs(y))
 
 
-def scanline_runs(shape, origin, h, j0, j1, z, a, u, r, chain: int = 1):
-    """The cells of the plane at height z whose center P = (x, y, z) passes
-    the exact test `_near` against any of the segments a[k] -> a[k] + u[k]
-    ((n, 3) arrays) at radius r, as the disjoint sorted runs (first, last)
-    of `merged_runs`.
+def scanline_runs(shape, origin, h, j0, j1, a, u, r, chain: int = 1):
+    """The cells of the grid whose center P = (x, y) passes the exact test
+    `_near` against any of the planar segments a[k] -> a[k] + u[k] ((n, 2)
+    arrays) at radius r, as the disjoint sorted runs (first, last) of
+    `merged_runs`.
 
     Segment k may reach grid rows j0[k]..j1[k] (a superset; clipped here).
     Each row meets a segment's r-neighbourhood in one interval
-    (`_segment_row_spans`), taken at r + slack (outer span) and r - slack
-    (inner span), the slack far above rounding error and far below a cell.
-    The cells of the inner span are accepted whole, and the other cells of
-    the outer span get the exact test.  That is exact: a cell the test
-    accepts lies within r of the segment up to rounding, so inside the outer
-    span, and a cell of the inner span lies within r - slack, so the test
-    accepts it.  The cost is proportional to the (segment, row) pairs; they
-    are handled in chunks of _PAIR_CHUNK.  With chain > 1 the segments must
-    be the consecutive segments of a polyline, and the pairs are first
-    pruned by `_chain_pairs`; the cells accepted are the same.
+    (`_SpanTable`), taken at r + slack (outer span) and r - slack (inner
+    span), the slack (`_span_slack`) far above rounding error and far below
+    a cell.  The cells of the inner span are accepted whole, and the other
+    cells of the outer span get the exact test.  That is exact: a cell the
+    test accepts lies within r of the segment up to rounding, so inside the
+    outer span, and a cell of the inner span lies within r - slack, so the
+    test accepts it.  The spans are clipped to the grid's columns.  The cost
+    is proportional to the (segment, row) pairs; they are handled in chunks
+    of _PAIR_CHUNK.  With chain > 1 the segments must be the consecutive
+    segments of a polyline, and the pairs are first pruned by
+    `_chain_pairs`; the cells accepted are the same.
     """
     nx, ny = shape
     ox, oy = origin
     width = nx + 1
-    slack = 1e-9 * (max(float(np.abs(a).max()), float(np.abs(a + u).max())) + r + h)
-    # outer and inner radius as a column, broadcast over the (segment, row) pairs
-    radii = np.array([[r + slack], [r - slack]]) if r > slack else np.array([[r + slack]])
+    table = _SpanTable(origin, h, a, u, r)
     j0 = np.maximum(j0, 0)
     rows = np.maximum(np.minimum(j1, ny - 1) - j0 + 1, 0)
     runs = []
     if chain > 1:
-        certain, pairs = _chain_pairs(shape, origin, h, j0, rows, z, a, u, r, slack, chain)
+        certain, pairs = _chain_pairs(shape, origin, h, j0, rows, a, u, r, table.slack, chain)
         runs.append(certain)
     else:
         pairs = _segment_pairs(j0, rows)
-    # the spans read the segments by column, each gathered on its own
-    columns = [np.ascontiguousarray(x) for x in (*a.T, *u.T)]
     for k, j in pairs:
-        py = oy + (j + 0.5) * h
-        ax, ay, az, ux, uy, uz = (x[k] for x in columns)
-        lo, hi = _segment_row_spans(radii, py, z, (ax, ay, az), (ux, uy, uz))
-        o_lo = np.maximum(_cell_index(lo, ox, h, nx, np.ceil), 0)
-        o_hi = np.minimum(_cell_index(hi, ox, h, nx, np.floor), nx - 1)
-        if len(lo) > 1:
-            (o_lo, f_lo), (o_hi, f_hi) = o_lo, o_hi
-        else:
-            (o_lo,), (o_hi,) = o_lo, o_hi
-            f_lo = np.ones_like(o_lo)
-            f_hi = np.zeros_like(o_hi)
+        lo, hi = _cells(*table.chords(k, j), nx)
+        o_lo, o_hi = lo[0], hi[0]
+        # no inner span where r <= slack: the exact test takes every cell
+        f_lo, f_hi = (lo[1], hi[1]) if len(lo) > 1 else (np.full_like(o_lo, np.nan),) * 2
         fill = f_lo <= f_hi
         line = j[fill] * width
-        runs.append((line + f_lo[fill], line + f_hi[fill] + 1))
+        runs.append((line + f_lo[fill].astype(np.int64), line + f_hi[fill].astype(np.int64) + 1))
         # exact test on the outer span minus the filled one; a pair whose
         # spans agree has no such cell
-        band = np.flatnonzero((o_lo != f_lo) | (o_hi != f_hi))
+        band = np.flatnonzero((o_lo <= o_hi) & ((o_lo != f_lo) | (o_hi != f_hi)))
         pair, i = _band_cells(o_lo[band], o_hi[band], f_lo[band], f_hi[band])
         pair = band[pair]
-        P = np.empty((len(i), 3))
+        P = np.empty((len(i), 2))
         P[:, 0] = ox + (i + 0.5) * h
-        P[:, 1] = py[pair]
-        P[:, 2] = z
+        P[:, 1] = oy + (j[pair] + 0.5) * h
         seg = k[pair]
         hit = _near(P, a[seg], u[seg], r)
         cell = j[pair[hit]] * width + i[hit]
@@ -334,55 +364,99 @@ def _segment_pairs(j0, rows):
         yield k, j
 
 
-def _chain_pairs(shape, origin, h, j0, rows, z, a, u, r, slack, chain):
-    """Prune the (segment, row) pairs of a polyline's consecutive segments
-    a[k] -> a[k] + u[k] at radius r, chain by chain.  Returns the certain
-    chords as merged runs (first, last) and the (segment, row) pairs left
-    over, as `_segment_pairs` yields them.
+# the chain lengths of `_chain_pairs`' levels, coarse to fine, as multiples
+# of the finest; each divides the one before it
+_CHAIN_LEVELS = (4, 1)
 
-    The segments are cut into chains of `chain` consecutive segments.  A
+
+def _chain_pairs(shape, origin, h, j0, rows, a, u, r, slack, chain):
+    """Prune the (segment, row) pairs of a polyline's consecutive planar
+    segments a[k] -> a[k] + u[k] at radius r, level by level.  Returns the
+    certain chords as merged runs (first, last) and the (segment, row) pairs
+    left over, as `_segment_pairs` yields them.
+
+    At each level of _CHAIN_LEVELS the segments are cut into chains of
+    consecutive segments, `chain` segments times the level's multiple.  A
     chain has centre c, the midpoint of its bounding box, and radius rho,
     the largest distance from c to its vertices, end vertex included; the
-    ball (c, rho) holds the vertices and, being convex, the whole chain.
-    In each row the certain chord of the ball (c, r - rho - 2 slack) holds
-    only cells within r - slack of every point of the chain, which the exact
-    test accepts, and the outer chord of (c, r + rho + slack) holds every
-    cell within r + slack of a point of the chain, so every cell the test
-    can accept for one of its segments (the slack, as in `scanline_runs`,
-    is far above rounding error).  A (chain, row) pair whose outer chord
-    lies in one merged run of certain chords adds nothing and is dropped;
-    the others expand into their segments' (segment, row) pairs.  The mask
-    is the same as from all the (segment, row) pairs.
+    disk (c, rho) holds the vertices and, being convex, the whole chain.  In
+    each row the certain chord of the disk (c, r - rho - 2 slack) holds only
+    cells within r - slack of every point of the chain, which the exact test
+    accepts, and the outer chord of (c, r + rho + slack) holds every cell
+    within r + slack of a point of the chain, so every cell the test can
+    accept for one of its segments (the slack, as in `scanline_runs`, is far
+    above rounding error).  A (chain, row) pair whose outer chord lies in one
+    merged run of certain chords adds nothing and is dropped.
 
-    A chain gets the rows of `_rows_within` for its centre's y and the outer
-    radius: a row beyond them misses the outer ball, so its outer chord
-    would be empty and the pair dropped.
+    The coarsest level takes every chain over the rows of `_rows_within` for
+    its centre's y and the outer radius: a row beyond them misses the outer
+    disk, so its outer chord would be empty and the pair dropped.  Each
+    finer level takes only the pairs its coarser level kept, each chain
+    split into its sub-chains at the same row; their certain chords join the
+    runs before they are tested.  That is exact: every cell a sub-chain, or
+    one of its segments, can add on a row lies in the outer chord of its
+    chain, which lies in the certain runs when the coarser pair is dropped.
+    The finest level's pairs expand into their segments' (segment, row)
+    pairs.  The mask is the same as from all the (segment, row) pairs.
+    Chords are in cell units, as in `_SpanTable`.
     """
     nx, ny = shape
-    ox, oy = origin
-    first, size, c, rho = _chain_disks(a, u, chain)
-    radii = r + np.array([[1.0], [-1.0]]) * rho + np.array([[slack], [-2.0 * slack]])
-    cj0, cj1 = _rows_within(c[:, 1], c[:, 1], radii[0], oy, h, ny)
-    cj0 = np.maximum(cj0, 0)
-    cc, j = _ranges(cj0, np.maximum(np.minimum(cj1, ny - 1) - cj0 + 1, 0))
-    # outer (row 0) and certain (row 1) chords of each (chain, row) pair
-    radius = radii[:, cc]
-    q = radius * radius - (oy + (j + 0.5) * h - c[cc, 1]) ** 2 - (z - c[cc, 2]) ** 2
-    half = np.sqrt(np.maximum(q, 0.0))
-    cut = (q >= 0.0) & (radius > 0.0)
-    lo = np.maximum(_cell_index(np.where(cut, c[cc, 0] - half, np.inf), ox, h, nx, np.ceil), 0)
-    hi = np.minimum(_cell_index(np.where(cut, c[cc, 0] + half, -np.inf), ox, h, nx, np.floor), nx - 1)
-    line = j * (nx + 1)
-    sure = lo[1] <= hi[1]
-    certain = m_first, m_last = merged_runs(shape, line[sure] + lo[1][sure], line[sure] + hi[1][sure] + 1)
-    # a pair is done when its outer chord is empty or inside the merged run
-    # of certain chords that holds its first cell
-    done = lo[0] > hi[0]
-    if len(m_first):
-        at = np.maximum(np.searchsorted(m_first, line + lo[0], side="right") - 1, 0)
-        done |= (m_first[at] <= line + lo[0]) & (m_last[at] > line + hi[0])
-    cc, j = cc[~done], j[~done]
+    certain = (np.zeros(0, dtype=np.int64),) * 2
+    coarser = None
+    for level in _CHAIN_LEVELS:
+        first, size, c, rho = _chain_disks(a, u, level * chain)
+        if coarser is None:
+            cj0, cj1 = _rows_within(c[:, 1], c[:, 1], r + rho + slack, origin[1], h, ny)
+            cj0 = np.maximum(cj0, 0)
+            cc, j = _ranges(cj0, np.maximum(np.minimum(cj1, ny - 1) - cj0 + 1, 0))
+        else:
+            # the sub-chains cc * ratio .. of each chain kept, at its row
+            ratio = coarser // level
+            cc *= ratio
+            pair, cc = _ranges(cc, np.minimum(len(first) - cc, ratio))
+            j = j[pair]
+        coarser = level
+        # outer (row 0) and certain (row 1) radius of each chain
+        radius = np.array([[1.0], [-1.0]]) * rho + np.array([[r + slack], [r - 2.0 * slack]])
+        lo, hi = _disk_cells(shape, origin, h, c, radius, cc, j)
+        line = j * (nx + 1)
+        sure = lo[1] <= hi[1]
+        certain = union_runs(shape, certain, (line[sure] + lo[1][sure].astype(np.int64),
+                                              line[sure] + hi[1][sure].astype(np.int64) + 1))
+        # a pair is done when its outer chord is empty or inside the merged run
+        # of certain chords that holds its first cell
+        keep = np.flatnonzero(lo[0] <= hi[0])
+        m_first, m_last = certain
+        if len(m_first):
+            o_lo = line[keep] + lo[0][keep].astype(np.int64)
+            o_hi = line[keep] + hi[0][keep].astype(np.int64)
+            at = np.maximum(np.searchsorted(m_first, o_lo, side="right") - 1, 0)
+            keep = keep[(m_first[at] > o_lo) | (m_last[at] <= o_hi)]
+        cc, j = cc[keep], j[keep]
     return certain, _chain_segment_pairs(first[cc], size[cc], j, j0, rows)
+
+
+def _disk_cells(shape, origin, h, c, radius, cc, j):
+    """The cells of row j[m] within radius[:, cc[m]] of centre c[cc[m]], as
+    float cell indices (first, last) clipped to the row, one row of each
+    per row of radius; NaN where the row misses the disk or the radius is
+    not positive.  In cell units, as in `_SpanTable`."""
+    # per disk: the centre's X and row, and each radius squared, in cells
+    disks = np.empty((2 + len(radius), len(c)))
+    disks[:2] = ((c - origin) / h - 0.5).T
+    np.divide(radius, h, out=disks[2:])
+    disks[2:] **= 2
+    disks[2:][radius <= 0.0] = np.nan
+    cx, cy, *_ = cols = np.take(disks, cc, axis=1)
+    cy -= j
+    cy *= cy
+    q = cols[2:]
+    q -= cy
+    with np.errstate(invalid="ignore"):
+        np.sqrt(q, out=q)
+    lo = cx - q
+    q += cx
+    return _cells(lo, q, shape[0])
 
 
 def _chain_disks(a, u, chain):
@@ -477,23 +551,24 @@ def line_sums(at, level, first, last) -> int:
 
 def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, chain: int | None = None):
     """`mark_near_polyline` with the pairs pruned in chains of `chain`
-    segments.  By default a chain has arc length about tol/4, so below a few
-    segment lengths every chain is one segment and nothing is pruned.  Each
-    segment gets the rows of `_rows_within` for its y-range and tol."""
+    segments at the finest level of `_chain_pairs`.  By default a chain has
+    arc length about tol/4, so below a few segment lengths every chain is
+    one segment and nothing is pruned.  Each segment gets the rows of
+    `_rows_within` for its y-range and tol."""
     a, u, y0, y1 = _segments(vertices)
     oy, ny = grid.origin[1], grid.shape[1]
     j0, j1 = _rows_within(y0, y1, tol, oy, grid.h, ny)
     if chain is None:
         arc = float(np.sqrt(np.einsum("kd,kd->k", u, u)).sum())
         chain = len(u) if 4.0 * arc <= tol else max(1, int(tol * len(u) / (4.0 * arc)))
-    return scanline_runs(grid.shape, grid.origin, grid.h, j0, j1, 0.0, a, u, tol, chain)
+    return scanline_runs(grid.shape, grid.origin, grid.h, j0, j1, a, u, tol, chain)
 
 
 def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float):
     """The grid cells whose center is within tol of the closed polyline, as
     the disjoint sorted runs (first, last) of `merged_runs`: the
-    cells `scanline_runs` accepts for its segments in the plane z = 0, with
-    the pairs pruned chain by chain (`_chain_pairs`)."""
+    cells `scanline_runs` accepts for its segments, with the pairs pruned
+    chain by chain (`_chain_pairs`)."""
     return _near_polyline(grid, vertices, tol)
 
 
@@ -504,8 +579,7 @@ def points_near_polyline(points: np.ndarray, vertices: np.ndarray, tol: float) -
     `_rows_within` widens it: a point on the tol boundary is tested even
     where y1 + tol rounds below its y."""
     pts = np.asarray(points, dtype=float)
-    P = np.zeros((len(pts), 3))
-    P[:, :2] = pts[np.argsort(pts[:, 1])]
+    P = pts[np.argsort(pts[:, 1])]
     a, u, y0, y1 = _segments(vertices)
     first = np.searchsorted(P[:, 1], y0 - _widened(tol, y0), side="left")
     counts = np.searchsorted(P[:, 1], y1 + _widened(tol, y1), side="right") - first

@@ -8,16 +8,17 @@ the estimates exact up to floating-point rounding.
 The tube union is counted layer by layer in height by its own kernel,
 `tube_layer_runs`: every tube shares a_z = 0, u_z = 1 and delta, so a layer
 is one dense (row x tube) block of closed-form spans in cell units, with
-the per-tube constants computed once per union.  Spans are taken at delta
-plus and minus the slack of `gridding.scanline_runs`, whose exactness
-argument carries over: inner spans are filled, and the cells between the
-two spans get the exact test `gridding._near`.  Each layer adds the total
-length of its merged runs, and no plane is built.  On a layer clear of
-every tube's end balls the spans are the cylinder's chords alone.  The
-cost follows the (tube, layer, row) triples, which `tube_grid` bounds in
-closed form and refuses above MAX_TUBE_PAIRS before the first layer, as it
-refuses a layer grid too wide for the packed run keys of
-`gridding.merged_runs`.
+the per-tube constants computed once per union, as `gridding._SpanTable`
+does for the planar segments of a near-loop mask.  Spans are taken at
+delta plus and minus the slack of `gridding._span_slack`, and the exactness
+argument of `gridding.scanline_runs` carries over: inner spans are filled,
+and the cells between the two spans get the exact test `gridding._near`.
+Each layer adds the total length of its merged runs, and no plane is
+built.  On a layer clear of every tube's end balls the spans are the
+cylinder's chords alone.  The cost follows the (tube, layer, row) triples,
+which `tube_grid` bounds in closed form and refuses above MAX_TUBE_PAIRS
+before the first layer, as it refuses a layer grid too wide for the packed
+run keys of `gridding.merged_runs`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridding import (
-    _PAIR_CHUNK, _band_cells, _near, _rows_within, _solve_span, run_cells, run_keys_fit, union_runs,
+    _PAIR_CHUNK, _band_cells, _near, _rows_within, _span_slack, run_cells, run_keys_fit, union_runs,
 )
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
@@ -42,6 +43,9 @@ MAX_TUBE_PAIRS = 2e8
 COVER_SEEDS = 32
 COVER_MAX_ITER = 200
 COVER_SCAN_DIRECTIONS = 10_000
+# The end of rasterize_image_measure's refusal when no grid spacing it
+# allows fits the sample cap
+NO_SPACING_FITS = "no grid spacing in (0, 0.1] fits this map"
 
 
 @dataclass(frozen=True)
@@ -74,29 +78,50 @@ class TubeFamily:
         return a, b
 
 
+def _parameter_steps(pmap: PositionMap, h: float) -> tuple[float, float]:
+    """The disk and height parameter steps (dv, dt) of
+    `rasterize_image_measure` at grid spacing h: adjacent-sample image steps
+    C dv^alpha + dv (direction part, t <= 1) and sqrt(2) dt (height part),
+    each kept strictly under h/2."""
+    C, alpha = pmap.modulus_of_continuity()
+    budget = 0.495 * h
+    dv = budget / 2.0
+    if C > 0.0:
+        dv = min(dv, (budget / (2.0 * C)) ** (1.0 / alpha))
+    return dv, budget / np.sqrt(2.0)
+
+
+def sampling_fits(pmap: PositionMap, h: float) -> bool:
+    """Whether `rasterize_image_measure`'s parameter samples at grid spacing
+    h fit MAX_DISK_SIDE per axis: m + 1 samples, m = ceil(2 / dv), exceed
+    it exactly when dv < 2 / (MAX_DISK_SIDE - 1)."""
+    return _parameter_steps(pmap, h)[0] >= 2.0 / (MAX_DISK_SIDE - 1)
+
+
 def rasterize_image_measure(pmap: PositionMap, h: float) -> MeasureEstimate:
-    """Outer estimate of the measure of the map's graph-image in R^n.
+    """Sampled estimate of the measure of the map's graph-image in R^n: the
+    count of grid cells that hold a sample (c(v) + t v, t), times h^n.
 
     Parameter sampling is chosen from the modulus of continuity so that
-    adjacent samples move by less than h/2 in the image; the count of grid
-    cells containing samples then over-approximates the image volume and
-    converges to it from above as h decreases.
+    samples adjacent along an axis move by less than h/2 in the image.  That
+    bounds the estimate from neither side: a cell that the image meets only
+    between samples, or in the strip between the outermost disk samples and
+    the unit circle, is not counted, and a counted cell counts whole however
+    little of it the image fills.  The grid is refused before anything is
+    allocated when the samples would not fit (`sampling_fits`); when they
+    fit at no spacing in (0, 0.1], the message says so.
     """
     if not 0.0 < h <= 0.1:
         raise ValueError(f"grid spacing {h} outside (0, 0.1]")
     if pmap.domain_kind != "ball" or pmap.n != 3:
         raise ValueError("rasterize_image_measure supports ball-domain maps, n = 3")
-    C, alpha = pmap.modulus_of_continuity()
-    # adjacent-sample image steps: C dv^alpha + dv (direction part, t <= 1)
-    # and sqrt(2) dt (height part); keep each strictly under h/2
-    budget = 0.495 * h
-    dv = budget / 2.0
-    if C > 0.0:
-        dv = min(dv, (budget / (2.0 * C)) ** (1.0 / alpha))
-    dt = budget / np.sqrt(2.0)
-    # m + 1 samples per axis, m = ceil(2 / dv), exceed MAX_DISK_SIDE exactly when
-    # dv < 2 / (MAX_DISK_SIDE - 1); checked before anything is allocated
-    if dv < 2.0 / (MAX_DISK_SIDE - 1):
+    dv, dt = _parameter_steps(pmap, h)
+    if not sampling_fits(pmap, h):
+        if not sampling_fits(pmap, 0.1):
+            raise ValueError(
+                f"the map needs parameter steps of {_parameter_steps(pmap, 0.1)[0]:.3g} even at grid "
+                f"spacing 0.1, over {MAX_DISK_SIDE}^2 disk samples; {NO_SPACING_FITS}"
+            )
         raise ValueError(
             f"grid spacing {h} needs parameter steps of {dv:.3g}, over "
             f"{MAX_DISK_SIDE}^2 disk samples; use a larger h"
@@ -271,8 +296,9 @@ class _Tubes:
         u = b - a
         self.a, self.u = a, u
         self.r = r = family.delta
-        # the slack of `gridding.scanline_runs`; the outer and inner radius
-        self.slack = slack = 1e-9 * (max(float(np.abs(a).max()), float(np.abs(a + u).max())) + r + h)
+        # the slack of the near-loop spans (`gridding._span_slack`); the outer
+        # and inner radius
+        self.slack = slack = _span_slack(a, u, r, h)
         self.radii = (r + slack, r - slack) if r > slack else (r + slack,)
         # the reach of the end balls, r_out, with a margin (`clear`)
         self.edge = (r + slack) * (1.0 + 1e-9) + 1e-9
@@ -344,22 +370,24 @@ def tube_layer_runs(tubes: _Tubes, z: float, clear: bool):
     With s = y - (a_y + z u_y), A = u_y^2 + 1 and L = |u|, the cylinder's
     chord is, in cell units,
     X = x0 + z dx + (u_x u_y / (A h)) s +- (L / (A h)) sqrt(A r^2 - s^2)
-    (the Lagrange identity, as in `gridding._segment_row_spans`).  On a
-    clear layer (`_Tubes.clear`) the chord is the whole interval; on the
-    others the strip clips it and the end balls that the layer can meet
-    (|z| <= edge, |z - 1| <= edge) join it.
+    (the Lagrange identity |d|^2 |u|^2 - (d.u)^2 = |d x u|^2 with d = P - a,
+    which puts no cancellation under the root).  On a clear layer
+    (`_Tubes.clear`) the chord is the whole interval; on the others the
+    strip clips it and the end balls that the layer can meet (|z| <= edge,
+    |z - 1| <= edge) join it.
 
     Exactness is `gridding.scanline_runs`' argument: each interval is taken
-    at r + slack (outer) and r - slack (inner), with the same slack.  The
-    cells of the inner span are accepted whole, and the other cells of the
-    outer span get the exact test.  The slack is 1e-9 of the largest
-    coordinate plus r + h (about 1e-7 cells at delta = 0.06, h = 0.015),
-    while the closed forms round to a few ulps of X and of sqrt(A) r / h
-    (about 1e-13 cells there): a cell the test accepts lies inside the outer
-    span, and a cell of the inner span lies within r - slack of the segment
-    up to rounding, so the test accepts it.  The cells are the same whatever the order of the
-    arithmetic.  Every span lies within r + slack of its segment, so inside
-    the grid, which pads the segments by delta + 2h; no index is clipped.
+    at r + slack (outer) and r - slack (inner), with the slack of
+    `gridding._span_slack`.  The cells of the inner span are accepted
+    whole, and the other cells of the outer span get the exact test.  The
+    slack is 1e-9 of the largest coordinate plus r + h (about 1e-7 cells at
+    delta = 0.06, h = 0.015), while the closed forms round to a few ulps of
+    X and of sqrt(A) r / h (about 1e-13 cells there): a cell the test
+    accepts lies inside the outer span, and a cell of the inner span lies
+    within r - slack of the segment up to rounding, so the test accepts it.
+    The cells are the same whatever the order of the arithmetic.  Every
+    span lies within r + slack of its segment, so inside the grid, which
+    pads the segments by delta + 2h; no index is clipped.
     """
     ny = tubes.shape[1]
     h = tubes.h
@@ -456,6 +484,23 @@ def _tube_block(tubes, block, z, ends, j0, rows, s0, xc):
         cell = row[hit] * width + i[hit]
         out.append((cell, cell + 1))
     return out
+
+
+def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval of x with lo <= x*c <= hi, for lo <= hi; an empty one is
+    (inf, -inf).  Where c != 0 the ends are lo/c and hi/c, in the order of
+    c's sign, which the rounding keeps."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = lo / c
+        b = hi / c
+    x_lo = np.minimum(a, b)
+    x_hi = np.maximum(a, b)
+    flat = c == 0.0
+    if flat.any():
+        whole = (lo <= 0.0) & (hi >= 0.0)
+        x_lo = np.where(flat, np.where(whole, -np.inf, np.inf), x_lo)
+        x_hi = np.where(flat, np.where(whole, np.inf, -np.inf), x_hi)
+    return x_lo, x_hi
 
 
 def tube_union_volume(family: TubeFamily, h: float) -> MeasureEstimate:

@@ -254,19 +254,34 @@ def crossing_winding_rows(vertices: np.ndarray, grid: CellGrid) -> tuple[np.ndar
     signs to its right, is minus the sum of those at or left of it.  A
     crossing of row j whose first cell right of the intercept is k is a
     step of -sign at j (nx + 1) + k, and each row's padding cell is 0.
+
+    k is the first column whose computed center is at or beyond the
+    intercept x: ceil((x - o_x)/h - 1/2), clipped to [0, nx], is within one
+    column of it, and one exact comparison with the centers on each side
+    settles it.
     """
-    v = vertices
-    w = np.roll(v, -1, axis=0)
+    ax, ay = vertices[:, 0], vertices[:, 1]
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
     ys = grid.axis_centers(1)
-    first = np.searchsorted(ys, np.minimum(v[:, 1], w[:, 1]), side="left")
-    last = np.searchsorted(ys, np.maximum(v[:, 1], w[:, 1]), side="left")
+    first = np.searchsorted(ys, np.minimum(ay, by), side="left")
+    last = np.searchsorted(ys, np.maximum(ay, by), side="left")
     seg, j = _ranges(first, last - first)
-    a, b = v[seg], w[seg]
-    frac = (ys[j] - a[:, 1]) / (b[:, 1] - a[:, 1])
-    xint = a[:, 0] + frac * (b[:, 0] - a[:, 0])
-    at = j * (grid.shape[0] + 1) + np.searchsorted(grid.axis_centers(0), xint, side="left")
+    y0, y1, x0, x1 = ay[seg], by[seg], ax[seg], bx[seg]
+    frac = (ys[j] - y0) / (y1 - y0)
+    xint = x0 + frac * (x1 - x0)
+    nx = grid.shape[0]
+    k = xint - grid.origin[0]
+    k /= grid.h
+    k -= 0.5
+    np.ceil(k, out=k)
+    k = np.clip(k, 0, nx, out=k).astype(np.int64)
+    # the centers with -inf and inf on either side: column k's is xs[k + 1]
+    xs = np.concatenate([[-np.inf], grid.axis_centers(0), [np.inf]])
+    k += xs[k + 1] < xint
+    k -= xs[k] >= xint
+    at = j * (nx + 1) + k
     order = np.argsort(at, kind="stable")
-    return at[order], np.cumsum(np.where(b[:, 1] > a[:, 1], -1, 1)[order])
+    return at[order], np.cumsum(np.where(y1 > y0, -1, 1)[order])
 
 
 def field_grid(loop: SliceLoop, h: float) -> CellGrid:

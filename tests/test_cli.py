@@ -660,12 +660,22 @@ def test_n3_only_harness_rejects_n4(tmp_path, capsys, argv):
 
 
 def test_measure_oversized_sampling_names_h(tmp_path, capsys):
-    # about 3.8e8 parameter samples at this h: refused before any allocation
-    code = run_cli(
-        ["measure", "--map", "lacunary:alpha=0.8,terms=12,seed=7", "--h", "0.05",
-         "--out", tmp_path / "m.json"]
-    )
+    # about 6.5e7 parameter samples at this h: refused before any allocation,
+    # and a larger h fits
+    code = run_cli(["measure", "--map", "zero", "--h", "0.001", "--out", tmp_path / "m.json"])
     assert _flag_of_failure(code, capsys) == "--h"
+
+
+@pytest.mark.parametrize("h", ["0.05", "0.1"])
+def test_measure_sampling_that_no_h_fits_names_map(tmp_path, capsys, h):
+    # the README's lacunary map needs a parameter step of 2.45e-4 even at
+    # the largest --h: the refusal says no --h fits and names --map
+    code = run_cli(
+        ["measure", "--map", "lacunary:alpha=0.8,terms=12,seed=7", "--h", h, "--out", tmp_path / "m.json"]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["flag"] == "--map" and "no grid spacing in (0, 0.1] fits this map" in err["error"]
 
 
 SWEEPS = {

@@ -9,7 +9,7 @@ import pytest
 import kakeya_lab
 from kakeya_lab.gridding import (
     _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _near, _near_polyline,
-    _rows_within, _segment_row_spans, _segments, grid_over, mark_near_polyline, merged_runs,
+    _rows_within, _segments, _SpanTable, grid_over, mark_near_polyline, merged_runs,
     points_near_polyline, run_keys_fit,
 )
 from kakeya_lab.maps import make_map
@@ -243,7 +243,7 @@ def test_points_near_polyline_keeps_the_tangent_point():
     point = np.array([[_center(10), _center(2)]])
     assert y + tol < point[0, 1]
     a, u, _, _ = _segments(seg)
-    assert _near(np.array([[*point[0], 0.0]]), a[:1], u[:1], tol)[0]
+    assert _near(point, a[:1], u[:1], tol)[0]
     assert points_near_polyline(point, seg, tol)
 
 
@@ -260,8 +260,7 @@ def test_points_near_polyline_matches_brute_force_near():
         pts = _center(rng.integers(-8, 40, size=(int(rng.integers(1, 30)), 2)))
         tol = abs(pts[rng.integers(len(pts)), 1] - verts[rng.integers(k), 1])
         a, u, _, _ = _segments(verts)
-        P = np.zeros((len(pts) * k, 3))
-        P[:, :2] = np.repeat(pts, k, axis=0)
+        P = np.repeat(pts, k, axis=0)
         want = bool(_near(P, np.tile(a, (len(pts), 1)), np.tile(u, (len(pts), 1)), tol).any())
         assert points_near_polyline(pts, verts, tol) == want
 
@@ -283,20 +282,20 @@ def test_h2_masks_hand_only_the_rows_in_reach_to_the_spans(monkeypatch):
     # the `sweep-grid` benchmark inputs: map seed 7, 2,048 vertices, h = 0.005,
     # 16 heights; every (segment, row) pair whose row center is within h/2 of
     # the segment's y-range, up to the rule's widening, and no other, reaches
-    # `_segment_row_spans`.  The grid is anchored to the lowest vertex, which
+    # the spans of `_SpanTable.chords`.  The grid is anchored to the lowest vertex, which
     # lies on a cell edge h/2 from the centers of the row below it: the 10
     # pairs that the widening adds are such rows, beyond h/2 by a rounding
     # error
     import kakeya_lab.gridding as gridding
 
     handed = []
-    real = gridding._segment_row_spans
+    real = gridding._SpanTable.chords
 
-    def counting(r, py, *rest):
-        handed.append(len(py))
-        return real(r, py, *rest)
+    def counting(self, k, j):
+        handed.append(len(j))
+        return real(self, k, j)
 
-    monkeypatch.setattr(gridding, "_segment_row_spans", counting)
+    monkeypatch.setattr(gridding._SpanTable, "chords", counting)
     m = make_map("lacunary_fourier", alpha=0.8, terms=12, seed=7)
     mesh = sample_sphere(1, 2048)
     h = 0.005
@@ -315,133 +314,253 @@ def test_h2_masks_hand_only_the_rows_in_reach_to_the_spans(monkeypatch):
     assert in_reach == 107_174
 
 
-def _check_row_spans(a, u, r, z, py):
-    """The closed-form spans of one segment at rows py against the exact
-    test on many x: every x in the inner span (radius r - slack) passes,
-    and every x that passes lies in the outer span (r + slack)."""
-    slack = 1e-9 * (np.abs(a).max() + np.abs(a + u).max() + r)
+def _check_row_spans(a, u, r, py, origin=(0.3, -0.2), h=0.01):
+    """The closed-form spans of one planar segment on the lines y = py (rows
+    at fractional j) against the exact test on many x: every x in the inner
+    span (radius r - slack) passes, and every x that passes lies in the
+    outer span (r + slack).  Spans are in cell units, X = (x - o_x)/h - 1/2."""
     py = np.atleast_1d(np.asarray(py, dtype=float))
-    n = len(py)
-    lo, hi = _segment_row_spans(np.array([[r + slack], [r - slack]]), py, z,
-                                np.repeat(a[:, None], n, axis=1), np.repeat(u[:, None], n, axis=1))
+    table = _SpanTable(np.asarray(origin), h, a[None], u[None], r)
+    lo, hi = table.chords(np.zeros(len(py), dtype=np.int64), (py - origin[1]) / h - 0.5)
+    assert len(lo) == 2
     span = r + np.abs(u).max()
-    for row in range(n):
+    for row in range(len(py)):
         xs = np.linspace(a[0] - span, a[0] + span, 4001)
-        ends = [x for x in (lo[0, row], hi[0, row], lo[1, row], hi[1, row]) if np.isfinite(x)]
+        ends = [origin[0] + (x + 0.5) * h for x in (lo[0, row], hi[0, row], lo[1, row], hi[1, row])
+                if np.isfinite(x)]
         xs = np.concatenate([xs] + [np.nextafter(x, [-np.inf, np.inf]) for x in ends] + [ends])
-        P = np.stack([xs, np.full(len(xs), py[row]), np.full(len(xs), z)], axis=1)
+        P = np.stack([xs, np.full(len(xs), py[row])], axis=1)
         hit = _near(P, np.repeat(a[None], len(xs), axis=0), np.repeat(u[None], len(xs), axis=0), r)
-        inner = (xs >= lo[1, row]) & (xs <= hi[1, row])
-        outer = (xs >= lo[0, row]) & (xs <= hi[0, row])
-        assert hit[inner].all(), (a, u, r, z, py[row])
-        assert outer[hit].all(), (a, u, r, z, py[row])
+        X = (xs - origin[0]) / h - 0.5
+        inner = (X >= lo[1, row]) & (X <= hi[1, row])
+        outer = (X >= lo[0, row]) & (X <= hi[0, row])
+        assert hit[inner].all(), (a, u, r, py[row])
+        assert outer[hit].all(), (a, u, r, py[row])
     return lo, hi
 
 
 @pytest.mark.parametrize("kind", ["random", "in-plane", "vertical", "zero", "unit", "along-rows"])
 def test_segment_row_spans_bracket_the_exact_test(kind):
+    # planar segments: tilted ones, tilted ones with rows through both ends
+    # (in-plane), along a column (u_x = 0, vertical), of zero length, of
+    # length just below 1 and along the rows (u_y = 0)
     rng = np.random.default_rng(["random", "in-plane", "vertical", "zero", "unit", "along-rows"].index(kind))
     for _ in range(25):
-        a = rng.uniform(-1.0, 1.0, size=3)
-        u = rng.uniform(-1.0, 1.0, size=3)
-        if kind == "in-plane":
-            u[2] = 0.0
-        elif kind == "vertical":
-            u[:2] = 0.0
+        a = rng.uniform(-1.0, 1.0, size=2)
+        u = rng.uniform(-1.0, 1.0, size=2)
+        if kind == "vertical":
+            u[0] = 0.0
         elif kind == "zero":
             u[:] = 0.0
         elif kind == "unit":
             u *= np.nextafter(1.0, 0.0) / np.linalg.norm(u)
         elif kind == "along-rows":
-            u[1:] = 0.0
+            u[1] = 0.0
         r = float(rng.uniform(0.02, 0.5))
-        z = a[2] + float(rng.uniform(-0.2, 1.2)) * u[2] + float(rng.uniform(-r, r))
         py = a[1] + rng.uniform(-r - 0.1, r + 0.1, size=6) + rng.uniform(0.0, 1.0, size=6) * u[1]
-        _check_row_spans(a, u, r, z, py)
+        if kind == "in-plane":
+            py = np.concatenate([py, [a[1], a[1] + u[1]]])
+        _check_row_spans(a, u, r, py)
 
 
 def test_segment_row_spans_tangent_rows():
-    # rows tangent to the cylinder at the segment's midpoint and to an end
-    # ball, where the chord comes out empty or a point up to rounding
+    # rows tangent to the end balls, top and bottom, where the chord comes
+    # out empty or a point up to rounding; the extreme point of the
+    # neighbourhood lies in the outer span.  A segment along the rows is
+    # tangent to the rows r above and below it along its whole length
     rng = np.random.default_rng(5)
-    for _ in range(40):
-        a = rng.uniform(-1.0, 1.0, size=3)
-        u = rng.uniform(-1.0, 1.0, size=3)
+    h = 0.01
+    for trial in range(40):
+        a = rng.uniform(-1.0, 1.0, size=2)
+        u = rng.uniform(-1.0, 1.0, size=2)
+        if trial % 4 == 0:
+            u[1] = 0.0
         r = float(rng.uniform(0.05, 0.3))
-        mid = a + 0.5 * u
-        # the common normal of the rows and the axis: u x e_x, in the y-z plane
-        normal = np.array([0.0, u[2], -u[1]]) / np.hypot(u[1], u[2])
-        for side in (-1.0, 1.0):
-            touch = mid + side * r * normal
-            lo, hi = _check_row_spans(a, u, r, touch[2], touch[1])
-            assert lo[0, 0] <= touch[0] <= hi[0, 0]
-        ball = a[1] + np.array([-r, r])
-        _check_row_spans(a, u, r, a[2], ball)
-        _check_row_spans(a, u, r, a[2] + u[2], ball + u[1])
+        top = max(a[1], a[1] + u[1]) + r
+        bottom = min(a[1], a[1] + u[1]) - r
+        ends = [a[1] - r, a[1] + r, a[1] + u[1] - r, a[1] + u[1] + r]
+        lo, hi = _check_row_spans(a, u, r, [top, bottom, *ends])
+        for row, y in enumerate((top, bottom)):
+            end = a if (a[1] + r == y or a[1] - r == y) else a + u
+            X = (end[0] - 0.3) / h - 0.5
+            assert lo[0, row] <= X <= hi[0, row], (a, u, r, y)
+        if u[1] == 0.0:
+            X = (a[0] + 0.5 * u[0] - 0.3) / h - 0.5
+            assert lo[0, 0] <= X <= hi[0, 0] and lo[0, 1] <= X <= hi[0, 1]
 
 
-def _full_row_spans(r, py, z, a, u):
-    """The closed form of `_segment_row_spans` with every term, over (m, 3)
-    rows a and u: end-ball chords, cylinder chord and strip clip."""
-    ax, ux, uy, uz = a[:, 0], u[:, 0], u[:, 1], u[:, 2]
-    dy = py - a[:, 1]
-    dz = z - a[:, 2]
-    rr = r * r
-    lo = np.full(len(ax), np.inf)
-    hi = np.full(len(ax), -np.inf)
-    for cx, ey, ez in ((ax, dy, dz), (ax + ux, dy - uy, dz - uz)):
-        q = rr - ey * ey - ez * ez
-        half = np.sqrt(np.maximum(q, 0.0))
-        lo = np.where(q >= 0.0, np.minimum(lo, cx - half), lo)
-        hi = np.where(q >= 0.0, np.maximum(hi, cx + half), hi)
-    area = uy * uy + uz * uz
-    l2 = area + ux * ux
-    m = dy * uy + dz * uz
-    c = dy * uz - dz * uy
-    e = area * rr - c * c
-    root = np.sqrt(l2 * np.maximum(e, 0.0))
-    flat = area == 0.0
+def _full_row_spans(radii, j, a, u, origin, h):
+    """The hull of `_SpanTable.chords` with every term, case by case, over
+    (m, 2) rows a and u and rows j: the slab's chord clipped to the strip,
+    or to the rows from the start to the end for a segment along a column,
+    and the end balls' chords; NaN where empty."""
+    ax, ay, ux, uy = a[:, 0], a[:, 1], u[:, 0], u[:, 1]
+    x0 = (ax - origin[0]) / h - 0.5
+    xe = (ax + ux - origin[0]) / h - 0.5
+    t = j - ((ay - origin[1]) / h - 0.5)
+    dj = uy / h
+    rho = radii[:, None]
+    flat = np.abs(uy) <= 1e-100 * np.abs(ux)
+    steep = np.abs(ux) <= 1e-100 * np.abs(uy)
+    l2 = ux * ux + uy * uy
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_lo = np.where(flat, -np.inf, (ux * m - root) / area)
-        x_hi = np.where(flat, np.inf, (ux * m + root) / area)
-        s_lo, s_hi = -m / ux, (l2 - m) / ux
-    inside = np.where(flat, dy * dy + dz * dz <= rr, e >= 0.0)
-    whole = (m <= 0.0) & (l2 - m >= 0.0)
-    t_lo = np.where(ux == 0.0, np.where(whole, -np.inf, np.inf), np.where(ux > 0.0, s_lo, s_hi))
-    t_hi = np.where(ux == 0.0, np.where(whole, np.inf, -np.inf), np.where(ux > 0.0, s_hi, s_lo))
-    x_lo = ax + np.maximum(x_lo, t_lo)
-    x_hi = ax + np.minimum(x_hi, t_hi)
-    band = inside & (l2 > 0.0) & (x_lo <= x_hi)
-    return np.where(band, np.minimum(lo, x_lo), lo), np.where(band, np.maximum(hi, x_hi), hi)
+        axis = x0 + (ux / uy) * t
+        half = rho * (np.sqrt(l2) / (np.abs(uy) * h))
+        s = x0 - (uy / ux) * t
+        length = l2 / (ux * h)
+        strip_lo = np.where(steep, -np.inf, s + np.minimum(length, 0.0))
+        strip_hi = np.where(steep, np.inf, s + np.maximum(length, 0.0))
+        lo = np.maximum(axis - half, strip_lo)
+        hi = np.minimum(axis + half, strip_hi)
+        rows = (t >= np.minimum(dj, 0.0)) & (t <= np.maximum(dj, 0.0))
+        slab = ~flat & (~steep | rows) & (lo <= hi)
+        lo = np.where(slab, lo, np.nan)
+        hi = np.where(slab, hi, np.nan)
+        for cx, d in ((x0, t), (xe, t - dj)):
+            q = (rho / h) ** 2 - d * d
+            ok = q >= 0.0
+            lo = np.where(ok, np.fmin(lo, cx - np.sqrt(np.where(ok, q, 0.0))), lo)
+            hi = np.where(ok, np.fmax(hi, np.sqrt(np.where(ok, q, 0.0)) + cx), hi)
+    return lo, hi
 
 
 @pytest.mark.parametrize("kind", ["rising", "falling", "planar", "mixed"])
 def test_segment_row_spans_equal_the_full_formula(kind):
-    # u_z > 0, u_z < 0 (planes clear of the ends and planes through the end
-    # balls), u_z = 0, and calls that mix the signs: bit-equal to every term
-    # of the closed form
+    # u_y > 0, u_y < 0, a fifth each of the segments along the rows, along a
+    # column, of zero length and within 1e-12 of the rows (planar), and
+    # calls that mix the signs, with rows through the segments' ends and
+    # tangent to their end balls: bit-equal to every term of the closed form
     rng = np.random.default_rng(["rising", "falling", "planar", "mixed"].index(kind))
-    slack = 1e-9
+    h = 0.01
+    origin = np.array([-1.3, -1.1])
     for trial in range(200):
         n = int(rng.integers(2, 80))
-        a = rng.uniform(-1.0, 1.0, size=(n, 3))
-        u = rng.uniform(-1.0, 1.0, size=(n, 3))
+        a = rng.uniform(-1.0, 1.0, size=(n, 2))
+        u = rng.uniform(-1.0, 1.0, size=(n, 2))
         r = float(rng.uniform(0.01, 0.2))
         if kind == "planar":
-            u[:, 2] = 0.0
-            u[rng.random(n) < 0.2, 1] = 0.0  # some segments along the rows
-            z = float(rng.uniform(-0.3, 0.3))
+            pick = rng.integers(0, 5, size=n)
+            u[pick == 0, 1] = 0.0
+            u[pick == 1, 0] = 0.0
+            u[pick == 2] = 0.0
+            u[pick == 3, 1] = rng.uniform(-1e-12, 1e-12, size=int(np.sum(pick == 3)))
         else:
             sign = {"rising": 1.0, "falling": -1.0}.get(kind) or np.resize([1.0, -1.0], n)
-            u[:, 2] = sign * rng.uniform(0.5, 1.5, size=n)
-            a[:, 2] = 0.0
-            # every other call has its plane in the middle of every segment
-            z = float(rng.uniform(-0.2, 0.2) if trial % 2 else np.sign(u[0, 2]) * rng.uniform(0.25, 0.35))
-        radii = np.array([[r + slack], [r - slack]])
-        py = a[:, 1] + rng.uniform(-r, r, size=n) + rng.uniform(0.0, 1.0, size=n) * u[:, 1]
-        got = _segment_row_spans(radii, py, z, a.T.copy(), u.T.copy())
-        want = _full_row_spans(radii, py, z, a, u)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (kind, trial)
+            u[:, 1] = sign * np.abs(u[:, 1])
+        if trial % 2:
+            # ends on row centers and r a whole number of rows: rows through
+            # the ends and tangent to the end balls
+            a[:, 1] = origin[1] + (rng.integers(10, 200, size=n) + 0.5) * h
+            u[:, 1] = np.round(u[:, 1] / h) * h
+            r = int(rng.integers(1, 20)) * h
+            py = a[:, 1] + rng.choice([-r, 0.0, r], size=n) + rng.choice([0.0, 1.0], size=n) * u[:, 1]
+        else:
+            py = a[:, 1] + rng.uniform(-r, r, size=n) + rng.uniform(0.0, 1.0, size=n) * u[:, 1]
+        table = _SpanTable(origin, h, a, u, r)
+        radii = np.array([r + table.slack, r - table.slack])
+        j = np.round((py - origin[1]) / h - 0.5).astype(np.int64)
+        got = table.chords(np.arange(n), j)
+        want = _full_row_spans(radii, j, a, u, origin, h)
+        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want)), (kind, trial)
+
+
+def _brute_mask(grid, vertices, tol):
+    """Every cell center of the grid through `_near` against every segment."""
+    a, u, _, _ = _segments(vertices)
+    P = grid.centers()
+    mask = np.zeros(len(P), dtype=bool)
+    for k in range(len(a)):
+        mask |= _near(P, np.repeat(a[k:k + 1], len(P), axis=0), np.repeat(u[k:k + 1], len(P), axis=0), tol)
+    return mask.reshape(grid.shape)
+
+
+def _assert_brute(grid, vertices, tol, chains=(1, 2, None)):
+    """`_assert_same` against `_brute_mask`; returns the mask."""
+    return _assert_same(grid, vertices, tol, chains=chains, want=_brute_mask(grid, vertices, tol))
+
+
+@pytest.mark.parametrize("cells", [0.5, 3, 9])
+def test_spans_match_brute_force_on_degenerate_segments(cells):
+    # segments along the rows (u_y = 0), along a column (u_x = 0), of zero
+    # length, overlapping collinear ones and ones within 1e-12 of the rows,
+    # with vertices on cell centers and off them: every cell center through
+    # the exact test.  At tol = 0 (below the slack, so no inner span) the
+    # mask holds the corners of the rectangle on centers and only centers on
+    # its edges, those whose projection rounds to no offset
+    grid = CellGrid(np.array([0.0, 0.0]), 0.25, (40, 36))
+    c = _center
+    tol = cells * grid.h
+    loops = [
+        [[c(5), c(6)], [c(30), c(6)], [c(30), c(25)], [c(5), c(25)]],
+        [[c(8), c(9)], [c(20), c(9)], [c(12), c(9)], [c(28), c(9)], [c(28), c(9)], [c(16), c(9)]],
+        [[c(9), c(4)], [c(9), c(30)], [c(9), c(12)], [c(9), c(33)]],
+        [[1.0, 1.0], [7.0, 4.0], [3.0, 2.0], [9.0, 5.0], [5.0, 3.0]],
+        [[1.3, 2.1], [1.3, 2.1], [7.2, 2.1 + 1e-12], [7.2, 2.1 + 1e-12], [4.2, 6.9], [1.3 + 1e-12, 6.9]],
+        [[2.0, c(12)], [8.0, np.nextafter(c(12), 10.0)], [8.0, c(20) - 1e-12], [2.0, c(20)]],
+    ]
+    for v in loops:
+        v = np.asarray(v, dtype=float)
+        _assert_brute(grid, v, tol)
+        _assert_brute(grid, v + np.array([0.1, 0.07]), tol)
+    mask = _assert_brute(grid, np.asarray(loops[0], dtype=float), 0.0)
+    edge = np.zeros_like(mask)
+    edge[5:31, [6, 25]] = edge[[5, 30], 6:26] = True
+    assert mask[[5, 30, 30, 5], [6, 6, 25, 25]].all() and not (mask & ~edge).any()
+
+
+def test_spans_match_brute_force_on_a_loop_translated_by_1e6():
+    # the slack grows with the coordinates (1e-3 here, a tenth of a cell):
+    # many more cells go through the exact test, and the mask is the same
+    m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=4)
+    v = slice_loop(m, 0.5, sample_sphere(1, 128)).vertices
+    for shift in (np.zeros(2), np.array([1e6, -1e6])):
+        grid = grid_over(v + shift, 0.05, 0.2)
+        for tol in (0.025, 0.15, 0.6):
+            _assert_brute(grid, v + shift, tol)
+
+
+def test_collars_wider_than_the_pad_clip_at_the_grid_edge():
+    # the grid pads the loop by 0.1 and the collars reach 2 to 20 times as
+    # far, so their spans run past the grid's columns and are clipped there
+    m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=5)
+    v = slice_loop(m, 0.5, sample_sphere(1, 256)).vertices
+    grid = grid_over(v, 0.05, 0.1)
+    for tol in (0.2, 0.53, 1.07, 2.26):
+        mask = _assert_brute(grid, v, tol, chains=(1, 2, 7, None))
+        assert mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()
+
+
+def test_two_chain_levels_keep_fewer_pairs_than_one(monkeypatch):
+    # the collars of `convergence_split` on the `convergence-split` inputs:
+    # the (chain, row) pairs built at both levels are fewer than those of the
+    # fine chains alone, and every mask is the same
+    import kakeya_lab.convergence as convergence
+    import kakeya_lab.gridding as gridding
+
+    collars = []
+    real_mark = convergence.mark_near_polyline
+    monkeypatch.setattr(convergence, "mark_near_polyline",
+                        lambda grid, v, tol: collars.append((grid, v, tol)) or real_mark(grid, v, tol))
+    m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=5)
+    convergence.convergence_split(m, [0.15, 0.06, 0.025], np.linspace(0.0, 1.0, 3), sample_sphere(1, 1024), 0.02)
+    assert len(collars) == 9
+    pairs = []
+    real_cells = gridding._disk_cells
+
+    def counting(shape, origin, h, c, radius, cc, j):
+        pairs[-1] += len(cc)
+        return real_cells(shape, origin, h, c, radius, cc, j)
+
+    monkeypatch.setattr(gridding, "_disk_cells", counting)
+    runs = {}
+    for levels in ((4, 1), (1,)):
+        monkeypatch.setattr(gridding, "_CHAIN_LEVELS", levels)
+        pairs.append(0)
+        runs[levels] = [mark_near_polyline(grid, v, tol) for grid, v, tol in collars]
+    two, one = pairs
+    assert 0 < two < one
+    for a, b in zip(runs[(4, 1)], runs[(1,)]):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def _assert_merges(nx, ny, rows, starts, stops):
@@ -588,7 +707,7 @@ def _certain_cells(grid, vertices, tol, chain, slack):
     """Centers of the certain chords of `_chain_pairs`, every row allowed."""
     a, u, _, _ = _segments(vertices)
     certain, _ = _chain_pairs(grid.shape, grid.origin, grid.h, np.zeros(len(a), dtype=np.int64),
-                              np.full(len(a), grid.shape[1]), 0.0, a, u, tol, slack, chain)
+                              np.full(len(a), grid.shape[1]), a, u, tol, slack, chain)
     plane = _runs_plane(grid.shape, *certain)
     i, j = np.nonzero(plane)
     return np.stack([grid.origin[0] + (i + 0.5) * grid.h, grid.origin[1] + (j + 0.5) * grid.h], axis=1)

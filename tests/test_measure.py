@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kakeya_lab.gridding import _rows_within, scanline_runs
+from kakeya_lab.gridding import _rows_within
 from kakeya_lab.maps import lipschitz_constant_on_net, make_map
 from kakeya_lab.measure import (
     TubeFamily,
@@ -23,7 +23,7 @@ from test_gridding import _assert_disjoint_sorted, _runs_plane
 def test_cone_measure_close_to_closed_form():
     est = rasterize_image_measure(make_map("zero"), 0.02)
     assert abs(est.value - np.pi / 3) / (np.pi / 3) < 0.15
-    assert est.value >= np.pi / 3  # outer approximation
+    assert est.value >= np.pi / 3  # above the exact volume at this h (not a proven bound)
 
 
 def test_cone_measure_translation_invariant():
@@ -415,18 +415,10 @@ def test_tube_layers_clear_rule_keeps_a_margin():
     assert not tubes.clear(-0.5) and not tubes.clear(1.5)
 
 
-def _scanline_layer_runs(tubes, z):
-    """The layer's runs from the general segment kernel
-    `gridding.scanline_runs`, over the same segments and rows."""
-    yc = tubes.ay + min(max(z, 0.0), 1.0) * tubes.vy
-    j0, j1 = _rows_within(yc, yc, tubes.reach, tubes.origin[1], tubes.h, tubes.shape[1])
-    return scanline_runs(tubes.shape, tubes.origin[:2], tubes.h, j0, j1, z, tubes.a, tubes.u, tubes.r)
-
-
 def test_tube_layers_band_cells_get_the_exact_test(monkeypatch):
     # map seed 5, delta = 0.04, h = delta/4: a few cell centers fall between
     # a layer's inner and outer spans, so the exact test decides them; every
-    # layer equals the general segment kernel's
+    # layer equals the offset-disk reference, exact at h = delta/4
     import kakeya_lab.measure as measure
 
     band = []
@@ -438,10 +430,18 @@ def test_tube_layers_band_cells_get_the_exact_test(monkeypatch):
 
     monkeypatch.setattr(measure, "_near", near)
     fam = build_tube_family(make_map("lacunary_fourier", alpha=0.8, terms=10, seed=5), 0.04)
-    for tubes, z, clear in _tube_layers(fam, 0.01):
-        got, want = tube_layer_runs(tubes, z, clear), _scanline_layer_runs(tubes, z)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), z
+    _assert_tube_marks_equal(fam, 0.01, _reference_tube_marks)
     assert sum(band) > 0
+    # a vertical tube centred on a cell center, delta = 4h binary-exact: the
+    # cells 4 columns or 4 rows from its axis are exactly delta from it, on
+    # every layer between its ends, and the exact test accepts them; a
+    # tilted tube beside it; every cell of every layer against every tube
+    band.clear()
+    h = 1.0 / 64.0
+    net = np.array([[0.5, 0.25], [0.0, 0.0]])
+    fam = TubeFamily(4.0 * h, net, np.array([[0.0, 0.0], [32.5 * h, 16.5 * h]]), 3)
+    _assert_tube_marks_equal(fam, h, _brute_tube_marks)
+    assert sum(band) >= 4 * int(0.9 / h)
 
 
 def test_tube_layers_split_into_blocks(monkeypatch):
@@ -628,9 +628,18 @@ def test_rasterize_refuses_oversized_sampling(monkeypatch):
         raise AssertionError("allocated before the preflight check")
 
     monkeypatch.setattr(measure.np, "meshgrid", no_meshgrid)
-    lac = make_map("lacunary_fourier", alpha=0.8, terms=12, seed=7)
+    # the zero map fits from h = 0.002 up; below it a larger h is the way out
+    assert measure.sampling_fits(make_map("zero"), 0.002)
     with pytest.raises(ValueError, match="larger h"):
-        rasterize_image_measure(lac, 0.05)
+        rasterize_image_measure(make_map("zero"), 0.001)
+    # the README's lacunary map needs a step of 2.45e-4 even at h = 0.1:
+    # no h fits, and the message says so
+    lac = make_map("lacunary_fourier", alpha=0.8, terms=12, seed=7)
+    assert not measure.sampling_fits(lac, 0.1)
+    refusal = r"0\.000245 even at grid spacing 0\.1.*no grid spacing in \(0, 0\.1\] fits"
+    for h in (0.05, 0.1):
+        with pytest.raises(ValueError, match=refusal):
+            rasterize_image_measure(lac, h)
 
 
 def test_tube_pairs_floor_never_exceeds_the_preflight_count(monkeypatch):

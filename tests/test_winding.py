@@ -206,6 +206,30 @@ def test_row_engine_vertices_on_row_centers_and_horizontal_edges():
         _assert_rows_same(pts, EXACT_GRID)
 
 
+def test_row_engine_intercepts_on_a_cell_center_and_one_ulp_off():
+    # a rectangle whose left edge lies at a column's computed center, or one
+    # ulp to either side of it: that edge's crossings step at that column,
+    # that column and the next, as a search of the centers places them; the
+    # right edge, past the grid, steps at the padding cell nx
+    grids = [EXACT_GRID, CellGrid(np.array([-0.37, 0.21]), 0.1 / 3.0, (40, 36)),
+             CellGrid(np.array([1e6 + 0.1, -2e5]), 0.07, (30, 20))]
+    for grid in grids:
+        xs, ys = grid.axis_centers(0), grid.axis_centers(1)
+        nx, h = grid.shape[0], grid.h
+        for col in (0, 7, nx - 1):
+            for x, want in ((xs[col], col), (np.nextafter(xs[col], -np.inf), col),
+                            (np.nextafter(xs[col], np.inf), col + 1)):
+                assert np.searchsorted(xs, x, side="left") == want
+                lo, hi, right = ys[2] - h / 4.0, ys[-3] + h / 4.0, xs[-1] + 5.0 * h
+                rect = np.array([[x, lo], [right, lo], [right, hi], [x, hi]])
+                at, _ = crossing_winding_rows(rect, grid)
+                rows, k = np.divmod(at, nx + 1)
+                assert np.array_equal(np.bincount(rows, minlength=len(ys))[2:-2], np.full(len(ys) - 4, 2))
+                assert sorted(set(k.tolist())) == sorted({want, nx})
+                assert np.sum(k == want) == len(ys) - 4 or want == nx
+                _assert_rows_same(rect, grid)
+
+
 def test_row_engine_segments_partly_off_the_grid():
     pts = [[-3.0, 1.0], [5.0, -2.0], [14.0, 4.5], [6.0, 12.0], [-1.0, 8.0]]
     _assert_rows_same(pts, EXACT_GRID)
