@@ -833,3 +833,49 @@ def test_tube_family_csv_is_the_csv_writer_bytes(tmp_path):
     assert got.read_bytes() == want.read_bytes()
     assert b"-0.0,1e-17,1e+300" in got.read_bytes()
     assert sidecar.read_text() == '{\n  "count": 3,\n  "delta": 0.1,\n  "n": 3\n}\n'
+
+
+# sha256 of every output file, MANIFEST.json included, of three small runs
+# (x86-64, numpy 2.4, OpenBLAS): the tube union at two scales, a grid slice's
+# near-loop mask and winding field, and a grid sweep
+PINNED_REPORTS = {
+    "tubes": (
+        ["tubes", "--map", "lacunary:alpha=0.8,terms=6,seed=1", "--delta", "0.1", "--scales", "1,2"],
+        "tubes.json",
+        {
+            "MANIFEST.json": "5c23487149dfed20740c1f33ce13043095e6e74a36b3e4fcd42291f76962f273",
+            "tubes.json": "d5a92acc0cbc86d52b529104c8eeb409462e50fb49aa98c8729dbc9c8f63c767",
+            "tubes.net.csv": "4da6b2adfc7e205d6e8f9e99fb9e0e4e84b47079b7df5599e140d4d1b61a8e76",
+            "tubes.net.json": "f30f3fd9c5a7ba7f7c8772531a10c88d33c827f279ec2209deb1e1726cef045e",
+        },
+    ),
+    "slice": (
+        ["slice", "--map", "lacunary:alpha=0.8,terms=12,seed=7", "--t", "0.5", "--grid-h", "0.02"],
+        "slice.csv",
+        {
+            "MANIFEST.json": "4a845963f92c8aaaa74f2c21ed3e561478510edb64ca1d8d7341bedf38a4a32a",
+            "slice.csv": "88cd497f924c41e38985a98a59283f24ebc8edc63b569fdf756d48c8de9e438e",
+            "slice.summary.json": "b8bbf07c449cc57633bf326baa1410dd78d26b36249fefb551936a748197844a",
+        },
+    ),
+    "sweep": (
+        ["sweep", "--map", "zero", "--method", "grid", "--grid-h", "0.02", "--mesh", "256", "--t-steps", "8"],
+        "sv.csv",
+        {
+            "MANIFEST.json": "a526736b3145c6a22ceef055225c28bc4cd65dedbd4dce1bf77cc4498a0c8174",
+            "sv.csv": "aabee91c3ab0e61caed9100264515c914edaf615f0039e64d8c950d836be3ebc",
+            "sv.fit.json": "7f7500b08e1bf36428b225fced9acf2927320b5f5851511be8c26cf642cc0a42",
+            "sv.gp": "b6326200826860e889dd7819208a9deef20c593a399756fe3ab5cd9b2809ad06",
+            "sv.summary.json": "3bdda37d4962c2e64878ae376e1d4b4a7b1270baa8dbed1871144e5d93e1adcf",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_reports_keep_their_pinned_bytes(tmp_path, name):
+    from kakeya_lab.report import sha256_file
+
+    argv, out, want = PINNED_REPORTS[name]
+    assert run_cli([*argv, "--out", tmp_path / out]) == 0
+    assert {f.name: sha256_file(f) for f in tmp_path.iterdir()} == want
