@@ -246,16 +246,18 @@ def _cmd_slice(args) -> list[Path]:
 
 
 def _cmd_measure(args) -> list[Path]:
-    from .measure import NO_SPACING_FITS, rasterize_image_measure
+    from .measure import rasterize_image_measure
 
     _check_range("--h", args.h, 0.0, 0.1, lo_open=True)
     _require_n3(args, "measure")
     pmap = _map_from_args(args)
     try:
         est = rasterize_image_measure(pmap, args.h)
-    except ValueError as exc:  # the sample-count preflight
-        # where no --h fits, the map is what has to change
-        _fail("--map" if NO_SPACING_FITS in str(exc) else "--h", str(exc))
+    except ValueError as exc:
+        # only the sample-count preflight's "use a larger h" names --h; where no
+        # --h fits, or a raw sampled net has no modulus of continuity, the map
+        # is what has to change
+        _fail("--h" if str(exc).endswith("use a larger h") else "--map", str(exc))
     out = Path(args.out)
     return [
         rpt.write_json_report(
