@@ -818,6 +818,14 @@ def test_grid_map_with_a_non_finite_value_names_map(tmp_path, capsys):
     assert _flag_of_failure(code, capsys) == "--map"
 
 
+def test_measure_on_a_raw_sampled_net_names_map(tmp_path, capsys):
+    # a valid net has no modulus of continuity, so no --h can give it one
+    net = tmp_path / "net.csv"
+    net.write_text("0.0,0.0,0.1,0.2\n0.5,0.0,0.3,0.2\n0.0,0.5,0.1,-0.4\n")
+    code = run_cli(["measure", "--map", f"grid:path={net}", "--h", "0.05", "--out", tmp_path / "m.json"])
+    assert _flag_of_failure(code, capsys) == "--map"
+
+
 def test_tube_family_csv_is_the_csv_writer_bytes(tmp_path):
     # awkward floats: signed zero, a tiny value, a sum off its decimal, a
     # large one and a negative; byte-equal to the csv module's rows
