@@ -6,13 +6,19 @@ translated cell centers.
 
 Every "which points lie within r of a segment" question of the package is
 answered with one exact test, `_near`, of segments a -> a + u in the plane
-or in R^3: the scanline runs of `scanline_runs` (near-loop masks of planar
-loops), the boundary checks of `points_near_polyline`, and the cells at the
-span ends of `measure`'s tube layers, whose kernel
-(`measure.tube_layer_runs`) takes its row rule, slack (`_span_slack`) and
-exactness argument from here.  No (nx, ny) array is built.  A mask's spans
-are closed forms in cell units from one table of per-segment constants
-made once per mask (`_SpanTable`), with no z term.  A near-loop mask wider
+or in R^3.  A grid row meets the r-neighbourhood of a segment in one
+interval (the neighbourhood is convex), and one step, `_span_runs`, turns
+such intervals into runs for both kernels that count cells: the near-loop
+masks of planar loops (`scanline_runs`, spans from `_SpanTable`) and the
+height layers of `measure`'s tube union (`measure.tube_layer_runs`, the
+cylinder's chords).  Each kernel gives every (segment, row) slot its
+interval at r plus and minus a slack (`_span_slack`) in closed form, in
+cell units; the chord of the slab or cylinder about the segment's axis is
+clipped to the segment's strip (`_strip`) and joined with the chords of
+its end balls (`_hull`).  `_span_runs` fills the inner intervals and sends
+the other cells of the outer ones through `_near`, which makes the cells
+exact whatever the rounding of the closed forms; its docstring gives the
+argument.  No (nx, ny) array is built.  A near-loop mask wider
 than a few segment lengths (a collar) first tests chains of consecutive
 segments against two disks each, coarse chains over every row in reach and
 their sub-chains only where a coarse chain reaches past the cells already
@@ -143,12 +149,11 @@ class _SpanTable:
     interval [X_lo, X_hi] are ceil(X_lo)..floor(X_hi), and row j lies
     t = j - T rows from the segment's start, T = (a_y - o_y)/h - 1/2.  The
     rho-neighbourhood of the segment is convex, so a row meets it in one
-    interval: the hull of
+    interval: the hull (`_hull`) of
     - the chord of the slab |(P - a) x u| <= rho L, whose edges are the
       lines at distance rho from the segment's axis:
       x0 + (u_x/u_y) t -+ rho L/(|u_y| h), with x0 = X(a_x);
-    - clipped to the strip 0 <= (P - a).u <= L^2, whose chord is
-      s + [min(0, l), max(0, l)] with s = x0 - (u_y/u_x) t, l = L^2/(u_x h);
+    - clipped to the strip 0 <= (P - a).u <= L^2 (`_strip`);
     - and the chords of the two end balls, x0 -+ sqrt((rho/h)^2 - t^2) and
       xe -+ sqrt((rho/h)^2 - (t - u_y/h)^2), with xe = X(a_x + u_x).
     The pieces lie in the neighbourhood and together cover it, so the hull
@@ -186,26 +191,22 @@ class _SpanTable:
         ux, uy = u.T
         l2 = ux * ux + uy * uy
         flat = np.abs(uy) <= _TILT * np.abs(ux)
-        steep = np.abs(ux) <= _TILT * np.abs(uy)
-        # the segments along a column whose slab the row rule cuts
-        self.steep = steep & ~flat
-        self.any_steep = bool(self.steep.any())
-        # rows: x0, T, xe, u_y/h, slope, strip slope, strip start and end
-        # offsets, and one slab half-width per radius (NaN: no slab)
+        # rows: x0, T, xe, u_y/h, slope, the strip's tilt and chord offsets,
+        # and one slab half-width per radius (NaN: no slab)
         table = np.zeros((8 + len(radii), len(a)))
         table[0] = (ax - ox) / h - 0.5
         table[1] = (ay - oy) / h - 0.5
         table[2] = (ax + ux - ox) / h - 0.5
         table[3] = uy / h
         np.divide(ux, uy, out=table[4], where=~flat)
-        np.divide(uy, ux, out=table[5], where=~steep)
-        length = np.divide(l2, ux * h, out=np.zeros(len(a)), where=~steep)
-        table[6] = np.where(steep, -np.inf, np.minimum(length, 0.0))
-        table[7] = np.where(steep, np.inf, np.maximum(length, 0.0))
+        steep, table[5:8] = _strip(ux, uy, np.abs(uy), l2, h)
         width = np.full(len(a), np.nan)
         np.divide(np.sqrt(l2), np.abs(uy) * h, out=width, where=~flat)
         np.multiply(radii[:, None], width, out=table[8:])
         self.table = table
+        # the segments along a column, whose strip holds only the rows they span
+        self.steep = steep & ~flat
+        self.any_steep = bool(self.steep.any())
 
     def chords(self, k, j):
         """The spans (lo, hi), in cell units, of rows j against segments k:
@@ -221,26 +222,54 @@ class _SpanTable:
         hi += xc
         s = tilt * t
         np.subtract(x0, s, out=s)
+        if self.any_steep:
+            # a segment along a column has its strip on the rows it spans
+            s[self.steep[k] & ((t < np.minimum(dj, 0.0)) | (t > np.maximum(dj, 0.0)))] = np.nan
         s_lo += s
         s_hi += s
-        np.maximum(lo, s_lo, out=lo)
-        np.minimum(hi, s_hi, out=hi)
-        if self.any_steep:
-            # a segment along a column has its slab on the rows it spans
-            off = self.steep[k] & ((t < np.minimum(dj, 0.0)) | (t > np.maximum(dj, 0.0)))
-            lo[:, off] = np.nan
-        with np.errstate(invalid="ignore"):
-            empty = ~(lo <= hi)
-            lo[empty] = np.nan
-            hi[empty] = np.nan
-            for cx, d in ((x0, t), (xe, t - dj)):
-                # the end ball's chord cx -+ sqrt((rho/h)^2 - d^2), NaN where it misses
-                q = self.balls - d * d
-                np.sqrt(q, out=q)
-                np.fmin(lo, cx - q, out=lo)
-                q += cx
-                np.fmax(hi, q, out=hi)
-        return lo, hi
+        return _hull(lo, hi, s_lo, s_hi, ((x0, self.balls, t), (xe, self.balls, t - dj)))
+
+
+def _strip(ux, uy, across, l2, h):
+    """Per-segment constants of the strip 0 <= (P - a).u <= L^2 (l2 = L^2)
+    of segments a -> a + u, whose steps across the columns have norm
+    `across` (|u_y| in the plane).  Where |u_x| > _TILT across, a row t rows
+    from the segment's start meets the strip in the chord, in cell units,
+    x0 - (u_y/u_x) t + [min(0, l), max(0, l)], l = L^2/(u_x h), with x0 as
+    in `_SpanTable` (and a layer term in R^3).  Elsewhere the segment lies
+    along a column: its strip holds a row whole or not at all, which the
+    kernel decides.  Returns that `steep` mask and the rows tilt = u_y/u_x,
+    min(0, l) and max(0, l): 0, -inf and inf along a column."""
+    steep = np.abs(ux) <= _TILT * across
+    cols = np.zeros((3, len(ux)))
+    np.divide(uy, ux, out=cols[0], where=~steep)
+    np.divide(l2, ux * h, out=cols[1], where=~steep)
+    cols[2] = np.where(steep, np.inf, np.maximum(cols[1], 0.0))
+    cols[1] = np.where(steep, -np.inf, np.minimum(cols[1], 0.0))
+    return steep, cols
+
+
+def _hull(lo, hi, s_lo, s_hi, ends):
+    """Spans (lo, hi), in cell units, of the slab or cylinder about a
+    segment's axis, clipped in place to the strip's chord [s_lo, s_hi] (NaN:
+    the row misses the strip) and joined with the chords of the end balls:
+    for each end (cx, b, d), the chord cx -+ sqrt(b - d^2) of a ball whose
+    centre is d rows away, b its squared radius in cells (less its layer's
+    term in R^3), NaN where it misses the row.  The result is NaN where the
+    hull is empty."""
+    np.maximum(lo, s_lo, out=lo)
+    np.minimum(hi, s_hi, out=hi)
+    with np.errstate(invalid="ignore"):
+        empty = ~(lo <= hi)
+        lo[empty] = np.nan
+        hi[empty] = np.nan
+        for cx, b, d in ends:
+            q = b - d * d
+            np.sqrt(q, out=q)
+            np.fmin(lo, cx - q, out=lo)
+            q += cx
+            np.fmax(hi, q, out=hi)
+    return lo, hi
 
 
 def _cells(lo, hi, nx):
@@ -294,22 +323,13 @@ def scanline_runs(shape, origin, h, j0, j1, a, u, r, chain: int = 1):
     `merged_runs`.
 
     Segment k may reach grid rows j0[k]..j1[k] (a superset; clipped here).
-    Each row meets a segment's r-neighbourhood in one interval
-    (`_SpanTable`), taken at r + slack (outer span) and r - slack (inner
-    span), the slack (`_span_slack`) far above rounding error and far below
-    a cell.  The cells of the inner span are accepted whole, and the other
-    cells of the outer span get the exact test.  That is exact: a cell the
-    test accepts lies within r of the segment up to rounding, so inside the
-    outer span, and a cell of the inner span lies within r - slack, so the
-    test accepts it.  The spans are clipped to the grid's columns.  The cost
-    is proportional to the (segment, row) pairs; they are handled in chunks
-    of _PAIR_CHUNK.  With chain > 1 the segments must be the consecutive
-    segments of a polyline, and the pairs are first pruned by
-    `_chain_pairs`; the cells accepted are the same.
+    The spans of its (segment, row) pairs come from `_SpanTable`, and
+    `_span_runs` turns them into runs.  The cost is proportional to the
+    pairs; they are handled in chunks of _PAIR_CHUNK.  With chain > 1 the
+    segments must be the consecutive segments of a polyline, and the pairs
+    are first pruned by `_chain_pairs`; the cells accepted are the same.
     """
-    nx, ny = shape
-    ox, oy = origin
-    width = nx + 1
+    ny = shape[1]
     table = _SpanTable(origin, h, a, u, r)
     j0 = np.maximum(j0, 0)
     rows = np.maximum(np.minimum(j1, ny - 1) - j0 + 1, 0)
@@ -320,26 +340,55 @@ def scanline_runs(shape, origin, h, j0, j1, a, u, r, chain: int = 1):
     else:
         pairs = _segment_pairs(j0, rows)
     for k, j in pairs:
-        lo, hi = _cells(*table.chords(k, j), nx)
-        o_lo, o_hi = lo[0], hi[0]
-        # no inner span where r <= slack: the exact test takes every cell
-        f_lo, f_hi = (lo[1], hi[1]) if len(lo) > 1 else (np.full_like(o_lo, np.nan),) * 2
-        fill = f_lo <= f_hi
-        line = j[fill] * width
-        runs.append((line + f_lo[fill].astype(np.int64), line + f_hi[fill].astype(np.int64) + 1))
-        # exact test on the outer span minus the filled one; a pair whose
-        # spans agree has no such cell
-        band = np.flatnonzero((o_lo <= o_hi) & ((o_lo != f_lo) | (o_hi != f_hi)))
-        pair, i = _band_cells(o_lo[band], o_hi[band], f_lo[band], f_hi[band])
-        pair = band[pair]
-        P = np.empty((len(i), 2))
-        P[:, 0] = ox + (i + 0.5) * h
-        P[:, 1] = oy + (j[pair] + 0.5) * h
-        seg = k[pair]
-        hit = _near(P, a[seg], u[seg], r)
-        cell = j[pair[hit]] * width + i[hit]
-        runs.append((cell, cell + 1))
+        runs += _span_runs(shape, origin, h, *table.chords(k, j), j, k, a, u, r)
     return union_runs(shape, *runs)
+
+
+def _span_runs(shape, origin, h, lo, hi, row, seg, a, u, r, trail=()):
+    """The runs (first, last) of the cells that pass the exact test `_near`
+    at radius r, from the spans of (segment, row) slots in cell units: lo
+    and hi hold, along their first axis, the outer spans, taken at r + slack
+    (`_span_slack`), and, where r > slack, the inner ones at r - slack; NaN
+    marks a slot without a span.  row holds each slot's grid row, in a
+    span's shape, and seg its segment a[seg] -> a[seg] + u[seg], broadcast
+    against that shape; and
+    trail the coordinates of the test points after (x, y), the same for
+    every slot (a tube layer's height; none in the plane).  Returns a list
+    of runs for `union_runs`.
+
+    The spans are clipped to the row's cells.  The cells of the inner span
+    are accepted whole, and the other cells of the outer span get the exact
+    test.  That is exact: the slack is far above the rounding of the
+    kernels' closed-form spans and of the test, and far below a cell, so a
+    cell the test accepts lies within r of the segment up to rounding, thus
+    inside the outer span, and a cell of the inner span lies within
+    r - slack, where the test accepts it.  Where r <= slack there is no
+    inner span and the test takes every cell.  The cells are the same
+    whatever the order of the kernels' arithmetic.
+    """
+    nx = shape[0]
+    lo, hi = _cells(lo, hi, nx)
+    o_lo, o_hi = lo[0], hi[0]
+    f_lo, f_hi = (lo[1], hi[1]) if len(lo) > 1 else (np.full_like(o_lo, np.nan),) * 2
+    seg = np.broadcast_to(seg, o_lo.shape)
+    width = nx + 1
+    fill = f_lo <= f_hi
+    line = row[fill] * width
+    runs = [(line + f_lo[fill].astype(np.int64), line + f_hi[fill].astype(np.int64) + 1)]
+    # exact test on the outer span minus the filled one; a slot whose spans
+    # agree has no such cell
+    band = (o_lo <= o_hi) & ((o_lo != f_lo) | (o_hi != f_hi))
+    slot, i = _band_cells(o_lo[band], o_hi[band], f_lo[band], f_hi[band])
+    j = row[band][slot]
+    k = seg[band][slot]
+    P = np.empty((len(i), 2 + len(trail)))
+    P[:, 0] = origin[0] + (i + 0.5) * h
+    P[:, 1] = origin[1] + (j + 0.5) * h
+    P[:, 2:] = trail
+    hit = _near(P, a[k], u[k], r)
+    cell = j[hit] * width + i[hit]
+    runs.append((cell, cell + 1))
+    return runs
 
 
 def _band_cells(o_lo, o_hi, f_lo, f_hi):
@@ -549,27 +598,19 @@ def line_sums(at, level, first, last) -> int:
     return int(below[len(first):].sum() - below[:len(first)].sum())
 
 
-def _near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float, chain: int | None = None):
-    """`mark_near_polyline` with the pairs pruned in chains of `chain`
-    segments at the finest level of `_chain_pairs`.  By default a chain has
-    arc length about tol/4, so below a few segment lengths every chain is
-    one segment and nothing is pruned.  Each segment gets the rows of
-    `_rows_within` for its y-range and tol."""
-    a, u, y0, y1 = _segments(vertices)
-    oy, ny = grid.origin[1], grid.shape[1]
-    j0, j1 = _rows_within(y0, y1, tol, oy, grid.h, ny)
-    if chain is None:
-        arc = float(np.sqrt(np.einsum("kd,kd->k", u, u)).sum())
-        chain = len(u) if 4.0 * arc <= tol else max(1, int(tol * len(u) / (4.0 * arc)))
-    return scanline_runs(grid.shape, grid.origin, grid.h, j0, j1, a, u, tol, chain)
-
-
 def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float):
     """The grid cells whose center is within tol of the closed polyline, as
-    the disjoint sorted runs (first, last) of `merged_runs`: the
-    cells `scanline_runs` accepts for its segments, with the pairs pruned
-    chain by chain (`_chain_pairs`)."""
-    return _near_polyline(grid, vertices, tol)
+    the disjoint sorted runs (first, last) of `merged_runs`: the cells
+    `scanline_runs` accepts for its segments, each given the rows of
+    `_rows_within` for its y-range and tol, with the pairs pruned chain by
+    chain (`_chain_pairs`).  A chain at the finest level has arc length
+    about tol/4, so below a few segment lengths every chain is one segment
+    and nothing is pruned."""
+    a, u, y0, y1 = _segments(vertices)
+    j0, j1 = _rows_within(y0, y1, tol, grid.origin[1], grid.h, grid.shape[1])
+    arc = float(np.sqrt(np.einsum("kd,kd->k", u, u)).sum())
+    chain = len(u) if 4.0 * arc <= tol else max(1, int(tol * len(u) / (4.0 * arc)))
+    return scanline_runs(grid.shape, grid.origin, grid.h, j0, j1, a, u, tol, chain)
 
 
 def points_near_polyline(points: np.ndarray, vertices: np.ndarray, tol: float) -> bool:

@@ -8,17 +8,15 @@ the estimates exact up to floating-point rounding.
 The tube union is counted layer by layer in height by its own kernel,
 `tube_layer_runs`: every tube shares a_z = 0, u_z = 1 and delta, so a layer
 is one dense (row x tube) block of closed-form spans in cell units, with
-the per-tube constants computed once per union, as `gridding._SpanTable`
-does for the planar segments of a near-loop mask.  Spans are taken at
-delta plus and minus the slack of `gridding._span_slack`, and the exactness
-argument of `gridding.scanline_runs` carries over: inner spans are filled,
-and the cells between the two spans get the exact test `gridding._near`.
+the per-tube constants computed once per union.  Only the cylinder's chord,
+the layer's term and the rule for layers clear of the tube ends are the
+tube's own; the strip and the end balls are `gridding`'s, and the spans
+become runs, exactly, in `gridding._span_runs`, as for near-loop masks.
 Each layer adds the total length of its merged runs, and no plane is
-built.  On a layer clear of every tube's end balls the spans are the
-cylinder's chords alone.  The cost follows the (tube, layer, row) triples,
-which `tube_grid` bounds in closed form and refuses above MAX_TUBE_PAIRS
-before the first layer, as it refuses a layer grid too wide for the packed
-run keys of `gridding.merged_runs`.
+built.  The cost follows the (tube, layer, row) triples, which `tube_grid`
+bounds in closed form and refuses above MAX_TUBE_PAIRS before the first
+layer, as it refuses a layer grid too wide for the packed run keys of
+`gridding.merged_runs`.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridding import (
-    _PAIR_CHUNK, _band_cells, _near, _rows_within, _span_slack, run_cells, run_keys_fit, union_runs,
+    _PAIR_CHUNK, _hull, _rows_within, _span_runs, _span_slack, _strip, run_cells, run_keys_fit, union_runs,
 )
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
@@ -283,9 +281,9 @@ class _Tubes:
 
     Tube k is the segment a -> a + u, a = (c_x, c_y, 0), u = b - a with
     b = (c_x + v_x, c_y + v_y, 1), as `TubeFamily.segment_endpoints` gives
-    them (so u_z = 1 exactly).  Positions along a row are in cell units,
-    X = (x - o_x)/h - 1/2, so that the cells of an interval [X_lo, X_hi]
-    are ceil(X_lo)..floor(X_hi).
+    them (so u_z = 1 exactly).  Positions are in cell units, as in
+    `gridding._SpanTable`: X = (x - o_x)/h - 1/2 along a row, and row j lies
+    t = j - T rows from the tube's start, T = (a_y - o_y)/h - 1/2.
     """
 
     def __init__(self, family: TubeFamily, h: float):
@@ -296,25 +294,31 @@ class _Tubes:
         u = b - a
         self.a, self.u = a, u
         self.r = r = family.delta
-        # the slack of the near-loop spans (`gridding._span_slack`); the outer
-        # and inner radius
-        self.slack = slack = _span_slack(a, u, r, h)
+        # the slack of `gridding._span_slack`; the outer and inner radius
+        # (this one only where it is positive), squared in cells
+        slack = _span_slack(a, u, r, h)
         self.radii = (r + slack, r - slack) if r > slack else (r + slack,)
+        self.balls = ((np.array(self.radii) / h) ** 2)[:, None, None]
         # the reach of the end balls, r_out, with a margin (`clear`)
         self.edge = (r + slack) * (1.0 + 1e-9) + 1e-9
         ax, ay = a[:, 0], a[:, 1]
         ux, uy = u[:, 0], u[:, 1]
-        self.ay, self.ux, self.uy = ay, ux, uy
+        self.ay, self.uy = ay, uy
         # the row rule's v_y and reach
         self.vy, self.reach = family.net[:, 1], reach
-        # area = u_y^2 + u_z^2, l2 = |u|^2; the chord's slope and half-width
-        # factors in cell units; each tube's start and end in x, in cells
+        # area = u_y^2 + u_z^2, l2 = |u|^2; the cylinder chord's slope and
+        # half-width factor; each tube's start in x and rows, and its steps
+        # in cells
         self.area = area = uy * uy + 1.0
         self.l2 = l2 = area + ux * ux
-        self.slope = ux * uy / (area * h)
-        self.width = np.sqrt(l2) / (area * h)
+        self.slope = ux * uy / area
+        self.width = np.sqrt(l2) / area
         self.x0 = (ax - lo[0]) / h - 0.5
-        self.dx = ux / h
+        self.T = (ay - lo[1]) / h - 0.5
+        self.dx, self.dj = ux / h, uy / h
+        # the strip's constants and its layer term 1/(u_x h) (0 along a column)
+        self.steep, self.strip = _strip(ux, uy, np.sqrt(area), l2, h)
+        self.zx = np.divide(1.0, ux * h, out=np.zeros(len(a)), where=~self.steep)
         self._work = np.empty((7, 0))
 
     def clear(self, z: float) -> bool:
@@ -330,25 +334,26 @@ class _Tubes:
         return bool(self.edge < z < 1.0 - self.edge)
 
     def buffers(self, rows: int, tubes: int):
-        """Seven (rows x tubes) float work arrays, kept from block to block."""
-        n = rows * tubes
-        if self._work.shape[1] < n:
-            self._work = np.empty((7, n))
-        return [w[:n].reshape(rows, tubes) for w in self._work]
+        """Three (rows x tubes) float work arrays and two (radii x rows x
+        tubes) ones, kept from block to block."""
+        work = self._work
+        if work.shape[1] < rows * tubes:
+            work = self._work = np.empty((7, rows * tubes))
+        work = work[:, : rows * tubes].reshape(7, rows, tubes)
+        n = len(self.radii)
+        return work[0], work[1], work[2], work[3 : 3 + n], work[5 : 5 + n]
 
 
 def _tube_layers(family: TubeFamily, h: float):
-    """Yield, layer by layer in height, the arguments (tubes, z, clear) of
-    `tube_layer_runs`: the family's `_Tubes`, the layer's height z and
-    whether the layer is clear of every tube's end balls (`_Tubes.clear`).
+    """Yield, layer by layer in height, the arguments (tubes, z) of
+    `tube_layer_runs`: the family's `_Tubes` and the layer's height z.
     Raises before the first layer as `tube_grid` does."""
     tubes = _Tubes(family, h)
     for iz in range(tubes.layers):
-        z = tubes.origin[2] + (iz + 0.5) * h
-        yield tubes, z, tubes.clear(z)
+        yield tubes, tubes.origin[2] + (iz + 0.5) * h
 
 
-def tube_layer_runs(tubes: _Tubes, z: float, clear: bool):
+def tube_layer_runs(tubes: _Tubes, z: float):
     """The cells of the layer at height z whose center is within delta of a
     tube's core segment (the exact test `gridding._near`), as the disjoint
     sorted runs (first, last) of `gridding.merged_runs`.
@@ -364,143 +369,80 @@ def tube_layer_runs(tubes: _Tubes, z: float, clear: bool):
     R the most rows of any tube, with the rows past its own masked; the
     block is cut by tube into pieces of at most _PAIR_CHUNK slots.  It needs
     no range expansion and no gathers: every per-tube constant is a
-    `_Tubes` column.  A row y meets the r-neighbourhood of the segment in
-    one interval (it is convex), the hull of the end balls' chords and of
-    the cylinder's chord clipped to the strip 0 <= (P - a).u <= |u|^2.
-    With s = y - (a_y + z u_y), A = u_y^2 + 1 and L = |u|, the cylinder's
-    chord is, in cell units,
-    X = x0 + z dx + (u_x u_y / (A h)) s +- (L / (A h)) sqrt(A r^2 - s^2)
+    `_Tubes` column.  A row meets the r-neighbourhood of the segment in one
+    interval, the hull (`gridding._hull`) of the cylinder's chord clipped
+    to the strip 0 <= (P - a).u <= |u|^2 and of the end balls' chords.
+    With s = t - z u_y/h the row's offset from the axis' point at height z,
+    A = u_y^2 + 1 and L = |u|, the cylinder's chord is, in cell units,
+    X = x0 + z u_x/h + (u_x u_y / A) s +- (L / A) sqrt(A (r/h)^2 - s^2)
     (the Lagrange identity |d|^2 |u|^2 - (d.u)^2 = |d x u|^2 with d = P - a,
     which puts no cancellation under the root).  On a clear layer
-    (`_Tubes.clear`) the chord is the whole interval; on the others the
-    strip clips it and the end balls that the layer can meet (|z| <= edge,
-    |z - 1| <= edge) join it.
+    (`_Tubes.clear`) the chord is the whole interval.  On the others the
+    strip's chord is `gridding._strip`'s less the layer's term z/(u_x h);
+    along a column (u_x = 0) the strip holds the row whole where
+    0 <= t h u_y + z <= L^2 and drops it elsewhere.  The end balls that the
+    layer can meet (|z| <= edge, |z - 1| <= edge) join the chord.
 
-    Exactness is `gridding.scanline_runs`' argument: each interval is taken
-    at r + slack (outer) and r - slack (inner), with the slack of
-    `gridding._span_slack`.  The cells of the inner span are accepted
-    whole, and the other cells of the outer span get the exact test.  The
-    slack is 1e-9 of the largest coordinate plus r + h (about 1e-7 cells at
-    delta = 0.06, h = 0.015), while the closed forms round to a few ulps of
-    X and of sqrt(A) r / h (about 1e-13 cells there): a cell the test
-    accepts lies inside the outer span, and a cell of the inner span lies
-    within r - slack of the segment up to rounding, so the test accepts it.
-    The cells are the same whatever the order of the arithmetic.  Every
-    span lies within r + slack of its segment, so inside the grid, which
-    pads the segments by delta + 2h; no index is clipped.
+    The spans are taken at r + slack and r - slack and turned into runs by
+    `gridding._span_runs`, whose docstring gives the exactness argument.
+    Every span lies within r + slack of its segment, so inside the grid,
+    which pads the segments by delta + 2h.
     """
     ny = tubes.shape[1]
-    h = tubes.h
     yc = tubes.ay + min(max(z, 0.0), 1.0) * tubes.vy
-    j0, j1 = _rows_within(yc, yc, tubes.reach, tubes.origin[1], h, ny)
+    j0, j1 = _rows_within(yc, yc, tubes.reach, tubes.origin[1], tubes.h, ny)
     j0 = np.maximum(j0, 0)
     rows = np.minimum(j1, ny - 1) - j0 + 1
-    R = max(int(rows.max()), 1)
-    # each tube's first row as the offset s from its axis, and the axis' X
-    s0 = tubes.origin[1] + (j0 + 0.5) * h
-    s0 -= tubes.ay + z * tubes.uy
-    xc = tubes.x0 + z * tubes.dx
-    ends = None if clear else [e for e in (0.0, 1.0) if abs(z - e) <= tubes.edge]
+    ends = None if tubes.clear(z) else [e for e in (0.0, 1.0) if abs(z - e) <= tubes.edge]
     runs = []
-    step = max(_PAIR_CHUNK // R, 1)
+    step = max(_PAIR_CHUNK // max(int(rows.max()), 1), 1)
     for k in range(0, len(j0), step):
-        block = slice(k, k + step)
-        runs += _tube_block(tubes, block, z, ends, j0[block], rows[block], s0[block], xc[block])
+        runs += _tube_block(tubes, slice(k, k + step), z, ends, j0[k : k + step], rows[k : k + step])
     return union_runs(tubes.shape, *runs)
 
 
-def _tube_block(tubes, block, z, ends, j0, rows, s0, xc):
+def _tube_block(tubes, block, z, ends, j0, rows):
     """The runs of the tubes `block` of `tube_layer_runs`, as one (row x
-    tube) block (row r of tube k is grid row j0[k] + r): the filled inner
-    spans, and the cells of the outer spans that pass the exact test.
-    Spans are in cell units; NaN marks a slot whose row misses the tube, so
-    the rows past a tube's own are NaN from the start.  `ends` is None on a
-    clear layer, else the end balls (0 or 1) that the layer can meet."""
-    nx = tubes.shape[0]
+    tube) block (row r of tube k is grid row j0[k] + r), by
+    `gridding._span_runs`.  Spans are in cell units; NaN marks a slot whose
+    row misses the tube, so the rows past a tube's own are NaN from the
+    start.  `ends` is None on a clear layer, else the end balls (0 or 1)
+    that the layer can meet."""
     h = tubes.h
     R = max(int(rows.max()), 1)
-    S, S2, MID, LO, HI, F_LO, F_HI = tubes.buffers(R, len(j0))
+    s, t, mid, lo, hi = tubes.buffers(R, len(j0))
     col = np.arange(R)[:, None]
-    np.add(s0, h * col, out=S)
-    np.copyto(S, np.nan, where=col >= rows)
-    np.multiply(S, S, out=S2)
-    np.multiply(S, tubes.slope[block], out=MID)
-    MID += xc
+    row = j0 + col
+    # each row's offset s from the axis' point at height z, in rows
+    np.subtract(row, tubes.T[block] + z * tubes.dj[block], out=s)
+    np.copyto(s, np.nan, where=col >= rows)
     if ends is not None:
-        # the strip 0 <= (P - a).u <= |u|^2 as x' u_x in [-m, |u|^2 - m],
-        # m = dy u_y + z, dy = y - a_y, x' = x - a_x; in cells from x0
-        uy = tubes.uy[block]
-        dy = S + z * uy
-        m = dy * uy
-        m += z
-        t_lo, t_hi = _solve_span(-m, tubes.l2[block] - m, tubes.ux[block])
-        x0 = tubes.x0[block]
-        strip = x0 + t_lo / h, x0 + t_hi / h
-    spans = (LO, HI), (F_LO, F_HI)
+        # rows from the tube's start, for the strip and the end balls
+        np.add(s, z * tubes.dj[block], out=t)
+    # the cylinder's chord mid -+ width sqrt(A (r/h)^2 - s^2)
+    np.multiply(s, tubes.slope[block], out=mid)
+    mid += tubes.x0[block] + z * tubes.dx[block]
+    s *= s
+    np.subtract(tubes.balls * tubes.area[block], s, out=hi)
     with np.errstate(invalid="ignore"):
-        for r, (lo, hi) in zip(tubes.radii, spans):
-            # the cylinder's chord MID -+ width sqrt(A r^2 - s^2)
-            np.subtract(tubes.area[block] * (r * r), S2, out=hi)
-            np.sqrt(hi, out=hi)
-            hi *= tubes.width[block]
-            np.subtract(MID, hi, out=lo)
-            hi += MID
-            if ends is not None:
-                np.maximum(lo, strip[0], out=lo)
-                np.minimum(hi, strip[1], out=hi)
-                empty = lo > hi
-                np.copyto(lo, np.nan, where=empty)
-                np.copyto(hi, np.nan, where=empty)
-                for end in ends:
-                    # the chord of the end ball at (a_x + end u_x, a_y + end u_y, end)
-                    ball = r * r - (z - end) ** 2 - (dy - end * uy) ** 2
-                    np.sqrt(ball, out=ball)
-                    ball /= h
-                    cx = x0 + end * tubes.dx[block]
-                    np.fmin(lo, cx - ball, out=lo)
-                    np.fmax(hi, cx + ball, out=hi)
-            np.ceil(lo, out=lo)
-            np.floor(hi, out=hi)
-        if len(tubes.radii) == 1:  # no inner span: the exact test takes every cell
-            F_LO.fill(np.nan)
-            F_HI.fill(np.nan)
-        fill = F_LO <= F_HI
-        # the cells of the outer span beyond the filled one get the exact test
-        band = (LO != F_LO) | (HI != F_HI)
-        band &= LO <= HI
-    width = nx + 1
-    line = (j0 + col) * width
-    out = [(line[fill] + F_LO[fill].astype(np.int64), line[fill] + F_HI[fill].astype(np.int64) + 1)]
-    if band.any():
-        slot, i = _band_cells(LO[band], HI[band], F_LO[band], F_HI[band])
-        slot_row, slot_tube = np.nonzero(band)
-        row = j0[slot_tube[slot]] + slot_row[slot]
-        tube = block.start + slot_tube[slot]
-        P = np.empty((len(i), 3))
-        P[:, 0] = tubes.origin[0] + (i + 0.5) * h
-        P[:, 1] = tubes.origin[1] + (row + 0.5) * h
-        P[:, 2] = z
-        hit = _near(P, tubes.a[tube], tubes.u[tube], tubes.r)
-        cell = row[hit] * width + i[hit]
-        out.append((cell, cell + 1))
-    return out
-
-
-def _solve_span(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interval of x with lo <= x*c <= hi, for lo <= hi; an empty one is
-    (inf, -inf).  Where c != 0 the ends are lo/c and hi/c, in the order of
-    c's sign, which the rounding keeps."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = lo / c
-        b = hi / c
-    x_lo = np.minimum(a, b)
-    x_hi = np.maximum(a, b)
-    flat = c == 0.0
-    if flat.any():
-        whole = (lo <= 0.0) & (hi >= 0.0)
-        x_lo = np.where(flat, np.where(whole, -np.inf, np.inf), x_lo)
-        x_hi = np.where(flat, np.where(whole, np.inf, -np.inf), x_hi)
-    return x_lo, x_hi
+        np.sqrt(hi, out=hi)
+    hi *= tubes.width[block]
+    np.subtract(mid, hi, out=lo)
+    hi += mid
+    if ends is not None:
+        x0, dx, dj = tubes.x0[block], tubes.dx[block], tubes.dj[block]
+        tilt, s_lo, s_hi = tubes.strip[:, block]
+        np.multiply(t, tilt, out=s)
+        np.subtract(x0 - z * tubes.zx[block], s, out=s)
+        steep = tubes.steep[block]
+        if steep.any():
+            m = t * (h * tubes.uy[block])
+            m += z
+            s[steep & ~((0.0 <= m) & (m <= tubes.l2[block]))] = np.nan
+        balls = [(x0 + e * dx, tubes.balls - ((z - e) / h) ** 2, t - e * dj) for e in ends]
+        _hull(lo, hi, s + s_lo, s + s_hi, balls)
+    return _span_runs(tubes.shape, tubes.origin, h, lo, hi, row, np.arange(block.start, block.start + len(j0)),
+                      tubes.a, tubes.u, tubes.r, (z,))
 
 
 def tube_union_volume(family: TubeFamily, h: float) -> MeasureEstimate:
@@ -509,8 +451,8 @@ def tube_union_volume(family: TubeFamily, h: float) -> MeasureEstimate:
     Each layer is counted as the total length of the merged runs of
     `tube_layer_runs`; no plane is built."""
     hits = 0
-    for args in _tube_layers(family, h):
-        hits += run_cells(tube_layer_runs(*args))
+    for tubes, z in _tube_layers(family, h):
+        hits += run_cells(tube_layer_runs(tubes, z))
     return MeasureEstimate(hits * h**3, float(h), hits, "tube_union")
 
 

@@ -8,9 +8,9 @@ import pytest
 
 import kakeya_lab
 from kakeya_lab.gridding import (
-    _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _near, _near_polyline,
-    _rows_within, _segments, _SpanTable, grid_over, mark_near_polyline, merged_runs,
-    points_near_polyline, run_keys_fit,
+    _PAIR_CHUNK, CellGrid, _chain_disks, _chain_pairs, _chunks, _near, _rows_within, _segments,
+    _SpanTable, grid_over, mark_near_polyline, merged_runs, points_near_polyline, run_keys_fit,
+    scanline_runs,
 )
 from kakeya_lab.maps import make_map
 from kakeya_lab.slices import slice_loop
@@ -79,17 +79,26 @@ def _assert_disjoint_sorted(nx, ny, first, last):
     assert np.all((rows[1:] > rows[:-1]) | (same_row & (starts[1:] > stops[:-1])))
 
 
+def _chain_runs(grid, vertices, tol, chain):
+    """`scanline_runs` over the loop's segments with `chain` segments a chain
+    at the finest level, each segment given the rows `mark_near_polyline`
+    gives it."""
+    a, u, y0, y1 = _segments(vertices)
+    j0, j1 = _rows_within(y0, y1, tol, grid.origin[1], grid.h, grid.shape[1])
+    return scanline_runs(grid.shape, grid.origin, grid.h, j0, j1, a, u, tol, chain)
+
+
 def _assert_same(grid, vertices, tol, chains=(None,), want=None):
-    """The runs of `mark_near_polyline` (chains None), or of the same kernel
-    with `chain` segments a chain, are disjoint and sorted, and their plane
-    equals the reference loop's; returns that plane."""
+    """The runs of `mark_near_polyline` (chains None), or of `scanline_runs`
+    with `chain` segments a chain (`_chain_runs`), are disjoint and sorted,
+    and their plane equals the reference loop's; returns that plane."""
     if want is None:
         want = _reference_mark_near_polyline(grid, vertices, tol)
     for chain in chains:
         if chain is None:
             runs = mark_near_polyline(grid, vertices, tol)
         else:
-            runs = _near_polyline(grid, vertices, tol, chain=chain)
+            runs = _chain_runs(grid, vertices, tol, chain)
         _assert_disjoint_sorted(*grid.shape, *runs)
         got = _runs_plane(grid.shape, *runs)
         assert np.array_equal(got, want), f"{int(np.sum(got != want))} cells differ at tol {tol}, chain {chain}"

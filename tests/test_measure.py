@@ -255,8 +255,8 @@ def _brute_tube_marks(family, h):
 def _tube_layer_masks(family, h):
     """The boolean (nx, ny) plane of each tube layer: the merged runs of
     `tube_layer_runs`, painted cell by cell."""
-    for tubes, z, clear in _tube_layers(family, h):
-        runs = tube_layer_runs(tubes, z, clear)
+    for tubes, z in _tube_layers(family, h):
+        runs = tube_layer_runs(tubes, z)
         _assert_disjoint_sorted(*tubes.shape, *runs)
         yield _runs_plane(tubes.shape, *runs)
 
@@ -381,9 +381,9 @@ def test_tube_union_counts_runs_layer_by_layer(ratio, monkeypatch):
     counted = []
     real_runs = measure.tube_layer_runs
 
-    def per_layer(tubes, z, clear):
-        first, last = runs = real_runs(tubes, z, clear)
-        counted.append((z, clear, int(np.sum(last - first))))
+    def per_layer(tubes, z):
+        first, last = runs = real_runs(tubes, z)
+        counted.append((z, tubes.clear(z), int(np.sum(last - first))))
         return runs
 
     monkeypatch.setattr(measure, "tube_layer_runs", per_layer)
@@ -419,16 +419,16 @@ def test_tube_layers_band_cells_get_the_exact_test(monkeypatch):
     # map seed 5, delta = 0.04, h = delta/4: a few cell centers fall between
     # a layer's inner and outer spans, so the exact test decides them; every
     # layer equals the offset-disk reference, exact at h = delta/4
-    import kakeya_lab.measure as measure
+    import kakeya_lab.gridding as gridding
 
     band = []
-    real = measure._near
+    real = gridding._near
 
     def near(P, a, u, r):
         band.append(len(P))
         return real(P, a, u, r)
 
-    monkeypatch.setattr(measure, "_near", near)
+    monkeypatch.setattr(gridding, "_near", near)
     fam = build_tube_family(make_map("lacunary_fourier", alpha=0.8, terms=10, seed=5), 0.04)
     _assert_tube_marks_equal(fam, 0.01, _reference_tube_marks)
     assert sum(band) > 0
@@ -442,6 +442,33 @@ def test_tube_layers_band_cells_get_the_exact_test(monkeypatch):
     fam = TubeFamily(4.0 * h, net, np.array([[0.0, 0.0], [32.5 * h, 16.5 * h]]), 3)
     _assert_tube_marks_equal(fam, h, _brute_tube_marks)
     assert sum(band) >= 4 * int(0.9 / h)
+
+
+@pytest.mark.parametrize("shift", [1e6, 3e8])
+def test_tube_layers_match_brute_force_translated_far(shift, monkeypatch):
+    # tilted, steep and v_x = 0 tubes far from the origin: at 1e6 the slack
+    # (1e-9 of the largest coordinate) is below delta and the inner spans
+    # are filled; at 3e8 it passes delta, so there is no inner span and
+    # every cell of every outer span goes through the exact test
+    import kakeya_lab.gridding as gridding
+
+    tested = []
+    real = gridding._near
+
+    def near(P, a, u, r):
+        tested.append(len(P))
+        return real(P, a, u, r)
+
+    monkeypatch.setattr(gridding, "_near", near)
+    net = np.array([[0.69, 0.7], [-0.98, 0.1], [0.0, -0.97], [0.3, 0.0], [0.0, 0.0]])
+    centers = np.array([[0.0, 0.0], [0.4, -0.1], [-0.2, 0.5], [0.1, 0.1], [0.3, 0.3]]) + shift
+    fam = TubeFamily(0.04, net, centers, 3)
+    tubes = next(_tube_layers(fam, 0.01))[0]
+    assert len(tubes.radii) == (2 if shift < 1e7 else 1)
+    want = _brute_tube_marks(fam, 0.01)
+    _assert_tube_marks_equal(fam, 0.01, lambda *_: want)
+    if shift > 1e7:
+        assert sum(tested) >= 2 * int(want.sum())
 
 
 def test_tube_layers_split_into_blocks(monkeypatch):
@@ -477,7 +504,7 @@ def test_tube_union_vx_zero_tubes_through_the_ends(ratio):
     marks = _brute_tube_marks(fam, h)
     _assert_tube_marks_equal(fam, h, lambda *_: marks)
     layers = list(_tube_layers(fam, h))
-    ends = [iz for iz, (_, _, clear) in enumerate(layers) if not clear]
+    ends = [iz for iz, (tubes, z) in enumerate(layers) if not tubes.clear(z)]
     assert marks[:, :, ends].any(axis=(0, 1)).sum() >= 8
 
 
