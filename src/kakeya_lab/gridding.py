@@ -6,25 +6,26 @@ translated cell centers.
 
 Every "which points lie within r of a segment" question of the package is
 answered with one exact test, `_near`, of segments a -> a + u in the plane
-or in R^3.  A grid row meets the r-neighbourhood of a segment in one
-interval (the neighbourhood is convex), and one step, `_span_runs`, turns
-such intervals into runs for both kernels that count cells: the near-loop
-masks of planar loops (`scanline_runs`, spans from `_SpanTable`) and the
-height layers of `measure`'s tube union (`measure.tube_layer_runs`, the
-cylinder's chords).  Each kernel gives every (segment, row) slot its
-interval at r plus and minus a slack (`_span_slack`) in closed form, in
-cell units; the chord of the slab or cylinder about the segment's axis is
-clipped to the segment's strip (`_strip`) and joined with the chords of
-its end balls (`_hull`).  `_span_runs` fills the inner intervals and sends
-the other cells of the outer ones through `_near`, which makes the cells
-exact whatever the rounding of the closed forms; its docstring gives the
-argument.  No (nx, ny) array is built.  A near-loop mask wider
-than a few segment lengths (a collar) first tests chains of consecutive
-segments against two disks each, coarse chains over every row in reach and
-their sub-chains only where a coarse chain reaches past the cells already
-certain (`_chain_pairs`, after the hierarchy of Barill et al., "Fast
-winding numbers for soups and clouds", SIGGRAPH 2018), and solves exact
-segment spans only where a sub-chain still does, at the mask's edge.
+or in R^3, the boundary check `points_near_polyline` included.  A grid row
+meets the r-neighbourhood of a segment in one interval (the neighbourhood
+is convex), and one step, `_span_runs`, turns such intervals into runs for
+both kernels that count cells: the near-loop masks of planar loops
+(`scanline_runs`, spans from `_SpanTable`) and the height layers of
+`measure`'s tube union (`measure.tube_layer_runs`, the cylinder's chords).
+Each kernel gives every (segment, row) slot its interval at r plus and
+minus a slack (`_span_slack`) in closed form, in cell units; the chord of
+the slab or cylinder about the segment's axis is clipped to the segment's
+strip (`_strip`) and joined with the chords of its end balls (`_hull`).
+`_span_runs` fills the inner intervals and sends the other cells of the
+outer ones through `_near`, which makes the cells exact whatever the
+rounding of the closed forms; its docstring gives the argument.  No
+(nx, ny) array is built.  A near-loop mask wider than a few segment lengths
+(a collar) first tests chains of consecutive segments against two disks
+each, coarse chains over every row in reach and their sub-chains only where
+a coarse chain reaches past the cells already certain (`_chain_pairs`,
+after the hierarchy of Barill et al., "Fast winding numbers for soups and
+clouds", SIGGRAPH 2018), and solves exact segment spans only where a
+sub-chain still does, at the mask's edge.
 
 Every caller takes its rows by one rule, `_rows_within`: the rows whose
 center lies within the reach of a y-interval (a segment's y-range and r
@@ -351,10 +352,9 @@ def _span_runs(shape, origin, h, lo, hi, row, seg, a, u, r, trail=()):
     (`_span_slack`), and, where r > slack, the inner ones at r - slack; NaN
     marks a slot without a span.  row holds each slot's grid row, in a
     span's shape, and seg its segment a[seg] -> a[seg] + u[seg], broadcast
-    against that shape; and
-    trail the coordinates of the test points after (x, y), the same for
-    every slot (a tube layer's height; none in the plane).  Returns a list
-    of runs for `union_runs`.
+    against that shape.  trail holds the coordinates of the test points
+    after (x, y), the same for every slot (a tube layer's height; none in
+    the plane).  Returns a list of runs for `union_runs`.
 
     The spans are clipped to the row's cells.  The cells of the inner span
     are accepted whole, and the other cells of the outer span get the exact
