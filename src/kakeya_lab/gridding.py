@@ -341,37 +341,36 @@ def scanline_runs(shape, origin, h, j0, j1, a, u, r, chain: int = 1):
     else:
         pairs = _segment_pairs(j0, rows)
     for k, j in pairs:
-        runs += _span_runs(shape, origin, h, *table.chords(k, j), j, k, a, u, r)
+        runs += _span_runs(shape, origin, h, *_cells(*table.chords(k, j), shape[0]), j, k, a, u, r)
     return union_runs(shape, *runs)
 
 
 def _span_runs(shape, origin, h, lo, hi, row, seg, a, u, r, trail=()):
-    """The runs (first, last) of the cells that pass the exact test `_near`
-    at radius r, from the spans of (segment, row) slots in cell units: lo
-    and hi hold, along their first axis, the outer spans, taken at r + slack
-    (`_span_slack`), and, where r > slack, the inner ones at r - slack; NaN
-    marks a slot without a span.  row holds each slot's grid row, in a
-    span's shape, and seg its segment a[seg] -> a[seg] + u[seg], broadcast
-    against that shape.  trail holds the coordinates of the test points
-    after (x, y), the same for every slot (a tube layer's height; none in
-    the plane).  Returns a list of runs for `union_runs`.
+    """The runs (first, last) of the cells that pass the exact test `_near` at
+    radius r, from the spans of (segment, row) slots as their first and last
+    cell in the row (floats; ceil and floor of the ends in cell units,
+    clipped to the row where a span may leave it): lo and hi hold, along
+    their first axis, the outer spans, taken at r + slack (`_span_slack`),
+    and, where r > slack, the inner ones at r - slack; NaN marks a slot
+    without a span.  row holds each slot's grid row, in a span's shape, and
+    seg its segment a[seg] -> a[seg] + u[seg], broadcast against that shape.
+    trail holds the coordinates of the test points after (x, y), the same
+    for every slot (a tube layer's height; none in the plane).  Returns a
+    list of runs for `union_runs`.
 
-    The spans are clipped to the row's cells.  The cells of the inner span
-    are accepted whole, and the other cells of the outer span get the exact
-    test.  That is exact: the slack is far above the rounding of the
-    kernels' closed-form spans and of the test, and far below a cell, so a
-    cell the test accepts lies within r of the segment up to rounding, thus
-    inside the outer span, and a cell of the inner span lies within
-    r - slack, where the test accepts it.  Where r <= slack there is no
-    inner span and the test takes every cell.  The cells are the same
-    whatever the order of the kernels' arithmetic.
+    The cells of the inner span are accepted whole, and the other cells of
+    the outer span get the exact test.  That is exact: the slack is far
+    above the rounding of the kernels' closed-form spans and of the test,
+    and far below a cell, so a cell the test accepts lies within r of the
+    segment up to rounding, thus inside the outer span, and a cell of the
+    inner span lies within r - slack, where the test accepts it.  Where r <=
+    slack there is no inner span and the test takes every cell.  The cells
+    are the same whatever the order of the kernels' arithmetic.
     """
-    nx = shape[0]
-    lo, hi = _cells(lo, hi, nx)
     o_lo, o_hi = lo[0], hi[0]
     f_lo, f_hi = (lo[1], hi[1]) if len(lo) > 1 else (np.full_like(o_lo, np.nan),) * 2
     seg = np.broadcast_to(seg, o_lo.shape)
-    width = nx + 1
+    width = shape[0] + 1
     fill = f_lo <= f_hi
     line = row[fill] * width
     runs = [(line + f_lo[fill].astype(np.int64), line + f_hi[fill].astype(np.int64) + 1)]

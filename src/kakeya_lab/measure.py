@@ -386,7 +386,7 @@ def tube_layer_runs(tubes: _Tubes, z: float):
     The spans are taken at r + slack and r - slack and turned into runs by
     `gridding._span_runs`, whose docstring gives the exactness argument.
     Every span lies within r + slack of its segment, so inside the grid,
-    which pads the segments by delta + 2h.
+    which pads the segments by delta + 2h; no span is clipped.
     """
     ny = tubes.shape[1]
     yc = tubes.ay + min(max(z, 0.0), 1.0) * tubes.vy
@@ -441,6 +441,9 @@ def _tube_block(tubes, block, z, ends, j0, rows):
             s[steep & ~((0.0 <= m) & (m <= tubes.l2[block]))] = np.nan
         balls = [(x0 + e * dx, tubes.balls - ((z - e) / h) ** 2, t - e * dj) for e in ends]
         _hull(lo, hi, s + s_lo, s + s_hi, balls)
+    # the first and last cell of each span; no span leaves the grid
+    np.ceil(lo, out=lo)
+    np.floor(hi, out=hi)
     return _span_runs(tubes.shape, tubes.origin, h, lo, hi, row, np.arange(block.start, block.start + len(j0)),
                       tubes.a, tubes.u, tubes.r, (z,))
 
