@@ -844,8 +844,9 @@ def test_tube_family_csv_is_the_csv_writer_bytes(tmp_path):
 
 
 # sha256 of every output file, MANIFEST.json included, of three small runs
-# (x86-64, numpy 2.4, OpenBLAS): the tube union at two scales, a grid slice's
-# near-loop mask and winding field, and a grid sweep
+# and of the README's nine commands (readme-*, `--out` left to the test), on
+# x86-64, numpy 2.4 and OpenBLAS: the tube union at two scales, a grid slice's
+# near-loop mask and winding field, and a grid sweep, then every subcommand
 PINNED_REPORTS = {
     "tubes": (
         ["tubes", "--map", "lacunary:alpha=0.8,terms=6,seed=1", "--delta", "0.1", "--scales", "1,2"],
@@ -877,6 +878,87 @@ PINNED_REPORTS = {
             "sv.summary.json": "3bdda37d4962c2e64878ae376e1d4b4a7b1270baa8dbed1871144e5d93e1adcf",
         },
     ),
+    "readme-sweep": (
+        ["sweep", "--map", "zero", "--n", "3", "--t-steps", "64", "--mesh", "2048"],
+        "sv.csv",
+        {
+            "MANIFEST.json": "bf56fe304f864e9f7d963650bb706c3d351fc74db67712d15a7aa4aa90da8e60",
+            "sv.csv": "585a7926e574604c0d8c207e1405f5342834fcc8141710e9d17982153e21ef1d",
+            "sv.fit.json": "bcddd58592075ce00b2b5b3ac8a45ab387c2e0ee17ce18d455b8e0094004edf4",
+            "sv.gp": "b6326200826860e889dd7819208a9deef20c593a399756fe3ab5cd9b2809ad06",
+            "sv.summary.json": "b4add9455e053e83a166e96373d2f69261216cf8e99979983df9bf849b907797",
+        },
+    ),
+    "readme-sweep-epsilon": (
+        ["sweep", "--map", "lacunary:alpha=0.8,terms=12,seed=7", "--epsilon", "0.05"],
+        "sv.csv",
+        {
+            "MANIFEST.json": "0105ed52131b5f0341251b2818173d2726d8faa351d60525501958b3dedeb014",
+            "sv.csv": "38b64e2b78d65aa85a8b02571861d1afced890dc859ca28633dbf1f377fa4ade",
+            "sv.fit.json": "5a7037229fb08db72bb9dcd5d2887ab617804e6cbfd351f3054a34e16a32f73f",
+            "sv.gp": "b6326200826860e889dd7819208a9deef20c593a399756fe3ab5cd9b2809ad06",
+            "sv.summary.json": "6dd02ae4beeb27915e843ac8f8ab94dacaa50f01ba7de13c63c446b9797e8cb2",
+        },
+    ),
+    "readme-slice": (
+        ["slice", "--map", "radial:r=0.5", "--t", "0.5", "--grid-h", "0.02"],
+        "wind.csv",
+        {
+            "MANIFEST.json": "a951328b6190cd4b8ae9399cf8c974f0062e57951f929c66cce57ec201dbd3e5",
+            "wind.csv": "64c6737463205081897b96e70f8b5ef205e05d11ea182379c367c50656affacb",
+            "wind.summary.json": "9aeae003964cbc83ce7a873b50fa999948ef572c16f08600b22203fa1ab5d6a6",
+        },
+    ),
+    "readme-measure": (
+        ["measure", "--map", "zero", "--h", "0.01"],
+        "m.json",
+        {
+            "MANIFEST.json": "5fedffaa75ee82e102a8df8bc2d9594defe1dbc90c13a6e848250b967643c70f",
+            "m.json": "08749a2b091053147ae87222030c1db8e4eee684158e34bfbe818f8e285625ef",
+        },
+    ),
+    "readme-tubes": (
+        ["tubes", "--map", "lacunary:alpha=0.8,terms=10,seed=21", "--delta", "0.05"],
+        "tubes.json",
+        {
+            "MANIFEST.json": "5bcdfa55f231fb3135b9e0c677cc344397a9b68ad644f35e903b47e4970e0c0d",
+            "tubes.json": "509cf9b55fa41a1227c0750af1e3c178c683ec33596099011c2172f4d6614f3c",
+            "tubes.net.csv": "906373cf64267567bb47a70fa08393101ff682728ee5150d211b636a6df390f3",
+            "tubes.net.json": "4a2ed5f6117aa98b1a7e7ea0e7d0bf74228b76a3c1947467784518f14925ad23",
+        },
+    ),
+    "readme-moll": (
+        ["moll", "--map", "lacunary:alpha=0.8,terms=12,seed=7", "--alpha", "0.8", "--epsilon", "0.1,0.05,0.025", "--mesh", "4096"],
+        "moll.json",
+        {
+            "MANIFEST.json": "948affd627b532d21a87425fc43bc498f1d482cbc5ca54c1308109698269bcbb",
+            "moll.json": "b82cf666b14f800c68231b012050ee1ba0e277316fa9d9ad6f5f41319bb40f92",
+        },
+    ),
+    "readme-regularity": (
+        ["regularity", "--map", "lacunary:alpha=0.6,terms=10,seed=3", "--theta-p", "0.25,2;0.5,2"],
+        "reg.json",
+        {
+            "MANIFEST.json": "6704ca12964ef4fa09fdf3b0ffd75d412d5d294cc3f418517c74694d46d36ade",
+            "reg.json": "32a18d17b64ffcacfa8df2ea57395df67e4f372ea216df808f7ac13d93e400c5",
+        },
+    ),
+    "readme-line-kakeya": (
+        ["line-kakeya", "--map", "bandlimited:amplitude=0.5,terms=6,seed=1", "--x", "2,0,0"],
+        "lk.json",
+        {
+            "MANIFEST.json": "39111bbc5d44608831ccf0b334edbd2c826895a856b0779380df2095932de9bb",
+            "lk.json": "6dcf0cd4ee67d8ca48624d3a4f129c274af48b60f48f2920de957294bb334e94",
+        },
+    ),
+    "readme-verify": (
+        ["verify", "--suite", "core", "--n", "3"],
+        "verify.json",
+        {
+            "MANIFEST.json": "a24f6d8d35dafa6d6a4964ba9ca08ef2c7aece1192d9ce6e66feca9182767e3e",
+            "verify.json": "fd7cd52591053b2db9d9cb952ff9d583dbfd800561e08677fe527dd8f5ba9c2b",
+        },
+    ),
 }
 
 
@@ -887,3 +969,18 @@ def test_reports_keep_their_pinned_bytes(tmp_path, name):
     argv, out, want = PINNED_REPORTS[name]
     assert run_cli([*argv, "--out", tmp_path / out]) == 0
     assert {f.name: sha256_file(f) for f in tmp_path.iterdir()} == want
+
+
+def test_readme_commands_are_the_pinned_ones():
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("kakeya-lab "):
+            argv = shlex.split(line)[1:]
+            at = argv.index("--out")
+            commands.append((argv[:at] + argv[at + 2:], Path(argv[at + 1]).name))
+    pinned = [(argv, out) for name, (argv, out, _) in PINNED_REPORTS.items() if name.startswith("readme-")]
+    assert commands == pinned
