@@ -433,7 +433,7 @@ def _cmd_line_kakeya(args) -> list[Path]:
     ]
 
 
-def _verify_checks_core(n: int) -> list[tuple[str, bool, str]]:
+def _verify_checks_core() -> list[tuple[str, bool, str]]:
     from .convergence import triangle_inequality_check
     from .measure import build_tube_family, line_kakeya_cover, tube_union_volume
     from .slices import (
@@ -506,7 +506,7 @@ def _verify_checks_core(n: int) -> list[tuple[str, bool, str]]:
     ker = mollifier_kernel(0.1, moll_mesh)
     record("kernel-normalizer-order-one", 0.1 <= ker.d_epsilon <= 10.0, f"d_eps {ker.d_epsilon:.3f}")
 
-    tc = triangle_inequality_check(200_000, dim=n - 1, seed=0)
+    tc = triangle_inequality_check(200_000, dim=2, seed=0)
     record("normalized-triangle-inequality", tc.violations == 0, f"{tc.violations} violations")
 
     fam = build_tube_family(zero, 0.05)
@@ -531,7 +531,8 @@ def _verify_checks_core(n: int) -> list[tuple[str, bool, str]]:
 def _cmd_verify(args) -> list[Path]:
     if args.suite != "core":
         _fail("--suite", f"unknown suite {args.suite!r}")
-    checks = _verify_checks_core(args.n)
+    _require_n3(args, "verify")
+    checks = _verify_checks_core()
     results = {
         "suite": args.suite,
         "checks": [

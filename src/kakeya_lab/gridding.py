@@ -8,15 +8,16 @@ Every "which points lie within r of a segment" question of the package is
 answered with one exact test, `_near`, of segments a -> a + u in the plane
 or in R^3, the boundary check `points_near_polyline` included.  A grid row
 meets the r-neighbourhood of a segment in one interval (the neighbourhood
-is convex), and one step, `_span_runs`, turns such intervals into runs for
-both kernels that count cells: the near-loop masks of planar loops
-(`scanline_runs`, spans from `_SpanTable`) and the height layers of
-`measure`'s tube union (`measure.tube_layer_runs`, the cylinder's chords).
-Each kernel gives every (segment, row) slot its interval at r plus and
-minus a slack (`_span_slack`) in closed form, in cell units; the chord of
-the slab or cylinder about the segment's axis is clipped to the segment's
-strip (`_strip`) and joined with the chords of its end balls (`_hull`).
-`_span_runs` fills the inner intervals and sends the other cells of the
+is convex), and both kernels that count cells take that interval from one
+span table, `_SpanTable`, made once per near-loop mask of a planar loop
+(`scanline_runs`, on gathered (segment, row) slots) or once per tube union
+(`measure.tube_layer_runs`, on a dense (row x tube) block per height
+layer).  Its one chord step gives each slot its interval at r plus and
+minus a slack (`_span_slack`, from the grid-local frame) in closed form,
+in cell units: the chord of the slab or cylinder about the segment's axis,
+clipped to the segment's strip and joined with the chords of its end
+balls (`_ball_chords`, which the collar chains' disks share).  One step,
+`_span_runs`, fills the inner intervals and sends the other cells of the
 outer ones through `_near`, which makes the cells exact whatever the
 rounding of the closed forms; its docstring gives the argument.  No
 (nx, ny) array is built.  A near-loop mask wider than a few segment lengths
@@ -129,148 +130,190 @@ def _near(P: np.ndarray, a: np.ndarray, u: np.ndarray, r: float) -> np.ndarray:
     return np.einsum("kd,kd->k", rel, rel) <= r * r
 
 
-def _span_slack(a: np.ndarray, u: np.ndarray, r: float, h: float) -> float:
+def _span_slack(origin, a: np.ndarray, u: np.ndarray, r: float, h: float) -> float:
     """The slack of the closed-form spans around segments a -> a + u at
-    radius r on a grid of spacing h: 1e-9 of the largest absolute
-    coordinate plus r + h, far above their rounding and far below a cell."""
-    return 1e-9 * (max(float(np.abs(a).max()), float(np.abs(a + u).max())) + r + h)
+    radius r on the grid of corner `origin` and spacing h, from the
+    grid-local frame: 16 ulps of the largest absolute coordinate, which
+    bound the rounding of the cell centers that `_near` tests, plus 1e-9 of
+    the grid-local reach, the farthest segment end from the corner plus
+    r + h, which bounds every other term (`_span_runs` gives the argument).
+    """
+    b = a + u
+    far = max(float(np.abs(a).max()), float(np.abs(b).max()), float(np.abs(origin).max()))
+    local = max(float(np.abs(a - origin).max()), float(np.abs(b - origin).max()))
+    return 16.0 * float(np.spacing(far)) + 1e-9 * (local + r + h)
 
 
-# a segment with |u_y| <= _TILT |u_x| is taken as lying along the rows, and
-# one with |u_x| <= _TILT |u_y| as lying along a column (`_SpanTable`)
+# a segment with |(u_y, u_z)| <= _TILT |u_x| is taken as lying along the
+# rows, and one with |u_x| <= _TILT |(u_y, u_z)| as lying across them
+# (`_SpanTable`)
 _TILT = 1e-100
 
 
 class _SpanTable:
-    """The per-segment constants of a near-loop mask's (segment, row) spans,
-    made once per mask, and the spans of any (segment, row) pairs (`chords`).
+    """The per-segment constants of the spans of segments a -> a + u in the
+    plane or in R^3 on the rows of a grid, made once per near-loop mask or
+    once per tube union, and the spans of any (segment, row) slots
+    (`chords`).
 
-    Segment k runs a -> a + u in the plane, L = |u|.  Positions are in cell
-    units: X = (x - o_x)/h - 1/2 along a row, so that the cells of an
-    interval [X_lo, X_hi] are ceil(X_lo)..floor(X_hi), and row j lies
-    t = j - T rows from the segment's start, T = (a_y - o_y)/h - 1/2.  The
+    Positions are in cell units from the grid's corner o: X = (x - o_x)/h
+    - 1/2 along a row, so that the cells of an interval [X_lo, X_hi] are
+    ceil(X_lo)..floor(X_hi); row j lies t = j - T rows from the segment's
+    start, T = (a_y - o_y)/h - 1/2, and a layer w = (z - a_z)/h layers from
+    it (w = 0 in the plane).  With A = u_y^2 + u_z^2 and L = |u|, the
     rho-neighbourhood of the segment is convex, so a row meets it in one
-    interval: the hull (`_hull`) of
-    - the chord of the slab |(P - a) x u| <= rho L, whose edges are the
-      lines at distance rho from the segment's axis:
-      x0 + (u_x/u_y) t -+ rho L/(|u_y| h), with x0 = X(a_x);
-    - clipped to the strip 0 <= (P - a).u <= L^2 (`_strip`);
-    - and the chords of the two end balls, x0 -+ sqrt((rho/h)^2 - t^2) and
-      xe -+ sqrt((rho/h)^2 - (t - u_y/h)^2), with xe = X(a_x + u_x).
+    interval: the hull of
+    - the chord of the cylinder |(P - a) x u| <= rho L about the segment's
+      axis (a slab in the plane), by the Lagrange identity
+      |d|^2 |u|^2 - (d.u)^2 = |d x u|^2 with d = P - a, which puts no
+      cancellation under the root:
+      x0 + u_x (t u_y + w u_z)/A -+ (L/A) sqrt(A (rho/h)^2 - (t u_z - w u_y)^2),
+      with x0 = X(a_x), computed with the unit vector (u_y, u_z)/sqrt(A);
+    - clipped to the strip 0 <= (P - a).u <= L^2, whose chord is
+      x0 - (t u_y + w u_z)/u_x + [min(0, l), max(0, l)], l = L^2/(u_x h);
+    - and the chords of the two end balls, x0 -+ sqrt((rho/h)^2 - t^2 - w^2)
+      and xe -+ sqrt((rho/h)^2 - (t - u_y/h)^2 - (w - u_z/h)^2), with
+      xe = X(a_x + u_x).
     The pieces lie in the neighbourhood and together cover it, so the hull
-    of their chords is the row's interval.  There is no z term: every
-    segment lies in the plane of the cells.
+    of their chords is the row's interval.
 
     Three cases have no slope to take:
-    - u_y = 0 (|u_y| <= _TILT |u_x|, a zero-length segment included): the
-      slab is the band of rows within rho of the segment, and on each of
-      them every point between the end balls' chords is within rho (its
-      distance is |y - a_y| or that to the nearer end), so the hull of the
-      two balls' chords is the whole interval and the slab is left out.
-      For 0 < |u_y| <= _TILT |u_x| the segment lies within |u_y| of one
-      with u_y = 0, far below the slack.
-    - u_x = 0 (|u_x| <= _TILT |u_y|): the strip is the rows from the start
-      to the end, 0 <= t u_y/h <= (u_y/h)^2, whole; the slab's chord is
-      x0 -+ rho/h.  For 0 < |u_x| <= _TILT |u_y| the strip's edges tilt by
-      at most _TILT rho across the slab, far below the slack.
+    - A = 0 (|(u_y, u_z)| <= _TILT |u_x|, a zero-length segment included):
+      the segment lies along the rows, the cylinder is the set of points
+      within rho of its line, and every point of it between the end balls'
+      chords is within rho of the segment (its distance is that to the line
+      or to the nearer end), so the hull of the two balls' chords is the
+      whole interval and the cylinder is left out.  For
+      0 < sqrt(A) <= _TILT |u_x| the segment lies within sqrt(A) of one
+      with A = 0, far below the slack.
+    - u_x = 0 (|u_x| <= _TILT sqrt(A)): the strip holds a row whole where
+      0 <= t u_y/h + w u_z/h <= (L/h)^2 and drops it elsewhere.  For
+      0 < |u_x| <= _TILT sqrt(A) the strip's edges tilt by at most
+      _TILT rho across the cylinder, far below the slack.
     - a zero-length segment: both balls are the same ball.
 
-    The slab's half-width factor L/(|u_y| h) and slope u_x/u_y are large
-    for a segment close to the rows, but the chord's rounding scales with
-    them as its change with rho does (rho L/(|u_y| h)): in distance the
-    rounding stays a few ulps of the segment's coordinates, far below the
-    slack of `_span_slack`, as it does for the strip and the balls.
+    The cylinder's half-width factor L/sqrt(A) and slope u_x/sqrt(A) are
+    large for a segment close to the rows, but the chord's rounding scales
+    with them as its change with rho does: in distance the rounding stays a
+    few ulps of the grid-local coordinates, far below the slack of
+    `_span_slack`, as it does for the strip and the balls.
     """
 
     def __init__(self, origin, h, a, u, r):
-        ox, oy = origin
-        self.slack = slack = _span_slack(a, u, r, h)
+        self.slack = slack = _span_slack(origin, a, u, r, h)
         # the outer and the inner radius, this one only where it is positive
-        radii = np.array([r + slack, r - slack] if r > slack else [r + slack])
-        self.balls = ((radii / h) ** 2)[:, None]
-        ax, ay = a.T
-        ux, uy = u.T
-        l2 = ux * ux + uy * uy
-        flat = np.abs(uy) <= _TILT * np.abs(ux)
-        # rows: x0, T, xe, u_y/h, slope, the strip's tilt and chord offsets,
-        # and one slab half-width per radius (NaN: no slab)
-        table = np.zeros((8 + len(radii), len(a)))
-        table[0] = (ax - ox) / h - 0.5
-        table[1] = (ay - oy) / h - 0.5
-        table[2] = (ax + ux - ox) / h - 0.5
-        table[3] = uy / h
-        np.divide(ux, uy, out=table[4], where=~flat)
-        steep, table[5:8] = _strip(ux, uy, np.abs(uy), l2, h)
-        width = np.full(len(a), np.nan)
-        np.divide(np.sqrt(l2), np.abs(uy) * h, out=width, where=~flat)
-        np.multiply(radii[:, None], width, out=table[8:])
-        self.table = table
-        # the segments along a column, whose strip holds only the rows they span
+        self.radii = np.array([r + slack, r - slack] if r > slack else [r + slack])
+        self.balls = (self.radii / h) ** 2
+        self.layered = u.shape[1] > 2
+        ux, uy = u[:, 0], u[:, 1]
+        uz = u[:, 2] if self.layered else np.zeros(len(u))
+        across = np.hypot(uy, uz)
+        flat = across <= _TILT * np.abs(ux)
+        steep = np.abs(ux) <= _TILT * across
+        l2 = ux * ux + across * across
+        # the unit vector (e_y, e_z) across the rows and u_x / sqrt(A), 0
+        # along the rows; the strip's tilts u_y/u_x and u_z/u_x and its
+        # offset l, 0 across them
+        ey, ez, sx = (np.divide(v, across, out=np.zeros(len(u)), where=~flat) for v in (uy, uz, ux))
+        tilt_y, tilt_z, l = (np.divide(v, d, out=np.zeros(len(u)), where=~steep)
+                             for v, d in ((uy, ux), (uz, ux), (l2, ux * h)))
+        cols = [
+            (a[:, 0] - origin[0]) / h - 0.5,  # x0
+            (a[:, 1] - origin[1]) / h - 0.5,  # T
+            (a[:, 0] + ux - origin[0]) / h - 0.5,  # xe
+            uy / h,  # the rows to the end
+            sx * ey,  # the cylinder's slope in rows
+            np.divide(np.sqrt(l2), across, out=np.full(len(u), np.nan), where=~flat),  # its width; NaN: none
+            tilt_y,
+            np.where(steep, -np.inf, np.minimum(l, 0.0)),  # the strip's chord offsets
+            np.where(steep, np.inf, np.maximum(l, 0.0)),
+            l2 / (h * h),  # the strip's end across the rows
+        ]
+        if self.layered:
+            # the layers to the end, the slope in layers, (e_y, e_z), the tilt
+            cols += [uz / h, sx * ez, ey, ez, tilt_z]
+        self.cols = np.array(cols)
+        # the segments across the rows, whose strip holds only whole rows
         self.steep = steep & ~flat
         self.any_steep = bool(self.steep.any())
 
-    def chords(self, k, j):
-        """The spans (lo, hi), in cell units, of rows j against segments k:
-        row 0 at the outer radius, row 1 (where r > slack) at the inner
-        one; NaN where a row misses the neighbourhood."""
-        cols = np.take(self.table, k, axis=1)
-        x0, T, xe, dj, slope, tilt, s_lo, s_hi = cols[:8]
-        t = j - T
-        xc = slope * t
-        xc += x0
-        hi = cols[8:]
-        lo = xc - hi
-        hi += xc
-        s = tilt * t
-        np.subtract(x0, s, out=s)
+    def chords(self, k, j, w=0.0, ends=True, work=None):
+        """The spans (lo, hi), in cell units, of segments k (an index array
+        or a slice) on rows j, broadcast together, at the layer offset w
+        (0 in the plane): row 0 at the outer radius, row 1 (where
+        r > slack) at the inner one; NaN where a row misses the
+        neighbourhood or j is NaN.  With ends False the layer is taken as
+        clear of the end balls, where the strip cannot bind: the spans are
+        the cylinder's chords alone.  The spans are written to `work`, a
+        (3 + 2 radii, *shape) float array, if given."""
+        cols = self.cols[:, k] if isinstance(k, slice) else np.take(self.cols, k, axis=1)
+        x0, T, xe, dj, cy, width, tilt_y, s_lo, s_hi, l2 = cols[:10]
+        shape = np.broadcast_shapes(np.shape(j), x0.shape)
+        n = len(self.radii)
+        if work is None:
+            work = np.empty((3 + 2 * n, *shape))
+        t, mid, q = work[:3]
+        lo, hi = work[3 : 3 + n], work[3 + n : 3 + 2 * n]
+        balls = self.balls.reshape((n,) + (1,) * len(shape))
+        np.subtract(j, T, out=t)
+        # the cylinder's chord mid -+ width sqrt(b - q^2), q the row's offset
+        # from the axis across it, t e_z - w e_y: 0 in the plane
+        np.multiply(t, cy, out=mid)
+        if self.layered:
+            dz, cz, ey, ez, tilt_z = cols[10:]
+            mid += x0 + w * cz
+            np.multiply(t, ez, out=q)
+            q -= w * ey
+            q *= q
+            np.subtract(balls, q, out=hi)
+            with np.errstate(invalid="ignore"):
+                np.sqrt(hi, out=hi)
+            hi *= width
+            # the strip's layer terms and the end balls' squared layer offsets
+            s0, m0, layer = x0 - w * tilt_z, w * dz, (w * w, (w - dz) ** 2)
+        else:
+            mid += x0
+            np.multiply(np.sqrt(balls), width, out=hi)
+            s0, m0, layer = x0, 0.0, (0.0, 0.0)
+        np.subtract(mid, hi, out=lo)
+        hi += mid
+        if not ends:
+            return lo, hi
+        # the strip's chord s + [s_lo, s_hi], s = x0 - (t u_y + w u_z)/u_x
+        s = np.multiply(t, tilt_y, out=q)
+        np.subtract(s0, s, out=s)
         if self.any_steep:
-            # a segment along a column has its strip on the rows it spans
-            s[self.steep[k] & ((t < np.minimum(dj, 0.0)) | (t > np.maximum(dj, 0.0)))] = np.nan
-        s_lo += s
-        s_hi += s
-        return _hull(lo, hi, s_lo, s_hi, ((x0, self.balls, t), (xe, self.balls, t - dj)))
+            # a segment across the rows has its strip on the rows it spans
+            m = t * dj + m0
+            s[self.steep[k] & ~((0.0 <= m) & (m <= l2))] = np.nan
+        np.maximum(lo, s + s_lo, out=lo)
+        np.minimum(hi, s + s_hi, out=hi)
+        with np.errstate(invalid="ignore"):
+            empty = ~(lo <= hi)
+        np.copyto(lo, np.nan, where=empty)
+        np.copyto(hi, np.nan, where=empty)
+        for cx, dt, dw2 in ((x0, t, layer[0]), (xe, t - dj, layer[1])):
+            b = balls - dw2
+            if not np.any(b[0] >= 0.0):
+                continue  # the ball misses the layer
+            b_lo, b_hi = _ball_chords(cx, b, dt * dt)
+            np.fmin(lo, b_lo, out=lo)
+            np.fmax(hi, b_hi, out=hi)
+        return lo, hi
 
 
-def _strip(ux, uy, across, l2, h):
-    """Per-segment constants of the strip 0 <= (P - a).u <= L^2 (l2 = L^2)
-    of segments a -> a + u, whose steps across the columns have norm
-    `across` (|u_y| in the plane).  Where |u_x| > _TILT across, a row t rows
-    from the segment's start meets the strip in the chord, in cell units,
-    x0 - (u_y/u_x) t + [min(0, l), max(0, l)], l = L^2/(u_x h), with x0 as
-    in `_SpanTable` (and a layer term in R^3).  Elsewhere the segment lies
-    along a column: its strip holds a row whole or not at all, which the
-    kernel decides.  Returns that `steep` mask and the rows tilt = u_y/u_x,
-    min(0, l) and max(0, l): 0, -inf and inf along a column."""
-    steep = np.abs(ux) <= _TILT * across
-    cols = np.zeros((3, len(ux)))
-    np.divide(uy, ux, out=cols[0], where=~steep)
-    np.divide(l2, ux * h, out=cols[1], where=~steep)
-    cols[2] = np.where(steep, np.inf, np.maximum(cols[1], 0.0))
-    cols[1] = np.where(steep, -np.inf, np.minimum(cols[1], 0.0))
-    return steep, cols
-
-
-def _hull(lo, hi, s_lo, s_hi, ends):
-    """Spans (lo, hi), in cell units, of the slab or cylinder about a
-    segment's axis, clipped in place to the strip's chord [s_lo, s_hi] (NaN:
-    the row misses the strip) and joined with the chords of the end balls:
-    for each end (cx, b, d), the chord cx -+ sqrt(b - d^2) of a ball whose
-    centre is d rows away, b its squared radius in cells (less its layer's
-    term in R^3), NaN where it misses the row.  The result is NaN where the
-    hull is empty."""
-    np.maximum(lo, s_lo, out=lo)
-    np.minimum(hi, s_hi, out=hi)
+def _ball_chords(cx, b, d2):
+    """The chords (lo, hi), in cell units, of balls or disks on a row:
+    cx -+ sqrt(b - d2) for a centre at X = cx, d2 the squared rows from the
+    centre to the row, and b the squared radius in cells (less the squared
+    layers from the centre to the row's layer in R^3); NaN where a ball
+    misses the row."""
+    q = b - d2
     with np.errstate(invalid="ignore"):
-        empty = ~(lo <= hi)
-        lo[empty] = np.nan
-        hi[empty] = np.nan
-        for cx, b, d in ends:
-            q = b - d * d
-            np.sqrt(q, out=q)
-            np.fmin(lo, cx - q, out=lo)
-            q += cx
-            np.fmax(hi, q, out=hi)
-    return lo, hi
+        np.sqrt(q, out=q)
+    lo = cx - q
+    q += cx
+    return lo, q
 
 
 def _cells(lo, hi, nx):
@@ -352,33 +395,42 @@ def _span_runs(shape, origin, h, lo, hi, row, seg, a, u, r, trail=()):
     clipped to the row where a span may leave it): lo and hi hold, along
     their first axis, the outer spans, taken at r + slack (`_span_slack`),
     and, where r > slack, the inner ones at r - slack; NaN marks a slot
-    without a span.  row holds each slot's grid row, in a span's shape, and
-    seg its segment a[seg] -> a[seg] + u[seg], broadcast against that shape.
-    trail holds the coordinates of the test points after (x, y), the same
-    for every slot (a tube layer's height; none in the plane).  Returns a
-    list of runs for `union_runs`.
+    without a span.  row holds each slot's grid row, in a span's shape (as
+    floats, any value where the slot has no span, if need be), and seg its
+    segment a[seg] -> a[seg] + u[seg], broadcast against that shape.  trail
+    holds the coordinates of the test points after (x, y), the same for
+    every slot (a tube layer's height; none in the plane).  Returns a list
+    of runs for `union_runs`.
 
     The cells of the inner span are accepted whole, and the other cells of
-    the outer span get the exact test.  That is exact: the slack is far
-    above the rounding of the kernels' closed-form spans and of the test,
-    and far below a cell, so a cell the test accepts lies within r of the
-    segment up to rounding, thus inside the outer span, and a cell of the
-    inner span lies within r - slack, where the test accepts it.  Where r <=
-    slack there is no inner span and the test takes every cell.  The cells
-    are the same whatever the order of the kernels' arithmetic.
+    the outer span get the exact test.  That is exact.  The center that the
+    test takes, P = o + (i + 1/2) h, is off the exact one by at most an ulp
+    of the largest absolute coordinate on each axis, and the test's own
+    rounding is a few ulps of the grid-local P - a, u and r.  The spans are
+    computed from the grid's corner o, in cell units, so their rounding, as
+    a distance, is a few ulps of the grid-local coordinates (`_SpanTable`).
+    The slack, 16 ulps of the largest absolute coordinate plus 1e-9 of the
+    grid-local reach, is far above both together.  So a cell that the test
+    accepts lies within r + slack of the segment up to the spans' rounding,
+    thus inside the outer span, and a cell of the inner span lies within
+    r - slack, where the test accepts it.  Where r <= slack there is no
+    inner span and the test takes every cell.  The cells are the same
+    whatever the order of the kernels' arithmetic, and the band of cells
+    tested stays a small fraction of a cell wide wherever the segments lie,
+    until an ulp of their coordinates nears a cell.
     """
     o_lo, o_hi = lo[0], hi[0]
     f_lo, f_hi = (lo[1], hi[1]) if len(lo) > 1 else (np.full_like(o_lo, np.nan),) * 2
     seg = np.broadcast_to(seg, o_lo.shape)
     width = shape[0] + 1
     fill = f_lo <= f_hi
-    line = row[fill] * width
+    line = row[fill].astype(np.int64, copy=False) * width
     runs = [(line + f_lo[fill].astype(np.int64), line + f_hi[fill].astype(np.int64) + 1)]
     # exact test on the outer span minus the filled one; a slot whose spans
     # agree has no such cell
     band = (o_lo <= o_hi) & ((o_lo != f_lo) | (o_hi != f_hi))
     slot, i = _band_cells(o_lo[band], o_hi[band], f_lo[band], f_hi[band])
-    j = row[band][slot]
+    j = row[band][slot].astype(np.int64, copy=False)
     k = seg[band][slot]
     P = np.empty((len(i), 2 + len(trail)))
     P[:, 0] = origin[0] + (i + 0.5) * h
@@ -497,14 +549,7 @@ def _disk_cells(shape, origin, h, c, radius, cc, j):
     disks[2:][radius <= 0.0] = np.nan
     cx, cy, *_ = cols = np.take(disks, cc, axis=1)
     cy -= j
-    cy *= cy
-    q = cols[2:]
-    q -= cy
-    with np.errstate(invalid="ignore"):
-        np.sqrt(q, out=q)
-    lo = cx - q
-    q += cx
-    return _cells(lo, q, shape[0])
+    return _cells(*_ball_chords(cx, cols[2:], cy * cy), shape[0])
 
 
 def _chain_disks(a, u, chain):

@@ -5,18 +5,16 @@ All grids are anchored to the data's bounding box so rigid translations of
 the input reproduce the same cell pattern, making translation invariance of
 the estimates exact up to floating-point rounding.
 
-The tube union is counted layer by layer in height by its own kernel,
-`tube_layer_runs`: every tube shares a_z = 0, u_z = 1 and delta, so a layer
-is one dense (row x tube) block of closed-form spans in cell units, with
-the per-tube constants computed once per union.  Only the cylinder's chord,
-the layer's term and the rule for layers clear of the tube ends are the
-tube's own; the strip and the end balls are `gridding`'s, and the spans
-become runs, exactly, in `gridding._span_runs`, as for near-loop masks.
-Each layer adds the total length of its merged runs, and no plane is
-built.  The cost follows the (tube, layer, row) triples, which `tube_grid`
-bounds in closed form and refuses above MAX_TUBE_PAIRS before the first
-layer, as it refuses a layer grid too wide for the packed run keys of
-`gridding.merged_runs`.
+The tube union is counted layer by layer in height by `tube_layer_runs`:
+every tube shares a_z = 0, u_z = 1 and delta, so a layer is one dense
+(row x tube) block of spans from `gridding`'s span table, made once per
+union, as for near-loop masks; the spans become runs, exactly, in
+`gridding._span_runs`.  Only the grid, the rows of each block and the rule
+for layers clear of the tube ends are the tubes' own.  Each layer adds the
+total length of its merged runs, and no plane is built.  The cost follows
+the (tube, layer, row) triples, which `tube_grid` bounds in closed form
+and refuses above MAX_TUBE_PAIRS before the first layer, as it refuses a
+layer grid too wide for the packed run keys of `gridding.merged_runs`.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridding import (
-    _PAIR_CHUNK, _hull, _rows_within, _span_runs, _span_slack, _strip, run_cells, run_keys_fit, union_runs,
+    _PAIR_CHUNK, _rows_within, _span_runs, _SpanTable, run_cells, run_keys_fit, union_runs,
 )
 from .maps import PositionMap, lipschitz_constant_on_net, _fibonacci_sphere
 
@@ -276,14 +274,12 @@ def tube_pairs_floor(delta: float, h: float) -> float:
 
 
 class _Tubes:
-    """A tube family's grid and the per-tube constants of `tube_layer_runs`,
-    computed once per union after `tube_grid`'s preflight.
-
-    Tube k is the segment a -> a + u, a = (c_x, c_y, 0), u = b - a with
-    b = (c_x + v_x, c_y + v_y, 1), as `TubeFamily.segment_endpoints` gives
-    them (so u_z = 1 exactly).  Positions are in cell units, as in
-    `gridding._SpanTable`: X = (x - o_x)/h - 1/2 along a row, and row j lies
-    t = j - T rows from the tube's start, T = (a_y - o_y)/h - 1/2.
+    """A tube family's grid, its span table (`gridding._SpanTable`) and the
+    rest of what `tube_layer_runs` needs, made once per union after
+    `tube_grid`'s preflight.  Tube k is the segment a -> a + u,
+    a = (c_x, c_y, 0), u = b - a with b = (c_x + v_x, c_y + v_y, 1), as
+    `TubeFamily.segment_endpoints` gives them (so u_z = 1 exactly, and a
+    layer at height z lies z/h layers from every tube's start).
     """
 
     def __init__(self, family: TubeFamily, h: float):
@@ -291,35 +287,13 @@ class _Tubes:
         self.shape = int(dims[0]), int(dims[1])
         self.origin, self.h, self.layers = lo, h, int(dims[2])
         a, b = family.segment_endpoints()
-        u = b - a
-        self.a, self.u = a, u
-        self.r = r = family.delta
-        # the slack of `gridding._span_slack`; the outer and inner radius
-        # (this one only where it is positive), squared in cells
-        slack = _span_slack(a, u, r, h)
-        self.radii = (r + slack, r - slack) if r > slack else (r + slack,)
-        self.balls = ((np.array(self.radii) / h) ** 2)[:, None, None]
+        self.a, self.u, self.r = a, b - a, family.delta
+        self.table = _SpanTable(lo, h, self.a, self.u, self.r)
         # the reach of the end balls, r_out, with a margin (`clear`)
-        self.edge = (r + slack) * (1.0 + 1e-9) + 1e-9
-        ax, ay = a[:, 0], a[:, 1]
-        ux, uy = u[:, 0], u[:, 1]
-        self.ay, self.uy = ay, uy
-        # the row rule's v_y and reach
-        self.vy, self.reach = family.net[:, 1], reach
-        # area = u_y^2 + u_z^2, l2 = |u|^2; the cylinder chord's slope and
-        # half-width factor; each tube's start in x and rows, and its steps
-        # in cells
-        self.area = area = uy * uy + 1.0
-        self.l2 = l2 = area + ux * ux
-        self.slope = ux * uy / area
-        self.width = np.sqrt(l2) / area
-        self.x0 = (ax - lo[0]) / h - 0.5
-        self.T = (ay - lo[1]) / h - 0.5
-        self.dx, self.dj = ux / h, uy / h
-        # the strip's constants and its layer term 1/(u_x h) (0 along a column)
-        self.steep, self.strip = _strip(ux, uy, np.sqrt(area), l2, h)
-        self.zx = np.divide(1.0, ux * h, out=np.zeros(len(a)), where=~self.steep)
-        self._work = np.empty((7, 0))
+        self.edge = self.table.radii[0] * (1.0 + 1e-9) + 1e-9
+        # the row rule's start, v_y and reach
+        self.ay, self.vy, self.reach = a[:, 1], family.net[:, 1], reach
+        self._work = np.empty(0)
 
     def clear(self, z: float) -> bool:
         """Whether the layer at height z is clear of every tube's end balls,
@@ -333,15 +307,13 @@ class _Tubes:
         """
         return bool(self.edge < z < 1.0 - self.edge)
 
-    def buffers(self, rows: int, tubes: int):
-        """Three (rows x tubes) float work arrays and two (radii x rows x
-        tubes) ones, kept from block to block."""
-        work = self._work
-        if work.shape[1] < rows * tubes:
-            work = self._work = np.empty((7, rows * tubes))
-        work = work[:, : rows * tubes].reshape(7, rows, tubes)
-        n = len(self.radii)
-        return work[0], work[1], work[2], work[3 : 3 + n], work[5 : 5 + n]
+    def buffers(self, rows: int, tubes: int) -> np.ndarray:
+        """A (4 + 2 radii, rows, tubes) float work array, kept from block to
+        block: the block's rows, then the span table's work."""
+        size = (4 + 2 * len(self.table.radii)) * rows * tubes
+        if len(self._work) < size:
+            self._work = np.empty(size)
+        return self._work[:size].reshape(-1, rows, tubes)
 
 
 def _tube_layers(family: TubeFamily, h: float):
@@ -366,25 +338,11 @@ def tube_layer_runs(tubes: _Tubes, z: float):
     |y - yc| <= |p| + |q| |v_y| <= delta sqrt(1 + v_y^2), the reach.
 
     The layer is one dense (row x tube) block: tube k's rows j0_k + 0..R-1,
-    R the most rows of any tube, with the rows past its own masked; the
-    block is cut by tube into pieces of at most _PAIR_CHUNK slots.  It needs
-    no range expansion and no gathers: every per-tube constant is a
-    `_Tubes` column.  A row meets the r-neighbourhood of the segment in one
-    interval, the hull (`gridding._hull`) of the cylinder's chord clipped
-    to the strip 0 <= (P - a).u <= |u|^2 and of the end balls' chords.
-    With s = t - z u_y/h the row's offset from the axis' point at height z,
-    A = u_y^2 + 1 and L = |u|, the cylinder's chord is, in cell units,
-    X = x0 + z u_x/h + (u_x u_y / A) s +- (L / A) sqrt(A (r/h)^2 - s^2)
-    (the Lagrange identity |d|^2 |u|^2 - (d.u)^2 = |d x u|^2 with d = P - a,
-    which puts no cancellation under the root).  On a clear layer
-    (`_Tubes.clear`) the chord is the whole interval.  On the others the
-    strip's chord is `gridding._strip`'s less the layer's term z/(u_x h);
-    along a column (u_x = 0) the strip holds the row whole where
-    0 <= t h u_y + z <= L^2 and drops it elsewhere.  The end balls that the
-    layer can meet (|z| <= edge, |z - 1| <= edge) join the chord.
-
-    The spans are taken at r + slack and r - slack and turned into runs by
-    `gridding._span_runs`, whose docstring gives the exactness argument.
+    R the most rows of any tube, with the rows past its own marked NaN; the
+    block is cut by tube into pieces of at most _PAIR_CHUNK slots.  The
+    spans are the span table's (`gridding._SpanTable.chords`) at the
+    layer's offset z/h, the cylinder's chords alone on a clear layer
+    (`_Tubes.clear`), and `gridding._span_runs` turns them into runs.
     Every span lies within r + slack of its segment, so inside the grid,
     which pads the segments by delta + 2h; no span is clipped.
     """
@@ -393,7 +351,7 @@ def tube_layer_runs(tubes: _Tubes, z: float):
     j0, j1 = _rows_within(yc, yc, tubes.reach, tubes.origin[1], tubes.h, ny)
     j0 = np.maximum(j0, 0)
     rows = np.minimum(j1, ny - 1) - j0 + 1
-    ends = None if tubes.clear(z) else [e for e in (0.0, 1.0) if abs(z - e) <= tubes.edge]
+    ends = not tubes.clear(z)
     runs = []
     step = max(_PAIR_CHUNK // max(int(rows.max()), 1), 1)
     for k in range(0, len(j0), step):
@@ -404,47 +362,19 @@ def tube_layer_runs(tubes: _Tubes, z: float):
 def _tube_block(tubes, block, z, ends, j0, rows):
     """The runs of the tubes `block` of `tube_layer_runs`, as one (row x
     tube) block (row r of tube k is grid row j0[k] + r), by
-    `gridding._span_runs`.  Spans are in cell units; NaN marks a slot whose
-    row misses the tube, so the rows past a tube's own are NaN from the
-    start.  `ends` is None on a clear layer, else the end balls (0 or 1)
-    that the layer can meet."""
-    h = tubes.h
+    `gridding._span_runs`; the rows past a tube's own are NaN, so their
+    spans are too.  `ends` is False on a clear layer."""
     R = max(int(rows.max()), 1)
-    s, t, mid, lo, hi = tubes.buffers(R, len(j0))
-    col = np.arange(R)[:, None]
-    row = j0 + col
-    # each row's offset s from the axis' point at height z, in rows
-    np.subtract(row, tubes.T[block] + z * tubes.dj[block], out=s)
-    np.copyto(s, np.nan, where=col >= rows)
-    if ends is not None:
-        # rows from the tube's start, for the strip and the end balls
-        np.add(s, z * tubes.dj[block], out=t)
-    # the cylinder's chord mid -+ width sqrt(A (r/h)^2 - s^2)
-    np.multiply(s, tubes.slope[block], out=mid)
-    mid += tubes.x0[block] + z * tubes.dx[block]
-    s *= s
-    np.subtract(tubes.balls * tubes.area[block], s, out=hi)
-    with np.errstate(invalid="ignore"):
-        np.sqrt(hi, out=hi)
-    hi *= tubes.width[block]
-    np.subtract(mid, hi, out=lo)
-    hi += mid
-    if ends is not None:
-        x0, dx, dj = tubes.x0[block], tubes.dx[block], tubes.dj[block]
-        tilt, s_lo, s_hi = tubes.strip[:, block]
-        np.multiply(t, tilt, out=s)
-        np.subtract(x0 - z * tubes.zx[block], s, out=s)
-        steep = tubes.steep[block]
-        if steep.any():
-            m = t * (h * tubes.uy[block])
-            m += z
-            s[steep & ~((0.0 <= m) & (m <= tubes.l2[block]))] = np.nan
-        balls = [(x0 + e * dx, tubes.balls - ((z - e) / h) ** 2, t - e * dj) for e in ends]
-        _hull(lo, hi, s + s_lo, s + s_hi, balls)
+    work = tubes.buffers(R, len(j0))
+    row = work[0]
+    col = np.arange(R, dtype=float)[:, None]
+    np.add(j0, col, out=row)
+    np.copyto(row, np.nan, where=col >= rows)
+    lo, hi = tubes.table.chords(block, row, z / tubes.h, ends, work[1:])
     # the first and last cell of each span; no span leaves the grid
     np.ceil(lo, out=lo)
     np.floor(hi, out=hi)
-    return _span_runs(tubes.shape, tubes.origin, h, lo, hi, row, np.arange(block.start, block.start + len(j0)),
+    return _span_runs(tubes.shape, tubes.origin, tubes.h, lo, hi, row, np.arange(block.start, block.start + len(j0)),
                       tubes.a, tubes.u, tubes.r, (z,))
 
 

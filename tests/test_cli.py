@@ -227,6 +227,17 @@ def test_sweep_n4_zero_map(tmp_path):
     assert results["lower_bound_passed"] is True
 
 
+def test_slice_n4_writes_the_summary_and_manifest_only(tmp_path):
+    # n = 4 builds no winding field: the CSV that --out names never appears,
+    # and --grid-h is checked but not used
+    out = tmp_path / "sl4.csv"
+    code = run_cli(["slice", "--n", "4", "--map", "zero", "--t", "0.5", "--grid-h", "0.05", "--out", out])
+    assert code == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["MANIFEST.json", "sl4.summary.json"]
+    stats = json.loads((tmp_path / "sl4.summary.json").read_text())["results"]
+    assert "signed_volume_grid" not in stats and stats["degenerate"] is False
+
+
 def test_slice_epsilon_out_of_range_names_flag(tmp_path, capsys):
     code = run_cli(
         ["slice", "--epsilon", "0.5", "--map", "lacunary:alpha=0.8,terms=12,seed=7",
@@ -653,6 +664,7 @@ def test_dense_s2_cap_leaves_the_documented_meshes_alone():
     ["measure"],
     ["tubes"],
     ["line-kakeya", "--x", "2,0,0,0"],
+    ["verify"],
 ])
 def test_n3_only_harness_rejects_n4(tmp_path, capsys, argv):
     code = run_cli(argv + ["--n", "4", "--out", tmp_path / "out.json"])

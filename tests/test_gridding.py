@@ -398,62 +398,72 @@ def test_segment_row_spans_tangent_rows():
             assert lo[0, 0] <= X <= hi[0, 0] and lo[0, 1] <= X <= hi[0, 1]
 
 
-def _full_row_spans(radii, j, a, u, origin, h):
+def _full_row_spans(radii, j, w, a, u, origin, h):
     """The hull of `_SpanTable.chords` with every term, case by case, over
-    (m, 2) rows a and u and rows j: the slab's chord clipped to the strip,
-    or to the rows from the start to the end for a segment along a column,
-    and the end balls' chords; NaN where empty."""
+    (m, d) rows a and u (d = 2 or 3), rows j and layer offset w: the chord
+    of the slab or cylinder, x0 + u_x (t u_y + w u_z)/A -+ (L/A) sqrt(A
+    (rho/h)^2 - (t u_z - w u_y)^2), taken with the unit vector (u_y, u_z)/
+    sqrt(A), clipped to the strip, or to the rows from the start to the end
+    for a segment across the rows, and the end balls' chords; no cylinder
+    for a segment along the rows (A = 0); NaN where empty."""
     ax, ay, ux, uy = a[:, 0], a[:, 1], u[:, 0], u[:, 1]
+    uz = u[:, 2] if u.shape[1] > 2 else np.zeros(len(u))
     x0 = (ax - origin[0]) / h - 0.5
     xe = (ax + ux - origin[0]) / h - 0.5
     t = j - ((ay - origin[1]) / h - 0.5)
-    dj = uy / h
-    rho = radii[:, None]
-    flat = np.abs(uy) <= 1e-100 * np.abs(ux)
-    steep = np.abs(ux) <= 1e-100 * np.abs(uy)
-    l2 = ux * ux + uy * uy
+    dj, dz = uy / h, uz / h
+    b = (radii[:, None] / h) ** 2
+    across = np.hypot(uy, uz)
+    flat = across <= 1e-100 * np.abs(ux)
+    steep = np.abs(ux) <= 1e-100 * across
+    l2 = ux * ux + across * across
     with np.errstate(divide="ignore", invalid="ignore"):
-        axis = x0 + (ux / uy) * t
-        half = rho * (np.sqrt(l2) / (np.abs(uy) * h))
-        s = x0 - (uy / ux) * t
+        ey, ez, sx = uy / across, uz / across, ux / across
+        mid = t * (sx * ey) + (x0 + w * (sx * ez))
+        half = np.sqrt(b - (t * ez - w * ey) ** 2) * (np.sqrt(l2) / across)
+        s = (x0 - w * (uz / ux)) - t * (uy / ux)
         length = l2 / (ux * h)
         strip_lo = np.where(steep, -np.inf, s + np.minimum(length, 0.0))
         strip_hi = np.where(steep, np.inf, s + np.maximum(length, 0.0))
-        lo = np.maximum(axis - half, strip_lo)
-        hi = np.minimum(axis + half, strip_hi)
-        rows = (t >= np.minimum(dj, 0.0)) & (t <= np.maximum(dj, 0.0))
-        slab = ~flat & (~steep | rows) & (lo <= hi)
-        lo = np.where(slab, lo, np.nan)
-        hi = np.where(slab, hi, np.nan)
-        for cx, d in ((x0, t), (xe, t - dj)):
-            q = (rho / h) ** 2 - d * d
+        lo = np.maximum(mid - half, strip_lo)
+        hi = np.minimum(half + mid, strip_hi)
+        m = t * dj + w * dz
+        rows = (m >= 0.0) & (m <= l2 / (h * h))
+        cylinder = ~flat & (~steep | rows) & (lo <= hi)
+        lo = np.where(cylinder, lo, np.nan)
+        hi = np.where(cylinder, hi, np.nan)
+        for cx, dt, dw in ((x0, t, w), (xe, t - dj, w - dz)):
+            q = (b - dw * dw) - dt * dt
             ok = q >= 0.0
             lo = np.where(ok, np.fmin(lo, cx - np.sqrt(np.where(ok, q, 0.0))), lo)
             hi = np.where(ok, np.fmax(hi, np.sqrt(np.where(ok, q, 0.0)) + cx), hi)
     return lo, hi
 
 
-@pytest.mark.parametrize("kind", ["rising", "falling", "planar", "mixed"])
+@pytest.mark.parametrize("kind", ["rising", "falling", "planar", "mixed", "tubes"])
 def test_segment_row_spans_equal_the_full_formula(kind):
     # u_y > 0, u_y < 0, a fifth each of the segments along the rows, along a
     # column, of zero length and within 1e-12 of the rows (planar), and
     # calls that mix the signs, with rows through the segments' ends and
-    # tangent to their end balls: bit-equal to every term of the closed form
-    rng = np.random.default_rng(["rising", "falling", "planar", "mixed"].index(kind))
+    # tangent to their end balls; then segments in R^3 with u_z = 1, as
+    # tubes are, a fifth of them with u_x = 0, on layers across the whole
+    # tube and through its ends: bit-equal to every term of the closed form
+    rng = np.random.default_rng(["rising", "falling", "planar", "mixed", "tubes"].index(kind))
     h = 0.01
-    origin = np.array([-1.3, -1.1])
+    origin = np.array([-1.3, -1.1, -0.2])
     for trial in range(200):
         n = int(rng.integers(2, 80))
         a = rng.uniform(-1.0, 1.0, size=(n, 2))
         u = rng.uniform(-1.0, 1.0, size=(n, 2))
         r = float(rng.uniform(0.01, 0.2))
+        w = 0.0
         if kind == "planar":
             pick = rng.integers(0, 5, size=n)
             u[pick == 0, 1] = 0.0
             u[pick == 1, 0] = 0.0
             u[pick == 2] = 0.0
             u[pick == 3, 1] = rng.uniform(-1e-12, 1e-12, size=int(np.sum(pick == 3)))
-        else:
+        elif kind != "tubes":
             sign = {"rising": 1.0, "falling": -1.0}.get(kind) or np.resize([1.0, -1.0], n)
             u[:, 1] = sign * np.abs(u[:, 1])
         if trial % 2:
@@ -465,12 +475,17 @@ def test_segment_row_spans_equal_the_full_formula(kind):
             py = a[:, 1] + rng.choice([-r, 0.0, r], size=n) + rng.choice([0.0, 1.0], size=n) * u[:, 1]
         else:
             py = a[:, 1] + rng.uniform(-r, r, size=n) + rng.uniform(0.0, 1.0, size=n) * u[:, 1]
-        table = _SpanTable(origin, h, a, u, r)
+        if kind == "tubes":
+            u[rng.integers(0, 5, size=n) == 0, 0] = 0.0
+            a = np.column_stack([a, np.zeros(n)])
+            u = np.column_stack([u, np.ones(n)])
+            w = float(rng.choice([rng.uniform(-r, 1.0 + r), rng.choice([-r, 0.0, r, 1.0 - r, 1.0, 1.0 + r])])) / h
+        table = _SpanTable(origin[: a.shape[1]], h, a, u, r)
         radii = np.array([r + table.slack, r - table.slack])
         j = np.round((py - origin[1]) / h - 0.5).astype(np.int64)
-        got = table.chords(np.arange(n), j)
-        want = _full_row_spans(radii, j, a, u, origin, h)
-        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want)), (kind, trial)
+        got = table.chords(np.arange(n), j, w)
+        want = _full_row_spans(radii, j, w, a, u, origin, h)
+        assert all(np.array_equal(g, e, equal_nan=True) for g, e in zip(got, want)), (kind, trial)
 
 
 def _brute_mask(grid, vertices, tol):
@@ -526,6 +541,33 @@ def test_spans_match_brute_force_on_a_loop_translated_by_1e6():
         grid = grid_over(v + shift, 0.05, 0.2)
         for tol in (0.025, 0.15, 0.6):
             _assert_brute(grid, v + shift, tol)
+
+
+def test_far_translated_masks_send_few_cells_to_the_exact_test(monkeypatch):
+    # the seed-7 slice loop (mesh 2048, t = 0.5) and its h/2 mask at
+    # h = 0.005, at the origin and shifted by (1e6, -3.3e5) and (3e8, -1e8):
+    # the slack comes from the grid-local frame, so at every shift the mask
+    # holds 7,354 cells and the exact test gets a thin band of them (8,669
+    # cells at (1e6, -3.3e5) and 10,633,401 at (3e8, -1e8) with a slack of
+    # 1e-9 of the largest coordinate)
+    import kakeya_lab.gridding as gridding
+
+    tested = []
+    real = gridding._near
+
+    def near(P, a, u, r):
+        tested[-1] += len(P)
+        return real(P, a, u, r)
+
+    monkeypatch.setattr(gridding, "_near", near)
+    v = slice_loop(make_map("lacunary_fourier", alpha=0.8, terms=12, seed=7), 0.5, sample_sphere(1, 2048)).vertices
+    for shift in ([0.0, 0.0], [1e6, -3.3e5], [3e8, -1e8]):
+        tested.append(0)
+        w = v + np.array(shift)
+        # the winding field's grid: the loop's bounding box padded by 0.1
+        runs = mark_near_polyline(grid_over(w, 0.005, 0.1), w, 0.0025)
+        assert int(np.sum(runs[1] - runs[0])) == 7_354
+    assert tested[-1] < 8_669 and max(tested) < 100
 
 
 def test_collars_wider_than_the_pad_clip_at_the_grid_edge():

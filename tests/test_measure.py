@@ -407,7 +407,7 @@ def test_tube_layers_clear_rule_keeps_a_margin():
     # take the strip clip and the end balls; a layer well inside does not
     fam = TubeFamily(0.06, np.array([[0.3, -0.2], [0.0, 0.5]]), np.array([[0.1, 0.0], [-0.2, 0.3]]), 3)
     tubes = next(_tube_layers(fam, 0.015))[0]
-    r_out = tubes.radii[0]
+    r_out = tubes.table.radii[0]
     assert r_out > fam.delta
     for z in (r_out, np.nextafter(r_out, 1.0), 1.0 - r_out, np.nextafter(1.0 - r_out, 0.0)):
         assert not tubes.clear(z)
@@ -446,10 +446,11 @@ def test_tube_layers_band_cells_get_the_exact_test(monkeypatch):
 
 @pytest.mark.parametrize("shift", [1e6, 3e8])
 def test_tube_layers_match_brute_force_translated_far(shift, monkeypatch):
-    # tilted, steep and v_x = 0 tubes far from the origin: at 1e6 the slack
-    # (1e-9 of the largest coordinate) is below delta and the inner spans
-    # are filled; at 3e8 it passes delta, so there is no inner span and
-    # every cell of every outer span goes through the exact test
+    # tilted, steep and v_x = 0 tubes far from the origin: the slack comes
+    # from the grid-local frame (16 ulps of the largest coordinate plus 1e-9
+    # of the grid-local reach), so even at 3e8 it stays far below delta, the
+    # inner spans are filled and only a thin band of cells goes through the
+    # exact test
     import kakeya_lab.gridding as gridding
 
     tested = []
@@ -464,11 +465,10 @@ def test_tube_layers_match_brute_force_translated_far(shift, monkeypatch):
     centers = np.array([[0.0, 0.0], [0.4, -0.1], [-0.2, 0.5], [0.1, 0.1], [0.3, 0.3]]) + shift
     fam = TubeFamily(0.04, net, centers, 3)
     tubes = next(_tube_layers(fam, 0.01))[0]
-    assert len(tubes.radii) == (2 if shift < 1e7 else 1)
+    assert len(tubes.table.radii) == 2 and tubes.table.slack < 1e-4 * fam.delta
     want = _brute_tube_marks(fam, 0.01)
     _assert_tube_marks_equal(fam, 0.01, lambda *_: want)
-    if shift > 1e7:
-        assert sum(tested) >= 2 * int(want.sum())
+    assert sum(tested) <= int(want.sum()) // 100
 
 
 def test_tube_layers_split_into_blocks(monkeypatch):
