@@ -279,24 +279,25 @@ class _SpanTable:
         hi += mid
         if not ends:
             return lo, hi
-        # the strip's chord s + [s_lo, s_hi], s = x0 - (t u_y + w u_z)/u_x
+        # the strip's chord s + [s_lo, s_hi], s = x0 - (t u_y + w u_z)/u_x;
+        # mid and q are free from here on
         s = np.multiply(t, tilt_y, out=q)
         np.subtract(s0, s, out=s)
         if self.any_steep:
             # a segment across the rows has its strip on the rows it spans
             m = t * dj + m0
             s[self.steep[k] & ~((0.0 <= m) & (m <= l2))] = np.nan
-        np.maximum(lo, s + s_lo, out=lo)
-        np.minimum(hi, s + s_hi, out=hi)
+        np.maximum(lo, np.add(s, s_lo, out=mid), out=lo)
+        np.minimum(hi, np.add(s, s_hi, out=s), out=hi)
         with np.errstate(invalid="ignore"):
             empty = ~(lo <= hi)
         np.copyto(lo, np.nan, where=empty)
         np.copyto(hi, np.nan, where=empty)
-        for cx, dt, dw2 in ((x0, t, layer[0]), (xe, t - dj, layer[1])):
+        for cx, dt, dw2 in ((x0, t, layer[0]), (xe, np.subtract(t, dj, out=q), layer[1])):
             b = balls - dw2
             if not np.any(b[0] >= 0.0):
                 continue  # the ball misses the layer
-            b_lo, b_hi = _ball_chords(cx, b, dt * dt)
+            b_lo, b_hi = _ball_chords(cx, b, np.multiply(dt, dt, out=mid))
             np.fmin(lo, b_lo, out=lo)
             np.fmax(hi, b_hi, out=hi)
         return lo, hi
