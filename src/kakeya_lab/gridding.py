@@ -269,16 +269,19 @@ class _SpanTable:
             with np.errstate(invalid="ignore"):
                 np.sqrt(hi, out=hi)
             hi *= width
-            # the strip's layer terms and the end balls' squared layer offsets
-            s0, m0, layer = x0 - w * tilt_z, w * dz, (w * w, (w - dz) ** 2)
         else:
             mid += x0
             np.multiply(np.sqrt(balls), width, out=hi)
-            s0, m0, layer = x0, 0.0, (0.0, 0.0)
         np.subtract(mid, hi, out=lo)
         hi += mid
         if not ends:
             return lo, hi
+        # the strip's and the end balls' layer terms: the strip's shift, its
+        # rows' offset and each ball's squared layers to the row's layer
+        if self.layered:
+            s0, m0, layer = x0 - w * tilt_z, w * dz, (w * w, (w - dz) ** 2)
+        else:
+            s0, m0, layer = x0, 0.0, (0.0, 0.0)
         # the strip's chord s + [s_lo, s_hi], s = x0 - (t u_y + w u_z)/u_x;
         # mid and q are free from here on
         s = np.multiply(t, tilt_y, out=q)
