@@ -792,18 +792,23 @@ def test_grid_sweep_failing_the_leading_coefficient_names_grid_h_and_writes_noth
     assert list(out.iterdir()) == []
 
 
-def test_readme_cli_examples_parse():
+def _readme_commands():
+    """The argument lists of the README's CLI block, `kakeya-lab` dropped."""
     import shlex
-
-    from kakeya_lab.cli import build_parser
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.splitlines() if line.startswith("kakeya-lab ")]
-    assert len(lines) >= 9
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("kakeya-lab ")]
+
+
+def test_readme_cli_examples_parse():
+    from kakeya_lab.cli import build_parser
+
+    commands = _readme_commands()
+    assert len(commands) >= 9
     parser = build_parser()
-    for line in lines:
-        args = parser.parse_args(shlex.split(line)[1:])
+    for argv in commands:
+        args = parser.parse_args(argv)
         assert callable(args.func)
 
 
@@ -984,15 +989,9 @@ def test_reports_keep_their_pinned_bytes(tmp_path, name):
 
 
 def test_readme_commands_are_the_pinned_ones():
-    import shlex
-
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = []
-    for line in block.splitlines():
-        if line.startswith("kakeya-lab "):
-            argv = shlex.split(line)[1:]
-            at = argv.index("--out")
-            commands.append((argv[:at] + argv[at + 2:], Path(argv[at + 1]).name))
+    for argv in _readme_commands():
+        at = argv.index("--out")
+        commands.append((argv[:at] + argv[at + 2:], Path(argv[at + 1]).name))
     pinned = [(argv, out) for name, (argv, out, _) in PINNED_REPORTS.items() if name.startswith("readme-")]
     assert commands == pinned

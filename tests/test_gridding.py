@@ -533,8 +533,8 @@ def test_spans_match_brute_force_on_degenerate_segments(cells):
 
 
 def test_spans_match_brute_force_on_a_loop_translated_by_1e6():
-    # the slack grows with the coordinates (1e-3 here, a tenth of a cell):
-    # many more cells go through the exact test, and the mask is the same
+    # far from the origin the cell centers that the exact test takes round
+    # to a few ulps of 1e6, which the slack covers: the mask is the same
     m = make_map("lacunary_fourier", alpha=0.8, terms=10, seed=4)
     v = slice_loop(m, 0.5, sample_sphere(1, 128)).vertices
     for shift in (np.zeros(2), np.array([1e6, -1e6])):
