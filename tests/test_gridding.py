@@ -547,9 +547,9 @@ def test_far_translated_masks_send_few_cells_to_the_exact_test(monkeypatch):
     # the seed-7 slice loop (mesh 2048, t = 0.5) and its h/2 mask at
     # h = 0.005, at the origin and shifted by (1e6, -3.3e5) and (3e8, -1e8):
     # the slack comes from the grid-local frame, so at every shift the mask
-    # holds 7,354 cells and the exact test gets a thin band of them (8,669
-    # cells at (1e6, -3.3e5) and 10,633,401 at (3e8, -1e8) with a slack of
-    # 1e-9 of the largest coordinate)
+    # holds 7,354 cells and the exact test gets a thin band of them, even at
+    # (3e8, -1e8) fewer than the 8,669 that a slack of 1e-9 of the largest
+    # coordinate sends at (1e6, -3.3e5)
     import kakeya_lab.gridding as gridding
 
     tested = []
