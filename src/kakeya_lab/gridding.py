@@ -342,8 +342,9 @@ def _cell_index(x: np.ndarray, origin: float, h: float, n: int, rounding) -> np.
 
 def _rows_within(lo, hi, reach, origin: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """First and last row (j0, j1) whose center origin + (j + 1/2) h lies
-    within `reach` of the y-interval [lo, hi], widened far above rounding:
-    each end y moves out by reach + 1e-9 (reach + |y|).  An empty range has
+    within `reach` of the y-interval [lo, hi], widened far above rounding
+    from the grid-local frame (`_widened`): each end y moves out by
+    reach + 1e-9 (reach + |y - origin|) + 16 ulps of y.  An empty range has
     j0 > j1; both are clipped just outside [0, n - 1] as `_cell_index` clips.
 
     It is exact for every caller.  A cell that `_near` accepts at radius r
@@ -351,17 +352,22 @@ def _rows_within(lo, hi, reach, origin: float, h: float, n: int) -> tuple[np.nda
     segment's y-range, so the center's y is within r of that range: no row
     outside the widened interval holds such a cell.  The same holds for a
     chain's ball (`_chain_pairs`) and a tube's section
-    (`measure.tube_layer_runs`) with their own reach; the widening covers
-    the rounding of the centers, of the distance test and of `_cell_index`.
+    (`measure.tube_layer_runs`) with their own reach.  The widening covers
+    the rounding of the centers (an ulp of y), of the distance test's y
+    component (the point it takes on the segment lies on it whatever the
+    rounding of its parameter, so a few ulps of the grid-local values) and
+    of `_cell_index`.
     """
-    j0 = _cell_index(lo - _widened(reach, lo), origin, h, n, np.ceil)
-    j1 = _cell_index(hi + _widened(reach, hi), origin, h, n, np.floor)
+    j0 = _cell_index(lo - _widened(reach, lo, origin), origin, h, n, np.ceil)
+    j1 = _cell_index(hi + _widened(reach, hi, origin), origin, h, n, np.floor)
     return j0, j1
 
 
-def _widened(reach, y):
-    """`reach` about y, widened far above rounding: reach + 1e-9 (reach + |y|)."""
-    return reach + 1e-9 * (reach + np.abs(y))
+def _widened(reach, y, origin=0.0):
+    """`reach` about y, widened far above rounding: reach + 1e-9 (reach +
+    |y - origin|) + 16 ulps of y, with origin the grid's corner (0 where
+    there is no grid)."""
+    return reach + 1e-9 * (reach + np.abs(y - origin)) + 16.0 * np.spacing(np.abs(y))
 
 
 def scanline_runs(shape, origin, h, j0, j1, a, u, r, chain: int = 1):
@@ -664,9 +670,10 @@ def mark_near_polyline(grid: CellGrid, vertices: np.ndarray, tol: float):
 def points_near_polyline(points: np.ndarray, vertices: np.ndarray, tol: float) -> bool:
     """Whether any point lies within tol of the closed polyline (the exact
     test `_near`).  Points are sorted by y, and each segment is tested only
-    against the points whose y is within tol of its y-range, widened as
-    `_rows_within` widens it: a point on the tol boundary is tested even
-    where y1 + tol rounds below its y."""
+    against the points whose y is within tol of its y-range, widened by
+    `_widened` as `_rows_within` widens it, about 0 in place of a grid's
+    corner: a point on the tol boundary is tested even where y1 + tol
+    rounds below its y."""
     pts = np.asarray(points, dtype=float)
     P = pts[np.argsort(pts[:, 1])]
     a, u, y0, y1 = _segments(vertices)

@@ -543,31 +543,39 @@ def test_spans_match_brute_force_on_a_loop_translated_by_1e6():
             _assert_brute(grid, v + shift, tol)
 
 
-def test_far_translated_masks_send_few_cells_to_the_exact_test(monkeypatch):
+def test_far_translated_masks_do_the_work_of_the_origin(monkeypatch):
     # the seed-7 slice loop (mesh 2048, t = 0.5) and its h/2 mask at
     # h = 0.005, at the origin and shifted by (1e6, -3.3e5) and (3e8, -1e8):
-    # the slack comes from the grid-local frame, so at every shift the mask
-    # holds 7,354 cells and the exact test gets a thin band of them, even at
-    # (3e8, -1e8) fewer than the 8,669 that a slack of 1e-9 of the largest
-    # coordinate sends at (1e6, -3.3e5)
+    # the slack and the row rule's widening come from the grid-local frame,
+    # so at every shift the mask holds 7,354 cells, its spans are taken on
+    # the same (segment, row) pairs, and the exact test gets a thin band of
+    # cells, even at (3e8, -1e8) fewer than the 8,669 that a slack of 1e-9
+    # of the largest coordinate sends at (1e6, -3.3e5)
     import kakeya_lab.gridding as gridding
 
-    tested = []
-    real = gridding._near
+    tested, pairs = [], []
+    real_near, real_chords = gridding._near, gridding._SpanTable.chords
 
     def near(P, a, u, r):
         tested[-1] += len(P)
-        return real(P, a, u, r)
+        return real_near(P, a, u, r)
+
+    def chords(self, k, j):
+        pairs[-1] += len(j)
+        return real_chords(self, k, j)
 
     monkeypatch.setattr(gridding, "_near", near)
+    monkeypatch.setattr(gridding._SpanTable, "chords", chords)
     v = slice_loop(make_map("lacunary_fourier", alpha=0.8, terms=12, seed=7), 0.5, sample_sphere(1, 2048)).vertices
     for shift in ([0.0, 0.0], [1e6, -3.3e5], [3e8, -1e8]):
         tested.append(0)
+        pairs.append(0)
         w = v + np.array(shift)
         # the winding field's grid: the loop's bounding box padded by 0.1
         runs = mark_near_polyline(grid_over(w, 0.005, 0.1), w, 0.0025)
         assert int(np.sum(runs[1] - runs[0])) == 7_354
     assert tested[-1] < 8_669 and max(tested) < 100
+    assert pairs == [6_676] * 3
 
 
 def test_collars_wider_than_the_pad_clip_at_the_grid_edge():
