@@ -303,6 +303,7 @@ class _SpanTable:
             b_lo, b_hi = _ball_chords(cx, b, np.multiply(dt, dt, out=mid))
             np.fmin(lo, b_lo, out=lo)
             np.fmax(hi, b_hi, out=hi)
+            del b_lo, b_hi  # freed before the next ball's chords are made
         return lo, hi
 
 
